@@ -34,8 +34,9 @@ class ParseError(ValueError):
     """Malformed element, endomorphism, or family text."""
 
 
-_ELEM_RE = re.compile(r"^\((\d+),(\d+),(\d+)\)$")
-_ENDO_RE = re.compile(r"^([ab]):(\d+),(\d+)$")
+# [0-9], not \d: \d also matches non-ASCII decimal digits
+_ELEM_RE = re.compile(r"^\(([0-9]+),([0-9]+),([0-9]+)\)$")
+_ENDO_RE = re.compile(r"^([ab]):([0-9]+),([0-9]+)$")
 
 
 # --------------------------------------------------------- parse / print --
@@ -71,8 +72,13 @@ def format_endo(e: InjEndo) -> str:
 
 
 def parse_family(text: str) -> Family:
+    """Parse comma-separated ASCII bases; blank text is the empty family,
+    which Family refuses as a family error."""
+    parts = text.split(",") if text.strip() else []
     try:
-        bases = tuple(int(part) for part in text.split(","))
+        if not all(part.strip().isascii() for part in parts):
+            raise ValueError  # int() would read non-ASCII decimal digits
+        bases = tuple(int(part) for part in parts)
     except ValueError:
         raise ParseError(
             f"cannot parse family {text!r}; expected comma-separated bases") from None
@@ -85,7 +91,7 @@ def parse_family(text: str) -> Family:
 
 
 def _family_from(args) -> Family:
-    return parse_family(args.family) if args.family else CANONICAL_FAMILY
+    return CANONICAL_FAMILY if args.family is None else parse_family(args.family)
 
 
 def _require_canonical(family: Family):
@@ -123,7 +129,7 @@ def _cmd_endo_compose(args) -> int:
 
 
 def _cmd_endo_classify(args) -> int:
-    if args.family:
+    if args.family is not None:
         _require_canonical(parse_family(args.family))
     images = GeneratorImages(args.k, args.level, args.p)
     print(format_endo(classify_from_images(images)))
@@ -131,7 +137,7 @@ def _cmd_endo_classify(args) -> int:
 
 
 def _cmd_green(args) -> int:
-    if args.family:
+    if args.family is not None:
         _require_canonical(parse_family(args.family))
     q = GreenQuery(args.relation, parse_endo(args.first), parse_endo(args.second),
                    args.kmax)

@@ -3,15 +3,22 @@
 The preserving endomorphisms form a cancellative submonoid, the collapsing
 ones a two-sided ideal, and all five Green relations (R, L, H, D, J)
 degenerate to equality.  green_symbolic answers from that closed form;
-green_bounded_search proves membership the hard way, by scanning factor
-candidates with k up to a bound, so the two can be played against each
-other by the verification suites.
+green_bounded_search proves membership the hard way, by brute force over
+every factor candidate with k up to a bound, so the two can be played
+against each other by the verification suites.
+
+The search composes an endomorphism x with every candidate e once and
+records, per composite x e (side "R") or e x (side "L"), the first e in
+candidate order that gives it.  These factor tables are built lazily, once
+per (endomorphism, kmax, side), and kept for the life of the process; R, L,
+H and D then reduce to table lookups, and J scans u and looks the right
+factor up in the table of u b.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .endomorphisms import InjEndo, Kind, UNIT, _compose_raw, compose, enumerate_endos
+from .endomorphisms import InjEndo, Kind, _compose_raw, compose, enumerate_endos
 
 RELATIONS = ("R", "L", "H", "D", "J")
 
@@ -49,96 +56,70 @@ def green_symbolic(q: GreenQuery) -> bool:
     return q.left == q.right
 
 
+def _code(v, k, p) -> int:
+    # injective int code of a (kind, k, p) triple with 0 <= p < k; the
+    # tables are keyed by it so that lookups never hash a Kind member
+    return (k * k + p) << 1 | (v is Kind.COLLAPSING)
+
+
 @lru_cache(maxsize=None)
 def _candidates(kmax: int) -> tuple:
-    # candidate factors paired with their raw (kind, k, p) triples
-    return tuple((e, (e.kind, e.k, e.p)) for e in enumerate_endos(kmax))
+    # candidate factors with their raw (kind, k, p) triples and codes
+    return tuple((e, (e.kind, e.k, e.p), _code(e.kind, e.k, e.p))
+                 for e in enumerate_endos(kmax))
 
 
-def _right_factor(a, b, raws):
-    # factor e with a == b e; the adjoined-unit (no factor) case goes first
-    if a == b:
-        return UNIT
-    ra = (a.kind, a.k, a.p)
-    rb = (b.kind, b.k, b.p)
-    for e, re in raws:
-        if _compose_raw(*rb, *re) == ra:
-            return e
+# (code of x, kmax, side) -> table; a table depends on its key alone, so
+# every caller in the process shares it
+_TABLES: dict = {}
+
+
+def _table(x, kmax: int, side: str) -> dict:
+    # composite code -> first candidate e with x e (side "R") or e x (side
+    # "L") equal to it; built once by composing x with every candidate
+    key = (_code(*x), kmax, side)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = {}
+        for e, re, _ in _candidates(kmax):
+            prod = _compose_raw(*x, *re) if side == "R" else _compose_raw(*re, *x)
+            table.setdefault(_code(*prod), e)
+    return table
+
+
+def _related(x, y, kmax: int, side: str):
+    # witnesses (e1, e2) with x == y e1 and y == x e2 (side "R"; e1 y and
+    # e2 x for side "L"), or None.  The unit is the first candidate, so x == y
+    # needs no special case.
+    e1 = _table(y, kmax, side).get(_code(*x))
+    e2 = _table(x, kmax, side).get(_code(*y)) if e1 is not None else None
+    return None if e2 is None else (e1, e2)
+
+
+def _two_sided_factors(a, b, kmax: int):
+    # first pair (u, v) in candidate order with a == u b v
+    ca = _code(*a)
+    for u, ru, _ in _candidates(kmax):
+        v = _table(_compose_raw(*ru, *b), kmax, "R").get(ca)
+        if v is not None:
+            return u, v
     return None
 
 
-def _left_factor(a, b, raws):
-    # factor e with a == e b
-    if a == b:
-        return UNIT
-    ra = (a.kind, a.k, a.p)
-    rb = (b.kind, b.k, b.p)
-    for e, re in raws:
-        if _compose_raw(*re, *rb) == ra:
-            return e
-    return None
-
-
-def _r_related(x, y, raws):
-    # witnesses (e1, e2) with x == y e1 and y == x e2, or None
-    e1 = _right_factor(x, y, raws)
-    if e1 is None:
-        return None
-    e2 = _right_factor(y, x, raws)
-    if e2 is None:
-        return None
-    return e1, e2
-
-
-def _l_related(x, y, raws):
-    e1 = _left_factor(x, y, raws)
-    if e1 is None:
-        return None
-    e2 = _left_factor(y, x, raws)
-    if e2 is None:
-        return None
-    return e1, e2
-
-
-def _two_sided_factors(a, b, raws):
-    # pair (u, v) with a == u b v; the unit sits among the candidates, so the
-    # double scan also covers the one-sided and no-factor cases
-    if a == b:
-        return UNIT, UNIT
-    ra = (a.kind, a.k, a.p)
-    rb = (b.kind, b.k, b.p)
-    for u, ru in raws:
-        left = _compose_raw(*ru, *rb)
-        for v, rv in raws:
-            if _compose_raw(*left, *rv) == ra:
-                return u, v
-    return None
-
-
-def _d_search(a, b, raws, l_first: bool):
-    # D as a relational composition: some c with a L c and c R b (or the
-    # mirrored order).  c ranges over both endpoints and every candidate;
-    # the endpoint case is the one that can actually fire here.
-    seen = set()
-    for c in (a, b, *(e for e, _ in raws)):
-        if c in seen:
+def _d_search(a, b, kmax: int, first: str, second: str):
+    # D as a relational composition: the first c with a ~ c by side `first`
+    # and c ~ b by side `second`.  c ranges over both endpoints and every
+    # candidate; the endpoint case is the one that can actually fire here.
+    # Such a c is a composite in a's `first` table and b's `second` table,
+    # so those two screen c before any table of c's own is built.
+    near_a, near_b = _table(a, kmax, first), _table(b, kmax, second)
+    for _, c, cc in ((None, a, _code(*a)), (None, b, _code(*b)), *_candidates(kmax)):
+        if cc not in near_a or cc not in near_b:
             continue
-        seen.add(c)
-        if l_first:
-            lw = _l_related(a, c, raws)
-            if lw is None:
-                continue
-            rw = _r_related(c, b, raws)
-            if rw is None:
-                continue
-        else:
-            rw = _r_related(a, c, raws)
-            if rw is None:
-                continue
-            lw = _l_related(c, b, raws)
-            if lw is None:
-                continue
-        return [*lw, *rw]
+        w1 = _related(a, c, kmax, first)
+        w2 = _related(c, b, kmax, second) if w1 is not None else None
+        if w2 is not None:
+            return (*w1, *w2)
     return None
 
 
@@ -148,40 +129,26 @@ def green_bounded_search(q: GreenQuery) -> WitnessSearchResult:
     Products are compared structurally and may exceed the bound.  For D both
     composition orders are computed and asserted to agree.
     """
-    raws = _candidates(q.kmax)
-    a, b, rel = q.left, q.right, q.relation
-    wits: list[InjEndo] = []
-    if rel == "R":
-        found = _r_related(a, b, raws)
-        related = found is not None
-        if related:
-            wits = list(found)
-    elif rel == "L":
-        found = _l_related(a, b, raws)
-        related = found is not None
-        if related:
-            wits = list(found)
+    kmax, rel = q.kmax, q.relation
+    a = (q.left.kind, q.left.k, q.left.p)
+    b = (q.right.kind, q.right.k, q.right.p)
+    if rel in ("R", "L"):
+        wits = _related(a, b, kmax, rel)
     elif rel == "H":
-        fr = _r_related(a, b, raws)
-        fl = _l_related(a, b, raws) if fr is not None else None
-        related = fr is not None and fl is not None
-        if related:
-            wits = [*fr, *fl]
+        fr = _related(a, b, kmax, "R")
+        fl = _related(a, b, kmax, "L") if fr is not None else None
+        wits = (*fr, *fl) if fl is not None else None
     elif rel == "D":
-        lr = _d_search(a, b, raws, l_first=True)
-        rl = _d_search(a, b, raws, l_first=False)
-        assert (lr is None) == (rl is None), "the two D compositions disagree"
-        related = lr is not None
-        if related:
-            wits = lr
+        wits = _d_search(a, b, kmax, "L", "R")
+        rl = _d_search(a, b, kmax, "R", "L")
+        assert (wits is None) == (rl is None), "the two D compositions disagree"
     else:  # J
-        f1 = _two_sided_factors(a, b, raws)
-        f2 = _two_sided_factors(b, a, raws) if f1 is not None else None
-        related = f1 is not None and f2 is not None
-        if related:
-            wits = [*f1, *f2]
-    uniq = tuple(dict.fromkeys(wits)) if related else ()
-    return WitnessSearchResult(related, uniq, q.kmax)
+        f1 = _two_sided_factors(a, b, kmax)
+        f2 = _two_sided_factors(b, a, kmax) if f1 is not None else None
+        wits = (*f1, *f2) if f2 is not None else None
+    if wits is None:
+        return WitnessSearchResult(False, (), kmax)
+    return WitnessSearchResult(True, tuple(dict.fromkeys(wits)), kmax)
 
 
 def in_preserving_class(e: InjEndo) -> bool:

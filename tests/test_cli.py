@@ -67,6 +67,21 @@ class TestParsing:
             parse_family("0,2")
         with pytest.raises(FamilyError):
             parse_family("-1,0")
+        assert parse_family(" 0 , 1 ") == CANONICAL_FAMILY
+
+    def test_non_ascii_digits_are_syntax(self):
+        arabic_one = "\u0661"  # int() and \d both read it as 1
+        with pytest.raises(ParseError):
+            parse_element(f"({arabic_one},2,0)")
+        with pytest.raises(ParseError):
+            parse_endo(f"a:2,{arabic_one}")
+        with pytest.raises(ParseError):
+            parse_family(f"0,{arabic_one}")
+
+    def test_empty_family_is_a_family_error(self):
+        for text in ("", " "):
+            with pytest.raises(FamilyError):
+                parse_family(text)
 
 
 class TestDocumentedInvocations:
@@ -138,6 +153,17 @@ class TestExitCodes:
                                "--family", "0,2", capsys=capsys)
         assert code == EXIT_FAMILY
         assert "not shift-closed" in err
+
+    def test_non_ascii_digit_exits_2(self, capsys):
+        code, out, err = run_cli("mul", "(\u0661,2,0)", "(0,1,0)", capsys=capsys)
+        assert (code, out) == (EXIT_SYNTAX, "")
+        assert "cannot parse element" in err
+
+    def test_empty_family_exits_3(self, capsys):
+        code, out, err = run_cli("mul", "(1,2,0)", "(1,2,0)", "--family", "",
+                                 capsys=capsys)
+        assert (code, out) == (EXIT_FAMILY, "")
+        assert "at least one ray" in err
 
     def test_green_refuses_non_canonical_family(self, capsys):
         code, _, err = run_cli("green", "-r", "R", "a:2,1", "a:2,1",

@@ -3,6 +3,7 @@ search, plus the class-level structure results."""
 
 import pytest
 
+import bicext.endo_monoid_green as green
 from bicext.endomorphisms import UNIT, collapsing, compose, enumerate_endos, preserving
 from bicext.endo_monoid_green import (GreenQuery, RELATIONS, WitnessSearchResult,
                           collapsing_class_ideal, find_idempotents,
@@ -70,6 +71,128 @@ class TestBoundedSearch:
         assert compose(preserving(2, 1), preserving(3, 2)) == preserving(6, 5)
         res = green_bounded_search(GreenQuery("R", preserving(2, 1), preserving(6, 5), 8))
         assert not res.related
+
+
+def _raw(e):
+    return e.kind, e.k, e.p
+
+
+def _scan_factor(a, b, cands, side):
+    # first e with a == b e (side "R") or a == e b (side "L")
+    for e in cands:
+        if (compose(b, e) if side == "R" else compose(e, b)) == a:
+            return e
+    return None
+
+
+def _scan_two_sided(a, b, cands):
+    # first (u, v), u outermost, with a == u b v
+    for u in cands:
+        for v in cands:
+            if compose(compose(u, b), v) == a:
+                return u, v
+    return None
+
+
+def _scan_related(x, y, cands, side):
+    e1 = _scan_factor(x, y, cands, side)
+    e2 = _scan_factor(y, x, cands, side) if e1 is not None else None
+    return None if e2 is None else (e1, e2)
+
+
+def _scan_d(a, b, cands, first, second):
+    for c in dict.fromkeys([a, b, *cands]):
+        w1 = _scan_related(a, c, cands, first)
+        w2 = _scan_related(c, b, cands, second) if w1 is not None else None
+        if w2 is not None:
+            return (*w1, *w2)
+    return None
+
+
+def _scan(rel, a, b, kmax):
+    """The bounded search as a plain nested-loop scan of enumerate_endos."""
+    cands = enumerate_endos(kmax)
+    if rel in ("R", "L"):
+        wits = _scan_related(a, b, cands, rel)
+    elif rel == "H":
+        fr, fl = _scan_related(a, b, cands, "R"), _scan_related(a, b, cands, "L")
+        wits = None if fr is None or fl is None else (*fr, *fl)
+    elif rel == "D":
+        wits = _scan_d(a, b, cands, "L", "R")
+        assert (wits is None) == (_scan_d(a, b, cands, "R", "L") is None)
+    else:
+        f1 = _scan_two_sided(a, b, cands)
+        f2 = _scan_two_sided(b, a, cands) if f1 is not None else None
+        wits = None if f2 is None else (*f1, *f2)
+    if wits is None:
+        return WitnessSearchResult(False, (), kmax)
+    return WitnessSearchResult(True, tuple(dict.fromkeys(wits)), kmax)
+
+
+class TestSearchAgainstScan:
+    """The indexed search against an independent scan over the candidates."""
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3, 4])
+    def test_every_pair_every_relation(self, kmax):
+        cands = enumerate_endos(kmax)
+        for a in enumerate_endos(kmax + 1):
+            for b in enumerate_endos(kmax + 1):
+                for rel in RELATIONS:
+                    assert green_bounded_search(GreenQuery(rel, a, b, kmax)) == \
+                        _scan(rel, a, b, kmax), (rel, str(a), str(b))
+                for side in ("R", "L"):
+                    assert green._table(_raw(b), kmax, side).get(green._code(*_raw(a))) \
+                        == _scan_factor(a, b, cands, side)
+                assert green._two_sided_factors(_raw(a), _raw(b), kmax) == \
+                    _scan_two_sided(a, b, cands)
+
+    def test_endpoint_outside_candidates(self):
+        far = preserving(9, 4)
+        assert far not in enumerate_endos(3)
+        for other in (far, preserving(3, 1), collapsing(3, 2)):
+            for rel in RELATIONS:
+                for a, b in ((far, other), (other, far)):
+                    assert green_bounded_search(GreenQuery(rel, a, b, 3)) == \
+                        _scan(rel, a, b, 3)
+
+    def test_factors_are_first_in_candidate_order(self):
+        cands = enumerate_endos(8)
+        a, b = preserving(6, 5), preserving(2, 1)
+        assert green._table(_raw(b), 8, "R")[green._code(*_raw(a))] == preserving(3, 2)
+        # b:2,1 e = b:4,2 for a:2,0, a:2,1 and b:2,1 alike; the first is chosen
+        a, b = collapsing(4, 2), collapsing(2, 1)
+        hits = [e for e in cands if compose(b, e) == a]
+        assert hits == [preserving(2, 0), preserving(2, 1), collapsing(2, 1)]
+        assert green._table(_raw(b), 8, "R")[green._code(*_raw(a))] == hits[0]
+        pairs = [(u, v) for u in cands for v in cands if compose(compose(u, b), v) == a]
+        assert len(pairs) > 1
+        assert green._two_sided_factors(_raw(a), _raw(b), 8) == pairs[0]
+
+    def test_warm_tables_repeat_the_cold_result(self, monkeypatch):
+        monkeypatch.setattr(green, "_TABLES", {})
+        calls = []
+        compose_raw = green._compose_raw
+        monkeypatch.setattr(green, "_compose_raw",
+                            lambda *args: calls.append(args) or compose_raw(*args))
+        a, b = collapsing(4, 1), collapsing(4, 3)
+        for rel in RELATIONS:
+            cold = green_bounded_search(GreenQuery(rel, a, b, 5))
+            assert green._TABLES
+            built, cold_calls = len(green._TABLES), len(calls)
+            assert green_bounded_search(GreenQuery(rel, a, b, 5)) == cold
+            assert len(green._TABLES) == built
+            if rel != "J":  # J composes u b afresh for each candidate u
+                assert len(calls) == cold_calls
+            calls.clear()
+
+    def test_never_consults_the_closed_form(self, monkeypatch):
+        def refuse(q):
+            raise AssertionError("bounded search consulted green_symbolic")
+        monkeypatch.setattr(green, "green_symbolic", refuse)
+        for rel in RELATIONS:
+            assert green_bounded_search(GreenQuery(rel, UNIT, UNIT, 3)).related
+            assert not green_bounded_search(
+                GreenQuery(rel, preserving(2, 1), collapsing(2, 1), 3)).related
 
 
 class TestClassStructure:
