@@ -235,6 +235,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_cayley(args) -> int:
+    if args.bound < 0:  # the same refusal as verify's truncations
+        raise ValueError("bound must be >= 0")
     family = _family_from(args)
     generators = [parse_element(g, family) for g in args.generators]
     nodes = [family.elem(i, j, s.base)

@@ -17,6 +17,7 @@ Both branches agree when j1 == i2.  The structure is an inverse monoid:
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 
 class FamilyError(ValueError):
@@ -111,6 +112,12 @@ class Family:
 CANONICAL_FAMILY = Family.from_bases(0, 1)
 
 
+def _raw_truncation(bound: int, family: Family = CANONICAL_FAMILY):
+    """(i, j, base) triples with i, j <= bound: ray outermost, then i, then j."""
+    side = range(bound + 1)
+    return [(i, j, s.base) for s in family.sets for i in side for j in side]
+
+
 @dataclass(frozen=True)
 class Elem:
     """Monoid element (i, j, F); f indexes a ray of the ambient family."""
@@ -147,6 +154,18 @@ def _mul_raw(i1, j1, b1, i2, j2, b2):
     if j1 <= i2:
         return i1 - j1 + i2, j2, max(b1 + j1 - i2, b2)
     return i1, j1 - i2 + j2, max(b2 + i2 - j1, b1)
+
+
+def _columns(triples):
+    """Column form (I, J, B) of a list of raw triples, for the row kernels.
+    An empty list gives three empty columns, so a map over them stops."""
+    return list(zip(*triples)) or [(), (), ()]
+
+
+def _product_row(x, cols):
+    """x * y for every y of a column set, as one map over _mul_raw run in C."""
+    i, j, b = x
+    return tuple(map(_mul_raw, repeat(i), repeat(j), repeat(b), *cols))
 
 
 def mul(x: Elem, y: Elem) -> Elem:

@@ -21,8 +21,11 @@ so collapsing endomorphisms absorb products from either side.
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
-from .core_semigroup import CANONICAL_FAMILY, Elem, FamilyError, _mul_raw
+# _mul_raw stays bound here: bench/tracing.py wraps the kernels module by module
+from .core_semigroup import (CANONICAL_FAMILY, Elem, FamilyError, _columns, _mul_raw,
+                             _product_row, _raw_truncation)
 
 
 class ParameterRangeError(ValueError):
@@ -92,6 +95,11 @@ def _raw_image(kind, k, p, i, j, b):
     return p + k * i, p + k * j, 0
 
 
+def _image_row(kind, k, p, cols):
+    """Images of every triple of a column set, as one map over _raw_image run in C."""
+    return tuple(map(_raw_image, repeat(kind), repeat(k), repeat(p), *cols))
+
+
 def apply(e: InjEndo, x: Elem) -> Elem:
     """Image of x under e; defined over the canonical family only."""
     if x.family != CANONICAL_FAMILY:
@@ -158,27 +166,25 @@ def enumerate_endos(kmax: int) -> list[InjEndo]:
     return out
 
 
-def _raw_truncation(bound):
-    # (i, j, base) triples over the canonical family, ray index varying slowest
-    return [(i, j, b) for b in (0, 1) for i in range(bound + 1) for j in range(bound + 1)]
-
-
 def homomorphism_counterexample(kind, k: int, p: int, bound: int):
     """First truncation pair (x, y) with (x y)f != (x f)(y f) under the raw
     closed form, or None.
 
     Valid parameter ranges never produce one; out of range the scan is the
     disqualification oracle.  Scan order matches the truncation enumeration:
-    ray index outermost, then i, then j.
+    ray index outermost, then i, then j.  Each x is checked against every y
+    as one row; only a mismatching row is searched for its first y.
     """
     elems = _raw_truncation(bound)
-    images = {x: _raw_image(kind, k, p, *x) for x in elems}
-    for x in elems:
-        fx = images[x]
-        for y in elems:
-            prod = _mul_raw(*x, *y)
-            if _raw_image(kind, k, p, *prod) != _mul_raw(*fx, *images[y]):
-                return CANONICAL_FAMILY.elem(*x), CANONICAL_FAMILY.elem(*y)
+    cols = _columns(elems)
+    images = _image_row(kind, k, p, cols)
+    image_cols = _columns(images)
+    for x, fx in zip(elems, images):
+        want = _product_row(fx, image_cols)
+        got = _image_row(kind, k, p, _columns(_product_row(x, cols)))
+        if got != want:
+            y = next(y for y, g, w in zip(elems, got, want) if g != w)
+            return CANONICAL_FAMILY.elem(*x), CANONICAL_FAMILY.elem(*y)
     return None
 
 

@@ -187,6 +187,16 @@ class TestExitCodes:
         assert code == EXIT_IO
         assert err.startswith("error:")
 
+    def test_export_negative_bound_exits_2_like_verify(self, tmp_path, capsys):
+        target = tmp_path / "out.dot"
+        code, out, err = run_cli("export-cayley", "--bound", "-1",
+                                 "--output", str(target), capsys=capsys)
+        assert (code, out, err) == (EXIT_SYNTAX, "", "error: bound must be >= 0\n")
+        assert not target.exists()  # refused before any work
+        code, _, verify_err = run_cli("verify", "--suite", "order", "--bound", "-1",
+                                      capsys=capsys)
+        assert (code, verify_err) == (EXIT_SYNTAX, err)
+
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run_cli("verify", "--suite", "nope", capsys=capsys)
         assert code == EXIT_SYNTAX

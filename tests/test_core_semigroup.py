@@ -3,9 +3,9 @@
 import pytest
 
 from bicext.core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyClosureError,
-                         FamilyError, InductiveSet, MixedFamilyError,
-                         intersect_shifted, inverse, is_idempotent,
-                         leq_natural, mul, mul_bicyclic)
+                         FamilyError, InductiveSet, MixedFamilyError, _columns,
+                         _mul_raw, _product_row, intersect_shifted, inverse,
+                         is_idempotent, leq_natural, mul, mul_bicyclic)
 
 
 def elem(i, j, base):
@@ -165,6 +165,16 @@ class TestProduct:
                 for b2 in (0, 1):
                     got = mul(elem(2, j, b1), elem(j, 1, b2))
                     assert got.base == max(b1, b2)
+
+    def test_product_row_matches_per_case_products(self):
+        ys = [y for y, _, _ in self.FROZEN] + [want for _, _, want in self.FROZEN]
+        for x, _, _ in self.FROZEN:
+            assert _product_row(x, _columns(ys)) == tuple(_mul_raw(*x, *y) for y in ys)
+
+    def test_empty_columns_give_an_empty_row(self):
+        # three empty columns, not none: map over no columns would never stop
+        assert _columns([]) == [(), (), ()]
+        assert _product_row((1, 2, 0), _columns([])) == ()
 
     def test_mul_bicyclic_frozen(self):
         assert mul_bicyclic((1, 2), (3, 4)) == (2, 4)

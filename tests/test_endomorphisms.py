@@ -188,6 +188,22 @@ class TestOutOfRangeOracles:
         got = homomorphism_counterexample(Kind.PRESERVING, 2, 2, 6)
         assert got == (elem(0, 1, 0), elem(0, 0, 1))
 
+    def test_first_counterexample_matches_a_plain_scan(self):
+        # reference: the nested scan in truncation order through public mul
+        def scan(kind, k, p, bound):
+            def image(x):
+                return elem(*_raw_image(kind, k, p, x.i, x.j, x.base))
+            for x in truncation(bound):
+                for y in truncation(bound):
+                    if image(mul(x, y)) != mul(image(x), image(y)):
+                        return x, y
+            return None
+
+        for kind in (Kind.PRESERVING, Kind.COLLAPSING):
+            for k in range(1, 5):
+                for p in range(k + 3):
+                    assert homomorphism_counterexample(kind, k, p, 3) == scan(kind, k, p, 3)
+
     def test_preserving_at_p_equal_k_fails(self):
         for k in range(1, 5):
             assert homomorphism_counterexample(Kind.PRESERVING, k, k, 6) is not None

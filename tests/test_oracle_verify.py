@@ -1,9 +1,16 @@
 """The verification engine: truncations, the registry audit, report shape,
-and every suite at reduced bounds."""
+every suite at reduced bounds, and reports under deliberately wrong kernels."""
+
+import hashlib
 
 import pytest
 
+import bicext.core_semigroup as _core
+import bicext.endo_monoid_green as _green
+import bicext.endomorphisms as _endo
+import bicext.oracle_verify as _ov
 from bicext.core_semigroup import CANONICAL_FAMILY, Family
+from bicext.endomorphisms import Kind, homomorphism_counterexample
 from bicext.oracle_verify import (ALL_INVARIANTS, FAILURE_CAP, FailureLog, SUITES,
                            Truncation, UnknownSuiteError, run_suite)
 
@@ -143,3 +150,137 @@ class TestSuitesAtReducedBounds:
 
     def test_growth_inequalities(self):
         assert run_suite("growth_inequalities", kmax=4, tmax=30).passed
+
+
+# ------------------------------------------------------- fault injection --
+
+_MODULES = (_core, _endo, _ov, _green)
+_REAL_MUL = _core._mul_raw
+_REAL_IMAGE = _endo._raw_image
+
+
+def _dense_mul(i1, j1, b1, i2, j2, b2):
+    i, j, b = _REAL_MUL(i1, j1, b1, i2, j2, b2)
+    if (i1 + j2) % 5 == 3:
+        return i, j, min(b1, b2)
+    if i1 == 2 and j2 == 1:
+        return i, j + 1, b
+    return i, j, b
+
+
+def _sparse_mul(i1, j1, b1, i2, j2, b2):
+    i, j, b = _REAL_MUL(i1, j1, b1, i2, j2, b2)
+    if (i1, j1, b1, i2, j2, b2) == (2, 1, 1, 0, 3, 0):
+        return i, j, 0
+    return i, j, b
+
+
+def _dense_image(kind, k, p, i, j, b):
+    i2, j2, b2 = _REAL_IMAGE(kind, k, p, i, j, b)
+    if (i + 2 * j + k) % 5 == 1:
+        return i2, j2 + 1, b2
+    return i2, j2, b2
+
+
+def _sparse_image(kind, k, p, i, j, b):
+    i2, j2, b2 = _REAL_IMAGE(kind, k, p, i, j, b)
+    if (k, p, i, j, b) == (3, 1, 2, 0, 1):
+        return i2, j2 + 1, b2
+    return i2, j2, b2
+
+
+def _inject(monkeypatch, name, fault):
+    """Replace the kernel `name` in every module that binds it."""
+    bound = [m for m in _MODULES if name in vars(m)]
+    assert bound
+    for module in bound:
+        monkeypatch.setattr(module, name, fault)
+
+
+def _digest(failures):
+    text = repr([(f.inputs, f.expected, f.got) for f in failures])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+_MUL_FAULTS = {"dense": _dense_mul, "sparse": _sparse_mul}
+_IMAGE_FAULTS = {"dense": _dense_image, "sparse": _sparse_image}
+
+# (fault, suite, bounds) -> (cases, failures_total, recorded, digest of every
+# recorded (inputs, expected, got), first record, last record, summary)
+_PINNED = {
+    ("dense", "semigroup_axioms", (("bound", 4),)): (
+        126175, 15547, 100, "b2a4828970f2d8ab",
+        ("x=(0, 0, 0) y=(1, 0, 0) z=(0, 3, 1)", "(xy)z == x(yz)",
+         "(1, 3, 1) vs (1, 3, 0)"),
+        ("x=(0, 0, 0) y=(0, 3, 1) z=(2, 0, 1)", "(xy)z == x(yz)",
+         "(0, 1, 0) vs (0, 1, 1)"),
+        "125000 triples, 1175 auxiliary checks"),
+    ("sparse", "semigroup_axioms", (("bound", 4),)): (
+        126175, 104, 100, "00d70e11f47f6e3c",
+        ("x=(0, 1, 0) y=(2, 1, 1) z=(0, 3, 0)", "(xy)z == x(yz)",
+         "(1, 4, 1) vs (1, 4, 0)"),
+        ("x=(2, 4, 1) y=(4, 1, 1) z=(0, 3, 0)", "(xy)z == x(yz)",
+         "(2, 4, 0) vs (2, 4, 1)"),
+        "125000 triples, 1175 auxiliary checks"),
+    ("dense", "endo_homomorphism", (("bound", 4), ("kmax", 4))): (
+        40332, 17338, 100, "01bc73299eee2396",
+        ("e=a:1,0 x=(0, 0, 0) y=(0, 0, 0)", "(0, 1, 0)", "(0, 2, 0)"),
+        ("e=a:1,0 x=(0, 3, 0) y=(0, 2, 1)", "(0, 6, 0)", "(0, 5, 0)"),
+        "16 endomorphisms on 50 elements"),
+    ("sparse", "endo_homomorphism", (("bound", 4), ("kmax", 4))): (
+        40332, 224, 100, "5c67532daae11cb8",
+        ("e=a:3,1 x=(0, 1, 0) y=(2, 0, 1)", "(4, 1, 1)", "(4, 2, 1)"),
+        ("e=a:3,1 x=(2, 4, 1) y=(4, 0, 0)", "(7, 2, 1)", "(7, 1, 1)"),
+        "16 endomorphisms on 50 elements"),
+    ("dense", "composition_table", (("bound", 6), ("kmax", 4), ("ksym", 5))): (
+        25813, 11574, 100, "0d0a68963902394e",
+        ("a:1,0 . a:2,0 at (0, 0, 0)", "(0, 2, 0)", "(0, 0, 0)"),
+        ("a:1,0 . a:3,2 at (6, 2, 1)", "(20, 11, 1)", "(20, 8, 1)"),
+        "16^2 pointwise pairs, symbolic k <= 5"),
+    ("sparse", "composition_table", (("bound", 6), ("kmax", 4), ("ksym", 5))): (
+        25813, 32, 32, "b8f83d6d62fe7e6d",
+        ("a:2,0 . a:3,1 at (1, 0, 1)", "(7, 2, 1)", "(7, 1, 1)"),
+        ("b:3,1 . b:4,3 at (2, 0, 1)", "(28, 8, 0)", "(28, 4, 0)"),
+        "16^2 pointwise pairs, symbolic k <= 5"),
+    ("dense", "classification_negative", (("kmax", 4), ("bound", 6))): (
+        24, 0, 0, "4f53cda18c2baa0c", None, None,
+        "24 homomorphism witnesses, 0 injectivity witnesses"),
+    ("sparse", "classification_negative", (("kmax", 4), ("bound", 6))): (
+        24, 0, 0, "4f53cda18c2baa0c", None, None,
+        "20 homomorphism witnesses, 4 injectivity witnesses"),
+}
+
+
+class TestFaultInjection:
+    """A deliberately wrong kernel must give the very reports the plain
+    per-case loops gave: the same counts, and the same failure records in
+    the same order, truncated at FAILURE_CAP."""
+
+    @pytest.mark.parametrize("key", sorted(_PINNED), ids=lambda k: f"{k[0]}-{k[1]}")
+    def test_report_pinned(self, monkeypatch, key):
+        fault, suite, bounds = key
+        if suite == "semigroup_axioms":
+            _inject(monkeypatch, "_mul_raw", _MUL_FAULTS[fault])
+        else:
+            _inject(monkeypatch, "_raw_image", _IMAGE_FAULTS[fault])
+        report = run_suite(suite, **dict(bounds))
+        cases, total, recorded, digest, first, last, summary = _PINNED[key]
+        records = [(f.inputs, f.expected, f.got) for f in report.failures]
+        assert (report.cases, report.failures_total, len(records)) == (cases, total, recorded)
+        assert (records[:1], records[-1:]) == ([first] if first else [], [last] if last else [])
+        assert _digest(report.failures) == digest
+        assert report.summary == summary
+
+    def test_first_counterexample_in_scan_order(self, monkeypatch):
+        _inject(monkeypatch, "_raw_image", _sparse_image)
+        got = {}
+        for kind in Kind:
+            for k, p in ((3, 1), (3, 3), (2, 2), (4, 5)):
+                w = homomorphism_counterexample(kind, k, p, 4)
+                got[kind.value, k, p] = w and (str(w[0]), str(w[1]))
+        first_row = ("(0,1,0)", "(0,0,1)")
+        assert got == {
+            ("a", 3, 1): ("(0,1,0)", "(2,0,1)"), ("a", 3, 3): first_row,
+            ("a", 2, 2): first_row, ("a", 4, 5): first_row,
+            ("b", 3, 1): ("(0,1,0)", "(2,0,1)"), ("b", 3, 3): None,
+            ("b", 2, 2): None, ("b", 4, 5): first_row}
