@@ -20,7 +20,7 @@ from .core_semigroup import mul as core_mul
 from .endomorphisms import (GeneratorImages, InjEndo, ParameterRangeError, apply,
                     classify_from_images, collapsing, compose, preserving)
 from .endo_monoid_green import GreenQuery, RELATIONS, green_bounded_search, green_symbolic
-from .oracle_verify import SUITES, UnknownSuiteError, VerifyReport, run_suite
+from .oracle_verify import SUITES, UnknownSuiteError, VerifyReport, run_suite, suite_bounds
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -221,11 +221,11 @@ def _cmd_verify(args) -> int:
             f"unknown suite {args.suite!r}; choose from: all, {', '.join(SUITES)}")
     requested = {"bound": args.bound, "kmax": args.kmax,
                  "ksym": args.ksym, "tmax": args.tmax}
-    reports = []
-    for name in names:
-        overrides = {key: val for key, val in requested.items()
-                     if val is not None and key in SUITES[name].defaults}
-        reports.append(run_suite(name, **overrides))
+    # every suite's bounds are checked before the first suite runs
+    plan = [(name, suite_bounds(name, **{key: val for key, val in requested.items()
+                                         if key in SUITES[name].defaults}))
+            for name in names]
+    reports = [run_suite(name, **bounds) for name, bounds in plan]
     if args.format == "json":
         print(json.dumps([report_document(r) for r in reports], indent=2))
     else:

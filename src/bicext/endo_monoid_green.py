@@ -18,7 +18,8 @@ factor up in the table of u b.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .endomorphisms import InjEndo, Kind, _compose_raw, compose, enumerate_endos
+from .endomorphisms import (InjEndo, _COLLAPSING, _PRESERVING, _compose_raw, compose,
+                           enumerate_endos)
 
 RELATIONS = ("R", "L", "H", "D", "J")
 
@@ -59,7 +60,7 @@ def green_symbolic(q: GreenQuery) -> bool:
 def _code(v, k, p) -> int:
     # injective int code of a (kind, k, p) triple with 0 <= p < k; the
     # tables are keyed by it so that lookups never hash a Kind member
-    return (k * k + p) << 1 | (v is Kind.COLLAPSING)
+    return (k * k + p) << 1 | (v is _COLLAPSING)
 
 
 @lru_cache(maxsize=None)
@@ -153,12 +154,12 @@ def green_bounded_search(q: GreenQuery) -> WitnessSearchResult:
 
 def in_preserving_class(e: InjEndo) -> bool:
     """Membership in the cancellative submonoid of preserving endomorphisms."""
-    return e.kind is Kind.PRESERVING
+    return e.kind is _PRESERVING
 
 
 def in_collapsing_class(e: InjEndo) -> bool:
     """Membership in the two-sided ideal of collapsing endomorphisms."""
-    return e.kind is Kind.COLLAPSING
+    return e.kind is _COLLAPSING
 
 
 def find_idempotents(kmax: int) -> list[InjEndo]:

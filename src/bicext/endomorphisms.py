@@ -39,6 +39,10 @@ class Kind(Enum):
     COLLAPSING = "b"
 
 
+# per-case code reads these: Kind.PRESERVING is a slow Enum class attribute read
+_PRESERVING, _COLLAPSING = Kind.PRESERVING, Kind.COLLAPSING
+
+
 @dataclass(frozen=True)
 class InjEndo:
     """A validated injective monoid endomorphism in closed form."""
@@ -50,7 +54,7 @@ class InjEndo:
     def __post_init__(self):
         if self.k < 1:
             raise ParameterRangeError("k must be >= 1")
-        if self.kind is Kind.PRESERVING:
+        if self.kind is _PRESERVING:
             if self.p < 0:
                 raise ParameterRangeError("p must be >= 0")
         else:
@@ -74,12 +78,12 @@ class InjEndo:
 
 def preserving(k: int, p: int) -> InjEndo:
     """Ray-preserving endomorphism with multiplier k and offset p."""
-    return InjEndo(Kind.PRESERVING, k, p)
+    return InjEndo(_PRESERVING, k, p)
 
 
 def collapsing(k: int, p: int) -> InjEndo:
     """Ray-collapsing endomorphism with multiplier k and offset p."""
-    return InjEndo(Kind.COLLAPSING, k, p)
+    return InjEndo(_COLLAPSING, k, p)
 
 
 #: The identity endomorphism, the monoid unit and its only idempotent.
@@ -90,7 +94,7 @@ def _raw_image(kind, k, p, i, j, b):
     # Closed form applied blindly; callers own (k, p) range validation.
     if b == 0:
         return k * i, k * j, 0
-    if kind is Kind.PRESERVING:
+    if kind is _PRESERVING:
         return p + k * i, p + k * j, 1
     return p + k * i, p + k * j, 0
 
@@ -111,9 +115,9 @@ def apply(e: InjEndo, x: Elem) -> Elem:
 
 def _compose_raw(v1, k1, p1, v2, k2, p2):
     # Closed composition table on (kind, k, p) triples; left factor acts first.
-    if v1 is Kind.PRESERVING:
+    if v1 is _PRESERVING:
         return v2, k1 * k2, p2 + k2 * p1
-    return Kind.COLLAPSING, k1 * k2, k2 * p1
+    return _COLLAPSING, k1 * k2, k2 * p1
 
 
 def compose(e1: InjEndo, e2: InjEndo) -> InjEndo:
@@ -215,7 +219,7 @@ def growth_inequalities_hold(kind, k: int, p: int, s: int, t_max: int) -> bool:
         raise ValueError("k and s must be positive")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
-    slack = 1 if kind is Kind.PRESERVING else 0
+    slack = 1 if kind is _PRESERVING else 0
     for t in range(t_max + 1):
         if p + s * (t + 1) < k * (t + 1):
             return False

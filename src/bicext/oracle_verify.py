@@ -12,13 +12,17 @@ form, and the pointwise composition table) run as row kernels: a whole row
 of cases is computed by map over _mul_raw or _raw_image and compared as one
 tuple in C, and only a row that mismatches is walked case by case to record
 its failures, in the same order and with the same text as a plain loop.
+The order table is one product row per t against every idempotent s^-1 s.
+The kernels run about a million times per verify run, so they read no
+builtin max and no Enum class attribute: either costs more than the sums.
 """
 
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from functools import reduce
+from itertools import chain, compress
+from operator import itemgetter, or_
 from typing import Callable
 
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, _columns, _mul_raw,
@@ -33,6 +37,7 @@ from .endo_monoid_green import (GreenQuery, RELATIONS, collapsing_class_ideal,
                     in_collapsing_class, preserving_class_cancellative)
 
 FAILURE_CAP = 100
+_MINIMUM = {"bound": 0, "kmax": 1, "ksym": 1, "tmax": 0}  # smallest value of each bound
 
 
 class UnknownSuiteError(ValueError):
@@ -106,6 +111,13 @@ def _pair_table(elems):
     rows = [_product_row(x, cols) for x in elems]
     ids = {v: d for d, v in enumerate(dict.fromkeys(chain.from_iterable(rows)))}
     return [list(map(ids.__getitem__, row)) for row in rows], list(ids)
+
+
+def _leq_table(elems):
+    """leq[s][t] by leq_natural's rule s == t (s^-1 s), on raw triples: one
+    product row per t against every idempotent s^-1 s, transposed."""
+    idem_cols = _columns([_mul_raw(j, i, b, i, j, b) for i, j, b in elems])
+    return list(zip(*[map(tuple.__eq__, elems, _product_row(t, idem_cols)) for t in elems]))
 
 
 # ---------------------------------------------------------------- suites --
@@ -211,11 +223,11 @@ def _suite_inverse_axioms(bound: int):
 def _suite_order(bound: int):
     log = FailureLog()
     trunc = Truncation(bound)
-    elems = list(trunc)
+    elems = list(trunc)  # Elem form, for failure messages
     n = len(elems)
     cases = 0
 
-    leq = [[leq_natural(s, t) for t in elems] for s in elems]
+    leq = _leq_table(trunc.raw())
     cases += n * n
     for a in range(n):
         cases += 1
@@ -228,25 +240,11 @@ def _suite_order(bound: int):
                 log.add(f"{elems[a]}, {elems[b]}", "antisymmetry", "both directions hold")
 
     # transitivity through bitmask rows: rows[a] is the up-set of a
-    rows = []
-    for a in range(n):
-        m = 0
-        for b in range(n):
-            if leq[a][b]:
-                m |= 1 << b
-        rows.append(m)
+    rows = [sum(1 << b for b, up in enumerate(row) if up) for row in leq]
     for a in range(n):
         cases += n
         m = rows[a]
-        acc = m
-        mm = m
-        b = 0
-        while mm:
-            if mm & 1:
-                acc |= rows[b]
-            mm >>= 1
-            b += 1
-        extra = acc & ~m
+        extra = reduce(or_, compress(rows, leq[a]), m) & ~m
         if extra:
             c = extra.bit_length() - 1
             log.add(f"a={elems[a]}", "transitive up-set", f"missing {elems[c]}")
@@ -586,11 +584,9 @@ def _audit_registry():
 _audit_registry()
 
 
-def run_suite(name: str, **overrides) -> VerifyReport:
-    """Run one registered suite; keyword overrides replace its default bounds.
-
-    Overrides with value None are ignored, unknown override keys are an error.
-    """
+def suite_bounds(name: str, **overrides) -> dict[str, int]:
+    """A suite's default bounds, each replaced by an override that is not
+    None; an unknown suite or key, or a bound below its minimum, is an error."""
     try:
         spec = SUITES[name]
     except KeyError:
@@ -602,8 +598,16 @@ def run_suite(name: str, **overrides) -> VerifyReport:
             continue
         if key not in bounds:
             raise ValueError(f"suite {name!r} takes no bound named {key!r}")
+        if val < _MINIMUM[key]:
+            raise ValueError(f"{key} must be >= {_MINIMUM[key]}")
         bounds[key] = val
+    return bounds
+
+
+def run_suite(name: str, **overrides) -> VerifyReport:
+    """Run one registered suite with the bounds suite_bounds gives."""
+    bounds = suite_bounds(name, **overrides)
     start = time.perf_counter()
-    cases, log, summary = spec.run(**bounds)
+    cases, log, summary = SUITES[name].run(**bounds)
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerifyReport(name, bounds, cases, log.recorded, log.total, elapsed, summary)

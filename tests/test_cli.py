@@ -10,6 +10,7 @@ import sys
 import jsonschema
 import pytest
 
+from bicext import cli
 from bicext.cli import (EXIT_FAMILY, EXIT_IO, EXIT_OK, EXIT_RANGE,
                         EXIT_SYNTAX, EXIT_VERIFY, ParseError, REPORT_SCHEMA,
                         format_element, format_endo, main, parse_element,
@@ -196,6 +197,25 @@ class TestExitCodes:
         code, _, verify_err = run_cli("verify", "--suite", "order", "--bound", "-1",
                                       capsys=capsys)
         assert (code, verify_err) == (EXIT_SYNTAX, err)
+
+    @pytest.mark.parametrize("suite, flag, val, message", [
+        ("classification_negative", "--bound", "-1", "bound must be >= 0"),
+        ("classification_negative", "--kmax", "0", "kmax must be >= 1"),
+        ("growth_inequalities", "--kmax", "0", "kmax must be >= 1")])
+    def test_verify_refuses_bounds_below_minimum(self, suite, flag, val, message, capsys):
+        code, out, err = run_cli("verify", "--suite", suite, flag, val, capsys=capsys)
+        assert (code, out, err) == (EXIT_SYNTAX, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flag, val, message", [
+        ("--bound", "-1", "bound must be >= 0"), ("--kmax", "0", "kmax must be >= 1"),
+        ("--ksym", "0", "ksym must be >= 1"), ("--tmax", "-1", "tmax must be >= 0")])
+    def test_verify_all_refuses_before_any_suite_runs(self, flag, val, message,
+                                                       monkeypatch, capsys):
+        def refuse(name, **bounds):
+            raise AssertionError(f"suite {name} ran")
+        monkeypatch.setattr(cli, "run_suite", refuse)
+        code, out, err = run_cli("verify", "--suite", "all", flag, val, capsys=capsys)
+        assert (code, out, err) == (EXIT_SYNTAX, "", f"error: {message}\n")
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run_cli("verify", "--suite", "nope", capsys=capsys)

@@ -1,5 +1,7 @@
 """Rays, families, elements, the product, and the natural order."""
 
+from itertools import product
+
 import pytest
 
 from bicext.core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyClosureError,
@@ -10,6 +12,35 @@ from bicext.core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyClosure
 
 def elem(i, j, base):
     return CANONICAL_FAMILY.elem(i, j, base)
+
+
+def family_error(bases):
+    """Family's refusal message for these bases, or None if it accepts them."""
+    try:
+        Family.from_bases(*bases)
+    except FamilyError as exc:
+        return str(exc)
+    return None
+
+
+def exhaustive_family_error(bases):
+    """The same answer from the definition: every max(b1, b2 - n) must be a
+    member's base, tried for every pair of bases and every shift n up to the
+    largest base, in O(m^3)."""
+    if not bases:
+        return "a family must contain at least one ray"
+    if bases != sorted(set(bases)):
+        return f"ray bases must be strictly increasing, got {bases}"
+    if bases[0] != 0:
+        return "a family must contain the full ray [0)"
+    have = set(bases)
+    for b1 in bases:
+        for b2 in bases:
+            for n in range(bases[-1] + 1):
+                need = max(b1, b2 - n)
+                if need not in have:
+                    return f"not shift-closed: [{b1}) & (-{n}+[{b2})) = [{need}) is missing"
+    return None
 
 
 class TestInductiveSet:
@@ -81,6 +112,16 @@ class TestFamily:
             Family.from_bases()
         with pytest.raises(FamilyError):
             Family.from_bases(0, 0)
+
+    def test_validation_matches_the_exhaustive_shift_closure_check(self):
+        # every base set {0} u S with S a subset of {1..8}, then unsorted,
+        # duplicate and [0)-less inputs: same verdict, same message
+        subsets = [[0] + [b for b in range(1, 9) if mask >> (b - 1) & 1]
+                   for mask in range(256)]
+        odd = [[], [1, 0], [0, 2, 1], [3, 1, 0], [0, 0], [0, 1, 1, 2], [1], [2, 3]]
+        for bases in subsets + odd:
+            assert family_error(bases) == exhaustive_family_error(bases), bases
+        assert sum(family_error(bases) is None for bases in subsets) == 9
 
     def test_index_for_base(self):
         assert CANONICAL_FAMILY.index_for_base(0) == 0
@@ -165,6 +206,23 @@ class TestProduct:
                 for b2 in (0, 1):
                     got = mul(elem(2, j, b1), elem(j, 1, b2))
                     assert got.base == max(b1, b2)
+
+    def test_mul_raw_matches_the_formula_written_with_max(self):
+        ties = 0
+        for i1, j1, i2, j2 in product(range(7), repeat=4):
+            for b1, b2 in product(range(4), repeat=2):
+                if j1 <= i2:
+                    want = (i1 - j1 + i2, j2, max(b1 + j1 - i2, b2))
+                    ties += b1 + j1 - i2 == b2
+                else:
+                    want = (i1, j1 - i2 + j2, max(b2 + i2 - j1, b1))
+                    ties += b2 + i2 - j1 == b1
+                assert _mul_raw(i1, j1, b1, i2, j2, b2) == want
+        assert ties > 0
+
+    def test_mul_raw_calls_no_builtin_max(self):
+        # a call to max costs more than the rest of the kernel
+        assert "max" not in _mul_raw.__code__.co_names
 
     def test_product_row_matches_per_case_products(self):
         ys = [y for y, _, _ in self.FROZEN] + [want for _, _, want in self.FROZEN]

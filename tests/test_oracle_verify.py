@@ -9,7 +9,7 @@ import bicext.core_semigroup as _core
 import bicext.endo_monoid_green as _green
 import bicext.endomorphisms as _endo
 import bicext.oracle_verify as _ov
-from bicext.core_semigroup import CANONICAL_FAMILY, Family
+from bicext.core_semigroup import CANONICAL_FAMILY, Family, leq_natural
 from bicext.endomorphisms import Kind, homomorphism_counterexample
 from bicext.oracle_verify import (ALL_INVARIANTS, FAILURE_CAP, FailureLog, SUITES,
                            Truncation, UnknownSuiteError, run_suite)
@@ -88,6 +88,16 @@ class TestRunSuite:
         assert report.elapsed_ms >= 0
         assert report.cases > 0 and report.summary
 
+    @pytest.mark.parametrize("suite, key, val, message", [
+        ("classification_negative", "bound", -1, "bound must be >= 0"),
+        ("classification_negative", "kmax", 0, "kmax must be >= 1"),
+        ("growth_inequalities", "kmax", 0, "kmax must be >= 1"),
+        ("growth_inequalities", "tmax", -1, "tmax must be >= 0"),
+        ("composition_table", "ksym", 0, "ksym must be >= 1")])
+    def test_bound_below_its_minimum_refused(self, suite, key, val, message):
+        with pytest.raises(ValueError, match=message):
+            run_suite(suite, **{key: val})
+
     def test_deterministic_given_bounds(self):
         first = run_suite("order", bound=3)
         second = run_suite("order", bound=3)
@@ -118,6 +128,12 @@ class TestSuitesAtReducedBounds:
 
     def test_order(self):
         assert run_suite("order", bound=4).passed
+
+    def test_order_table_is_leq_natural(self):
+        trunc = Truncation(3)
+        elems = list(trunc)
+        want = [[leq_natural(s, t) for t in elems] for s in elems]
+        assert [list(row) for row in _ov._leq_table(trunc.raw())] == want
 
     def test_endo_homomorphism(self):
         assert run_suite("endo_homomorphism", bound=4, kmax=3).passed
@@ -175,6 +191,15 @@ def _sparse_mul(i1, j1, b1, i2, j2, b2):
     return i, j, b
 
 
+def _idem_mul(i1, j1, b1, i2, j2, b2):
+    # wrong ray for some products with a balanced right factor, the shape of
+    # t * (s^-1 s) in the natural order; still a valid triple over {[0), [1)}
+    i, j, b = _REAL_MUL(i1, j1, b1, i2, j2, b2)
+    if i2 == j2 and (i1 + j1) % 3 == 2:
+        return i, j, b ^ 1
+    return i, j, b
+
+
 def _dense_image(kind, k, p, i, j, b):
     i2, j2, b2 = _REAL_IMAGE(kind, k, p, i, j, b)
     if (i + 2 * j + k) % 5 == 1:
@@ -202,7 +227,7 @@ def _digest(failures):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-_MUL_FAULTS = {"dense": _dense_mul, "sparse": _sparse_mul}
+_MUL_FAULTS = {"dense": _dense_mul, "sparse": _sparse_mul, "idem": _idem_mul}
 _IMAGE_FAULTS = {"dense": _dense_image, "sparse": _sparse_image}
 
 # (fault, suite, bounds) -> (cases, failures_total, recorded, digest of every
@@ -222,6 +247,16 @@ _PINNED = {
         ("x=(2, 4, 1) y=(4, 1, 1) z=(0, 3, 0)", "(xy)z == x(yz)",
          "(2, 4, 0) vs (2, 4, 1)"),
         "125000 triples, 1175 auxiliary checks"),
+    ("dense", "order", (("bound", 4),)): (
+        7583, 8, 8, "31f5d36bf4d105f2",
+        ("a=(1,3,1)", "transitive up-set", "missing (0,2,0)"),
+        ("t=3", "(t+1,t+1,1) <= (t+1,t+1,0)", "false"),
+        "50 elements ordered"),
+    ("idem", "order", (("bound", 6),)): (
+        28971, 52, 52, "b3510a5ad44ed3e8",
+        ("(0,2,0)", "reflexive", "not <= itself"),
+        ("t=4", "(t+1,t+1,0) <= (t,t,1)", "false"),
+        "98 elements ordered"),
     ("dense", "endo_homomorphism", (("bound", 4), ("kmax", 4))): (
         40332, 17338, 100, "01bc73299eee2396",
         ("e=a:1,0 x=(0, 0, 0) y=(0, 0, 0)", "(0, 1, 0)", "(0, 2, 0)"),
@@ -259,7 +294,7 @@ class TestFaultInjection:
     @pytest.mark.parametrize("key", sorted(_PINNED), ids=lambda k: f"{k[0]}-{k[1]}")
     def test_report_pinned(self, monkeypatch, key):
         fault, suite, bounds = key
-        if suite == "semigroup_axioms":
+        if suite in ("semigroup_axioms", "order"):
             _inject(monkeypatch, "_mul_raw", _MUL_FAULTS[fault])
         else:
             _inject(monkeypatch, "_raw_image", _IMAGE_FAULTS[fault])
