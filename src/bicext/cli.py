@@ -15,7 +15,7 @@ import re
 import sys
 
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError,
-                   MixedFamilyError)
+                   MixedFamilyError, _raw_truncation)
 from .core_semigroup import mul as core_mul
 from .endomorphisms import (GeneratorImages, InjEndo, ParameterRangeError, apply,
                     classify_from_images, collapsing, compose, preserving)
@@ -49,13 +49,9 @@ def parse_element(text: str, family: Family = CANONICAL_FAMILY) -> Elem:
     if not m:
         raise ParseError(f'cannot parse element {text!r}; expected "(i,j,base)"')
     i, j, base = (int(g) for g in m.groups())
-    if base not in [s.base for s in family.sets]:
+    if base > family.m:
         raise ParseError(f"invalid set base {base} for family {family}")
-    return family.elem(i, j, base)
-
-
-def format_element(x: Elem) -> str:
-    return str(x)
+    return Elem(i, j, base, family)
 
 
 def parse_endo(text: str) -> InjEndo:
@@ -65,10 +61,6 @@ def parse_endo(text: str) -> InjEndo:
             f'cannot parse endomorphism {text!r}; expected "a:k,p" or "b:k,p"')
     kind, k, p = m.group(1), int(m.group(2)), int(m.group(3))
     return preserving(k, p) if kind == "a" else collapsing(k, p)
-
-
-def format_endo(e: InjEndo) -> str:
-    return str(e)
 
 
 def parse_family(text: str) -> Family:
@@ -82,12 +74,7 @@ def parse_family(text: str) -> Family:
     except ValueError:
         raise ParseError(
             f"cannot parse family {text!r}; expected comma-separated bases") from None
-    try:
-        return Family.from_bases(*bases)
-    except FamilyError:
-        raise
-    except ValueError as exc:  # negative base, caught below as a family error
-        raise FamilyError(str(exc)) from None
+    return Family.from_bases(*bases)
 
 
 def _family_from(args) -> Family:
@@ -95,7 +82,7 @@ def _family_from(args) -> Family:
 
 
 def _require_canonical(family: Family):
-    if family != CANONICAL_FAMILY:
+    if family is not CANONICAL_FAMILY:
         raise FamilyError(
             f"this command is specific to the two-ray family {CANONICAL_FAMILY}; "
             f"got {family}")
@@ -108,37 +95,34 @@ def _cmd_mul(args) -> int:
     family = _family_from(args)
     x = parse_element(args.x, family)
     y = parse_element(args.y, family)
-    print(format_element(core_mul(x, y)))
+    print(core_mul(x, y))
     return EXIT_OK
 
 
 def _cmd_endo_apply(args) -> int:
-    family = _family_from(args)
-    _require_canonical(family)
+    _require_canonical(_family_from(args))
     e = parse_endo(args.endo)
-    x = parse_element(args.element, family)
-    print(format_element(apply(e, x)))
+    x = parse_element(args.element)
+    print(apply(e, x))
     return EXIT_OK
 
 
 def _cmd_endo_compose(args) -> int:
     e1 = parse_endo(args.first)
     e2 = parse_endo(args.second)
-    print(format_endo(compose(e1, e2)))
+    print(compose(e1, e2))
     return EXIT_OK
 
 
 def _cmd_endo_classify(args) -> int:
-    if args.family is not None:
-        _require_canonical(parse_family(args.family))
+    _require_canonical(_family_from(args))
     images = GeneratorImages(args.k, args.level, args.p)
-    print(format_endo(classify_from_images(images)))
+    print(classify_from_images(images))
     return EXIT_OK
 
 
 def _cmd_green(args) -> int:
-    if args.family is not None:
-        _require_canonical(parse_family(args.family))
+    _require_canonical(_family_from(args))
     q = GreenQuery(args.relation, parse_endo(args.first), parse_endo(args.second),
                    args.kmax)
     if args.mode == "symbolic":
@@ -146,7 +130,7 @@ def _cmd_green(args) -> int:
         return EXIT_OK
     res = green_bounded_search(q)
     if res.related:
-        wits = ", ".join(format_endo(w) for w in res.witnesses)
+        wits = ", ".join(map(str, res.witnesses))
         print(f"related: true (bound {res.exhausted_bound}); witnesses: {wits}")
     else:
         print(f"related: false (bound {res.exhausted_bound})")
@@ -239,10 +223,7 @@ def _cmd_export_cayley(args) -> int:
         raise ValueError("bound must be >= 0")
     family = _family_from(args)
     generators = [parse_element(g, family) for g in args.generators]
-    nodes = [family.elem(i, j, s.base)
-             for s in family.sets
-             for i in range(args.bound + 1)
-             for j in range(args.bound + 1)]
+    nodes = [Elem(*x, family) for x in _raw_truncation(args.bound, family)]
     inside = set(nodes)
     edges = []  # right multiplication, clipped to the truncation
     for x in nodes:

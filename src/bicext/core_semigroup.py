@@ -15,13 +15,19 @@ Both branches agree when j1 == i2.  The structure is an inverse monoid:
 (i,j,F)^-1 = (j,i,F), the idempotents are exactly the balanced triples
 (i,i,F), and s <= t in the natural partial order iff s == t * (s^-1 s).
 
+The only valid families are the blocks {[0), ..., [m)}, so a Family holds
+its top base m and nothing else: Family.sets and Elem.ray are views built
+from it, and an element's ray index Elem.f equals its base Elem.base.
+
 _mul_raw is the one place the formula is written, and a verify run calls it
 about a million times, so it picks the larger base by a conditional
 expression: a call to builtin max costs more than the rest of the kernel.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
+from operator import attrgetter, itemgetter
 
 
 class FamilyError(ValueError):
@@ -62,7 +68,6 @@ def intersect_shifted(a: InductiveSet, d: int, b: InductiveSet) -> InductiveSet:
     return InductiveSet(max(a.base + d, b.base))
 
 
-@dataclass(frozen=True)
 class Family:
     """A finite shift-closed family of rays containing [0).
 
@@ -70,30 +75,40 @@ class Family:
     and every n >= 0.  For rays this means max(b1, b2 - n) is a member's
     base, which holds exactly when the bases form a contiguous block 0..m:
     a gap below a base b leaves [0) & (-1 + [b)) = [b-1) missing.
+    from_bases keeps one instance per m, so families compare by identity.
     """
 
-    sets: tuple[InductiveSet, ...]
-
-    def __post_init__(self):
-        if not self.sets:
-            raise FamilyError("a family must contain at least one ray")
-        bases = [s.base for s in self.sets]
-        if bases != sorted(set(bases)):
-            raise FamilyError(f"ray bases must be strictly increasing, got {bases}")
-        if bases[0] != 0:
-            raise FamilyError("a family must contain the full ray [0)")
-        for t, b in enumerate(bases):
-            if b != t:
-                raise FamilyError(f"not shift-closed: [0) & (-1+[{b})) = [{b - 1}) is missing")
+    __slots__ = ("_m",)
+    m = property(attrgetter("_m"))  # read-only: one instance is shared per m
 
     @classmethod
     def from_bases(cls, *bases: int) -> "Family":
-        return cls(tuple(InductiveSet(b) for b in bases))
+        """The family with these ray bases, validated; the one way in."""
+        if not bases:
+            raise FamilyError("a family must contain at least one ray")
+        if min(bases) < 0:  # before the order rules; name the first negative base
+            b = next(b for b in bases if b < 0)
+            raise FamilyError(f"ray base must be non-negative, got {b}")
+        if list(bases) != sorted(set(bases)):
+            raise FamilyError(f"ray bases must be strictly increasing, got {list(bases)}")
+        if bases[0] != 0:
+            raise FamilyError("a family must contain the full ray [0)")
+        if bases != tuple(range(len(bases))):  # the first gap names the missing ray
+            b = next(b for t, b in enumerate(bases) if b != t)
+            raise FamilyError(f"not shift-closed: [0) & (-1+[{b})) = [{b - 1}) is missing")
+        return _family(len(bases) - 1)
+
+    def __reduce__(self):  # copies and pickles come back as the interned instance
+        return _family, (self.m,)
+
+    @property
+    def sets(self) -> tuple[InductiveSet, ...]:
+        """The member rays [0), ..., [m), in index order."""
+        return tuple(map(InductiveSet, range(self.m + 1)))
 
     def index_for_base(self, base: int) -> int:
-        for idx, s in enumerate(self.sets):
-            if s.base == base:
-                return idx
+        if 0 <= base <= self.m:
+            return base
         raise FamilyClosureError(f"no ray [{base}) in family {self}")
 
     def elem(self, i: int, j: int, base: int) -> "Elem":
@@ -101,10 +116,19 @@ class Family:
         return Elem(i, j, self.index_for_base(base), self)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return self.m + 1
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(s) for s in self.sets) + "}"
+        return "{" + ",".join(f"[{b})" for b in range(self.m + 1)) + "}"
+
+    __repr__ = __str__
+
+
+@cache  # the one Family with top base m; callers have validated m >= 0
+def _family(m: int) -> Family:
+    family = object.__new__(Family)
+    family._m = m
+    return family
 
 
 #: The two-ray family {[0), [1)} the endomorphism theory is built over.
@@ -114,37 +138,38 @@ CANONICAL_FAMILY = Family.from_bases(0, 1)
 def _raw_truncation(bound: int, family: Family = CANONICAL_FAMILY):
     """(i, j, base) triples with i, j <= bound: ray outermost, then i, then j."""
     side = range(bound + 1)
-    return [(i, j, s.base) for s in family.sets for i in side for j in side]
+    return [(i, j, b) for b in range(family.m + 1) for i in side for j in side]
 
 
-@dataclass(frozen=True)
-class Elem:
-    """Monoid element (i, j, F); f indexes a ray of the ambient family."""
+class Elem(tuple):
+    """Monoid element (i, j, [base)), the tuple (i, j, base, family); f == base."""
 
-    i: int
-    j: int
-    f: int
-    family: Family
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.i < 0 or self.j < 0:
-            raise ValueError(f"coordinates must be non-negative, got ({self.i},{self.j})")
-        if not 0 <= self.f < len(self.family):
-            raise ValueError(f"ray index {self.f} out of range for family {self.family}")
+    def __new__(cls, i: int, j: int, f: int, family: Family) -> "Elem":
+        if i < 0 or j < 0:
+            raise ValueError(f"coordinates must be non-negative, got ({i},{j})")
+        if not 0 <= f <= family.m:
+            raise ValueError(f"ray index {f} out of range for family {family}")
+        return tuple.__new__(cls, (i, j, f, family))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return tuple(self)
+
+    i = property(itemgetter(0))
+    j = property(itemgetter(1))
+    f = base = property(itemgetter(2))
+    family = property(itemgetter(3))
 
     @property
     def ray(self) -> InductiveSet:
-        return self.family.sets[self.f]
-
-    @property
-    def base(self) -> int:
-        return self.family.sets[self.f].base
+        return InductiveSet(self[2])
 
     def __mul__(self, other: "Elem") -> "Elem":
         return mul(self, other)
 
     def __str__(self) -> str:
-        return f"({self.i},{self.j},{self.base})"
+        return f"({self[0]},{self[1]},{self[2]})"
 
 
 def _mul_raw(i1, j1, b1, i2, j2, b2):
@@ -171,10 +196,12 @@ def _product_row(x, cols):
 
 def mul(x: Elem, y: Elem) -> Elem:
     """Product in the extension monoid."""
-    if x.family != y.family:
-        raise MixedFamilyError(f"elements over different families: {x.family} vs {y.family}")
-    i, j, b = _mul_raw(x.i, x.j, x.base, y.i, y.j, y.base)
-    return Elem(i, j, x.family.index_for_base(b), x.family)
+    family = x[3]
+    if family is not y[3]:  # one Family instance per m
+        raise MixedFamilyError(f"elements over different families: {family} vs {y[3]}")
+    # No re-validation: the product's coordinates are non-negative and its
+    # base is at most max(b1, b2) <= m, so FamilyClosureError cannot fire.
+    return tuple.__new__(Elem, (*_mul_raw(x[0], x[1], x[2], y[0], y[1], y[2]), family))
 
 
 def mul_bicyclic(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -188,7 +215,7 @@ def mul_bicyclic(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 def inverse(x: Elem) -> Elem:
     """The unique inverse (j, i, F) in the inverse-semigroup sense."""
-    return Elem(x.j, x.i, x.f, x.family)
+    return tuple.__new__(Elem, (x[1], x[0], x[2], x[3]))  # a valid element swapped
 
 
 def is_idempotent(x: Elem) -> bool:

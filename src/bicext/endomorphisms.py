@@ -106,7 +106,7 @@ def _image_row(kind, k, p, cols):
 
 def apply(e: InjEndo, x: Elem) -> Elem:
     """Image of x under e; defined over the canonical family only."""
-    if x.family != CANONICAL_FAMILY:
+    if x.family is not CANONICAL_FAMILY:
         raise FamilyError(
             f"endomorphisms act on elements over the canonical family, not {x.family}")
     i, j, b = _raw_image(e.kind, e.k, e.p, x.i, x.j, x.base)

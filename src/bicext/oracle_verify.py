@@ -59,10 +59,7 @@ class Truncation:
         return (self.bound + 1) ** 2 * len(self.family)
 
     def __iter__(self):
-        for f in range(len(self.family)):
-            for i in range(self.bound + 1):
-                for j in range(self.bound + 1):
-                    yield Elem(i, j, f, self.family)
+        return (Elem(*x, self.family) for x in self.raw())
 
     def raw(self) -> list[tuple[int, int, int]]:
         """(i, j, base) triples in iteration order, for arithmetic loops."""
@@ -167,30 +164,23 @@ def _suite_semigroup_axioms(bound: int):
                 log.add(f"x={x} y={y}", "both branches equal", f"{b1} vs {b2} vs {got}")
 
     # (0,0,[0)) is a two-sided identity
-    trunc = Truncation(bound)
-    e0 = Elem(0, 0, 0, trunc.family)
-    ident = 0
-    for x in trunc:
-        ident += 1
+    e0 = CANONICAL_FAMILY.elem(0, 0, 0)
+    for x in Truncation(bound):
         if mul(e0, x) != x or mul(x, e0) != x:
             log.add(f"x={x}", "identity fixes x", "moved")
 
     # over the one-ray family the third coordinate is inert: the product
     # projects onto the plain bicyclic product
-    single = Family.from_bases(0)
-    proj = 0
-    for i1 in range(bound + 1):
-        for j1 in range(bound + 1):
-            for i2 in range(bound + 1):
-                for j2 in range(bound + 1):
-                    proj += 1
-                    got = mul(single.elem(i1, j1, 0), single.elem(i2, j2, 0))
-                    want = mul_bicyclic((i1, j1), (i2, j2))
-                    if (got.i, got.j, got.base) != (*want, 0):
-                        log.add(f"({i1},{j1})*({i2},{j2}) over {{[0)}}",
-                                f"{want}", f"({got.i},{got.j})")
+    single = list(Truncation(bound, Family.from_bases(0)))
+    for x in single:
+        for y in single:
+            got = mul(x, y)
+            want = mul_bicyclic((x.i, x.j), (y.i, y.j))
+            if (got.i, got.j, got.base) != (*want, 0):
+                log.add(f"({x.i},{x.j})*({y.i},{y.j}) over {{[0)}}",
+                        f"{want}", f"({got.i},{got.j})")
 
-    aux = branch_pairs + ident + proj
+    aux = branch_pairs + n + len(single) ** 2  # branch pairs, identity, projection
     return triples + aux, log, f"{triples} triples, {aux} auxiliary checks"
 
 
@@ -251,20 +241,19 @@ def _suite_order(bound: int):
 
     # cross-level law on balanced elements, and the descending chain
     fam = trunc.family
-    if len(fam) >= 2:
-        for k in range(bound + 1):
-            for p in range(bound + 1):
-                cases += 1
-                want = p <= k - 1
-                got = leq_natural(fam.elem(k, k, 0), fam.elem(p, p, 1))
-                if got != want:
-                    log.add(f"({k},{k},0) <= ({p},{p},1)", str(want), str(got))
-        for t in range(bound):
-            cases += 2
-            if not leq_natural(fam.elem(t + 1, t + 1, 1), fam.elem(t + 1, t + 1, 0)):
-                log.add(f"t={t}", "(t+1,t+1,1) <= (t+1,t+1,0)", "false")
-            if not leq_natural(fam.elem(t + 1, t + 1, 0), fam.elem(t, t, 1)):
-                log.add(f"t={t}", "(t+1,t+1,0) <= (t,t,1)", "false")
+    for k in range(bound + 1):
+        for p in range(bound + 1):
+            cases += 1
+            want = p <= k - 1
+            got = leq_natural(fam.elem(k, k, 0), fam.elem(p, p, 1))
+            if got != want:
+                log.add(f"({k},{k},0) <= ({p},{p},1)", str(want), str(got))
+    for t in range(bound):
+        cases += 2
+        if not leq_natural(fam.elem(t + 1, t + 1, 1), fam.elem(t + 1, t + 1, 0)):
+            log.add(f"t={t}", "(t+1,t+1,1) <= (t+1,t+1,0)", "false")
+        if not leq_natural(fam.elem(t + 1, t + 1, 0), fam.elem(t, t, 1)):
+            log.add(f"t={t}", "(t+1,t+1,0) <= (t,t,1)", "false")
     return cases, log, f"{n} elements ordered"
 
 
@@ -308,7 +297,7 @@ def _suite_endo_homomorphism(bound: int, kmax: int):
                     log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
 
     # the unit fixes everything; everything else moves a small element
-    small = [(i, j, b) for b in (0, 1) for i in range(3) for j in range(3)]
+    small = _raw_truncation(2)
     for e in endos:
         cases += 1
         if e == UNIT:

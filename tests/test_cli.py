@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -13,11 +14,13 @@ import pytest
 from bicext import cli
 from bicext.cli import (EXIT_FAMILY, EXIT_IO, EXIT_OK, EXIT_RANGE,
                         EXIT_SYNTAX, EXIT_VERIFY, ParseError, REPORT_SCHEMA,
-                        format_element, format_endo, main, parse_element,
-                        parse_endo, parse_family, report_document)
+                        main, parse_element, parse_endo, parse_family,
+                        report_document)
 from bicext.core_semigroup import CANONICAL_FAMILY, Family, FamilyError
 from bicext.endomorphisms import collapsing, enumerate_endos, preserving
 from bicext.oracle_verify import run_suite
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv, capsys=None):
@@ -32,7 +35,7 @@ class TestParsing:
             for i in range(4):
                 for j in range(4):
                     x = CANONICAL_FAMILY.elem(i, j, b)
-                    assert parse_element(format_element(x)) == x
+                    assert parse_element(str(x)) == x
 
     def test_whitespace_insensitive(self):
         assert parse_element(" ( 1 , 2 , 0 ) ") == CANONICAL_FAMILY.elem(1, 2, 0)
@@ -52,7 +55,7 @@ class TestParsing:
 
     def test_endo_round_trip(self):
         for e in enumerate_endos(4):
-            assert parse_endo(format_endo(e)) == e
+            assert parse_endo(str(e)) == e
 
     def test_malformed_endos(self):
         for text in ("", "c:2,1", "a:2", "a:2,1,0", "a:x,1"):
@@ -165,6 +168,18 @@ class TestExitCodes:
                                  capsys=capsys)
         assert (code, out) == (EXIT_FAMILY, "")
         assert "at least one ray" in err
+
+    @pytest.mark.parametrize("family, message", [
+        ("-1,0", "ray base must be non-negative, got -1"),
+        ("0,-1", "ray base must be non-negative, got -1"),
+        ("0,2", "not shift-closed: [0) & (-1+[2)) = [1) is missing"),
+        ("", "a family must contain at least one ray"),
+        ("1", "a family must contain the full ray [0)"),
+        ("0,1,1", "ray bases must be strictly increasing, got [0, 1, 1]")])
+    def test_bad_family_output(self, family, message, capsys):
+        code, out, err = run_cli("mul", "(1,2,0)", "(1,3,1)", f"--family={family}",
+                                 capsys=capsys)
+        assert (code, out, err) == (EXIT_FAMILY, "", f"error: {message}\n")
 
     def test_green_refuses_non_canonical_family(self, capsys):
         code, _, err = run_cli("green", "-r", "R", "a:2,1", "a:2,1",
@@ -302,6 +317,15 @@ class TestExportCayley:
         want = {(x, g) for x in inside
                 for g in (fam.elem(0, 1, 0), fam.elem(1, 0, 0)) if x * g in inside}
         assert seen == want and len(rows) - 1 == len(want)
+
+    @pytest.mark.parametrize("fmt", ["dot", "csv"])
+    def test_output_is_pinned_byte_for_byte(self, fmt, capsys):
+        # node order and edge order over a three-ray family
+        code, out, err = run_cli("export-cayley", "--bound", "2", "--family", "0,1,2",
+                                 "--generators", "(0,1,0)", "(1,0,2)", "--format", fmt,
+                                 capsys=capsys)
+        want = (DATA / f"cayley_bound2_family012.{fmt}").read_text()
+        assert (code, out, err) == (EXIT_OK, want, "")
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "graph.dot"

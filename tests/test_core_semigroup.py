@@ -1,5 +1,7 @@
 """Rays, families, elements, the product, and the natural order."""
 
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -26,7 +28,10 @@ def family_error(bases):
 def exhaustive_family_error(bases):
     """The same answer from the definition: every max(b1, b2 - n) must be a
     member's base, tried for every pair of bases and every shift n up to the
-    largest base, in O(m^3)."""
+    largest base, in O(m^3).  A negative base is refused before any rule."""
+    negative = [b for b in bases if b < 0]
+    if negative:
+        return f"ray base must be non-negative, got {negative[0]}"
     if not bases:
         return "a family must contain at least one ray"
     if bases != sorted(set(bases)):
@@ -118,30 +123,77 @@ class TestFamily:
         # duplicate and [0)-less inputs: same verdict, same message
         subsets = [[0] + [b for b in range(1, 9) if mask >> (b - 1) & 1]
                    for mask in range(256)]
-        odd = [[], [1, 0], [0, 2, 1], [3, 1, 0], [0, 0], [0, 1, 1, 2], [1], [2, 3]]
+        odd = [[], [1, 0], [0, 2, 1], [3, 1, 0], [0, 0], [0, 1, 1, 2], [1], [2, 3],
+               [0, -1], [-1, 0], [1, 0, -1], [0, -1, -2], [-1], [3, -2, 0]]
         for bases in subsets + odd:
             assert family_error(bases) == exhaustive_family_error(bases), bases
         assert sum(family_error(bases) is None for bases in subsets) == 9
 
+    def test_negative_base_is_a_family_error(self):
+        for bases in ((0, -1), (-1, 0), (1, 0, -1)):
+            with pytest.raises(FamilyError, match="^ray base must be non-negative, got -1$"):
+                Family.from_bases(*bases)
+
     def test_index_for_base(self):
         assert CANONICAL_FAMILY.index_for_base(0) == 0
         assert CANONICAL_FAMILY.index_for_base(1) == 1
-        with pytest.raises(FamilyClosureError):
-            CANONICAL_FAMILY.index_for_base(7)
+        for base in (7, 2, -1):
+            with pytest.raises(FamilyClosureError,
+                               match=rf"^no ray \[{base}\) in family \{{\[0\),\[1\)\}}$"):
+                CANONICAL_FAMILY.index_for_base(base)
+
+    def test_from_bases_interns_one_family_per_top_base(self):
+        assert Family.from_bases(0, 1) is CANONICAL_FAMILY
+        for m in range(6):
+            a, b = Family.from_bases(*range(m + 1)), Family.from_bases(*range(m + 1))
+            assert a is b and a == b and hash(a) == hash(b)
+            assert (a.m, len(a)) == (m, m + 1)
+            assert str(a) == "{" + ",".join(f"[{t})" for t in range(m + 1)) + "}"
+        assert Family.from_bases(0) != CANONICAL_FAMILY
+
+    def test_sets_and_ray_are_inductive_sets(self):
+        fam = Family.from_bases(0, 1, 2)
+        assert fam.sets == (InductiveSet(0), InductiveSet(1), InductiveSet(2))
+        assert all(type(s) is InductiveSet for s in fam.sets)
+        ray = fam.elem(1, 0, 2).ray
+        assert type(ray) is InductiveSet and ray == fam.sets[2]
+
+    def test_family_and_elem_are_immutable(self):
+        with pytest.raises(AttributeError):
+            CANONICAL_FAMILY.m = 3
+        with pytest.raises(AttributeError):
+            del CANONICAL_FAMILY.m
+        x = elem(1, 2, 1)
+        for name in ("i", "j", "f", "base", "family"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+        assert CANONICAL_FAMILY.m == 1 and x == elem(1, 2, 1)
+
+    def test_copies_and_pickles_keep_the_interned_family(self):
+        x = elem(1, 2, 1)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is Elem and y == x and y.family is CANONICAL_FAMILY
+        assert copy.deepcopy(CANONICAL_FAMILY) is CANONICAL_FAMILY
 
     def test_elem_constructor_names_ray_by_base(self):
         x = CANONICAL_FAMILY.elem(2, 3, 1)
         assert (x.i, x.j, x.f, x.base) == (2, 3, 1, 1)
+        for b in range(4):  # the ray index is the base in every family
+            x = Family.from_bases(*range(4)).elem(2, 1, b)
+            assert x.f == x.base == b
 
 
 class TestElem:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^coordinates must be non-negative, got \(-1,0\)$"):
             Elem(-1, 0, 0, CANONICAL_FAMILY)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^coordinates must be non-negative, got \(0,-2\)$"):
             Elem(0, -2, 0, CANONICAL_FAMILY)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^ray index 5 out of range for family \{\[0\),\[1\)\}$"):
             Elem(0, 0, 5, CANONICAL_FAMILY)
+        with pytest.raises(ValueError, match="^ray index -1 out of range"):
+            Elem(0, 0, -1, CANONICAL_FAMILY)
 
     def test_str(self):
         assert str(elem(1, 4, 0)) == "(1,4,0)"
@@ -183,6 +235,17 @@ class TestProduct:
                 for b in (0, 1):
                     x = elem(i, j, b)
                     assert mul(e, x) == x and mul(x, e) == x
+
+    def test_products_and_inverses_are_valid_elements(self):
+        # mul and inverse do not re-validate what they build: every result
+        # must equal the element the validating constructor builds from it
+        for m in range(4):
+            fam = Family.from_bases(*range(m + 1))
+            elems = [fam.elem(i, j, b) for b in range(m + 1) for i in range(5) for j in range(5)]
+            for x in elems:
+                for z in [inverse(x)] + [mul(x, y) for y in elems]:
+                    assert type(z) is Elem and z.family is fam and 0 <= z.base <= m
+                    assert z == Elem(z.i, z.j, z.base, fam)
 
     def test_mixed_families_rejected(self):
         single = Family.from_bases(0)
