@@ -6,6 +6,12 @@ suites (verify), and Cayley-fragment export (export-cayley).
 
 Exit codes: 0 success, 1 verification failure, 2 syntax error or unknown
 suite, 3 family error, 4 parameter range violation, 5 I/O error.
+
+The argparse tree is built once, at import, and every main call parses with
+it: building it costs about 25 times what a small command does.  It holds
+only handler functions and immutable defaults, parse_args returns a fresh
+namespace, and handlers look up core_mul, run_suite and the other layer
+functions as module globals when they run, so patching one still takes.
 """
 
 import argparse
@@ -321,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export-cayley",
                               help="export a right-multiplication graph fragment")
     p_export.add_argument("--bound", type=int, default=2)
-    p_export.add_argument("--generators", nargs="*", default=[],
+    p_export.add_argument("--generators", nargs="*", default=(),
                           help='elements "(i,j,base)" acting by right multiplication')
     p_export.add_argument("--format", choices=("dot", "csv"), default="dot")
     p_export.add_argument("--output", default="-", help="output path, - for stdout")
@@ -331,10 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

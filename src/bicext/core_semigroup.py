@@ -86,6 +86,9 @@ class Family:
         """The family with these ray bases, validated; the one way in."""
         if not bases:
             raise FamilyError("a family must contain at least one ray")
+        if {*map(type, bases)} != {int}:  # bool and float are refused too
+            b = next(b for b in bases if type(b) is not int)
+            raise FamilyError(f"ray bases must be integers, got {b!r}")
         if min(bases) < 0:  # before the order rules; name the first negative base
             b = next(b for b in bases if b < 0)
             raise FamilyError(f"ray base must be non-negative, got {b}")
@@ -147,6 +150,8 @@ class Elem(tuple):
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, f: int, family: Family) -> "Elem":
+        if not type(i) is type(j) is type(f) is int:  # bool and float are refused too
+            raise ValueError(f"coordinates must be integers, got ({i!r},{j!r},{f!r})")
         if i < 0 or j < 0:
             raise ValueError(f"coordinates must be non-negative, got ({i},{j})")
         if not 0 <= f <= family.m:

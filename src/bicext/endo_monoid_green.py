@@ -170,14 +170,9 @@ def find_idempotents(kmax: int) -> list[InjEndo]:
 def preserving_class_cancellative(kmax: int) -> bool:
     """Two-sided cancellativity of the preserving class, checked for k <= kmax."""
     endos = [e for e in enumerate_endos(kmax) if in_preserving_class(e)]
-    for a in endos:
-        for x in endos:
-            for y in endos:
-                if x == y:
-                    continue
-                if compose(a, x) == compose(a, y) or compose(x, a) == compose(y, a):
-                    return False
-    return True
+    n = len(endos)  # a pair x != y with ax == ay is a repeat in the row of a's composites
+    return all(len({compose(a, x) for x in endos}) == n
+               and len({compose(x, a) for x in endos}) == n for a in endos)
 
 
 def collapsing_class_ideal(kmax: int) -> bool:

@@ -1,9 +1,11 @@
 """CLI contract: parsing round-trips, documented invocations, exit codes,
 report schema, and export formats."""
 
+import argparse
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,8 @@ from bicext.endomorphisms import collapsing, enumerate_endos, preserving
 from bicext.oracle_verify import run_suite
 
 DATA = Path(__file__).parent / "data"
+# help texts and a usage error, recorded in process with COLUMNS=80
+CONTRACT = json.loads((DATA / "cli_contract.json").read_text())
 
 
 def run_cli(*argv, capsys=None):
@@ -334,6 +338,67 @@ class TestExportCayley:
                                "--output", str(target), capsys=capsys)
         assert code == EXIT_OK and out == ""
         assert target.read_text().startswith("digraph cayley {")
+
+
+def run_fresh(argv):
+    """(exit code, stdout, stderr) of one call in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "bicext", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, COLUMNS="80"))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestSharedParser:
+    CALLS = (["mul", "(1,2,0)", "(1,3,1)"], ["endo", "compose", "a:2,1", "a:3,2"],
+             ["green", "-r", "D", "a:2,1", "a:3,1"], ["mul", "(1,2,0)"],
+             ["export-cayley", "--bound", "0"])
+
+    def test_parser_is_built_at_most_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [main(list(argv)) for argv in self.CALLS * 4]
+        capsys.readouterr()
+        assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_SYNTAX, EXIT_OK] * 4
+        assert built.count("bicext") <= 1
+
+    def test_layer_functions_patched_after_the_parser_exists_still_run(self, monkeypatch,
+                                                                        capsys):
+        assert run_cli("mul", "(1,2,0)", "(1,3,1)", capsys=capsys)[:2] == (EXIT_OK, "(1,4,0)\n")
+        monkeypatch.setattr(cli, "core_mul", lambda x, y: "patched product")
+        monkeypatch.setattr(cli, "run_suite", lambda name, **bounds: pytest.fail("ran"))
+        assert run_cli("mul", "(1,2,0)", "(1,3,1)", capsys=capsys) == (
+            EXIT_OK, "patched product\n", "")
+        with pytest.raises(pytest.fail.Exception, match="ran"):
+            main(["verify", "--suite", "idempotents"])
+
+    def test_repeated_calls_give_fresh_process_output(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [["export-cayley", "--bound", "1", "--generators", "(1,0,0)"],
+                 ["export-cayley", "--bound", "1"],  # no generators: no edges
+                 ["mul", "(1,2,2)", "(0,1,1)", "--family", "0,1,2"],
+                 ["mul", "(1,2,2)", "(0,1,1)"],  # the canonical family has no [2)
+                 ["mul", "(1,2,0)"],  # usage error, then a valid call
+                 ["mul", "(1,2,0)", "(1,3,1)"],
+                 ["--help"], ["--help"]]
+        got = [run_cli(*argv, capsys=capsys) for argv in calls]
+        assert got == [run_fresh(argv) for argv in calls]
+        assert " -> " in got[0][1] and " -> " not in got[1][1]
+        assert got[2] == (EXIT_OK, "(1,3,2)\n", "")
+        assert got[3] == (EXIT_SYNTAX, "", "error: invalid set base 2 for family {[0),[1)}\n")
+        assert got[4][0] == EXIT_SYNTAX and got[5] == (EXIT_OK, "(1,4,0)\n", "")
+        assert got[6] == got[7] and got[6][0] == EXIT_OK
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="recorded with CPython 3.11, whose argparse sets the layout")
+    @pytest.mark.parametrize("call", CONTRACT, ids=lambda call: " ".join(call["argv"]))
+    def test_help_and_usage_error_are_pinned_byte_for_byte(self, call, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(*call["argv"], capsys=capsys) == (
+            call["exit"], call["stdout"], call["stderr"])
 
 
 class TestConsoleEntry:

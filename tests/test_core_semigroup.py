@@ -134,6 +134,13 @@ class TestFamily:
             with pytest.raises(FamilyError, match="^ray base must be non-negative, got -1$"):
                 Family.from_bases(*bases)
 
+    def test_non_integer_bases_are_family_errors(self):
+        # bool is an int subclass but not a base: (0, True) would print as [True)
+        for bases, got in (((0.0, 1.0), "0.0"), ((0, 1.0), "1.0"), (("0",), "'0'"),
+                           ((0, True), "True"), ((False,), "False")):
+            with pytest.raises(FamilyError, match=rf"^ray bases must be integers, got {got}$"):
+                Family.from_bases(*bases)
+
     def test_index_for_base(self):
         assert CANONICAL_FAMILY.index_for_base(0) == 0
         assert CANONICAL_FAMILY.index_for_base(1) == 1
@@ -194,6 +201,14 @@ class TestElem:
             Elem(0, 0, 5, CANONICAL_FAMILY)
         with pytest.raises(ValueError, match="^ray index -1 out of range"):
             Elem(0, 0, -1, CANONICAL_FAMILY)
+
+    def test_non_integer_coordinates_are_refused(self):
+        for args, got in (((0.5, 1, 0), "0.5,1,0"), ((1, "2", 0), "1,'2',0"),
+                          ((1, 1, 1.0), "1,1,1.0"), ((True, 0, 0), "True,0,0")):
+            with pytest.raises(ValueError, match=rf"^coordinates must be integers, got \({got}\)$"):
+                Elem(*args, CANONICAL_FAMILY)
+        with pytest.raises(ValueError, match="^coordinates must be integers"):
+            CANONICAL_FAMILY.elem(1, 2, 1.0)
 
     def test_str(self):
         assert str(elem(1, 4, 0)) == "(1,4,0)"

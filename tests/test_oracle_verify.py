@@ -10,6 +10,7 @@ import bicext.endo_monoid_green as _green
 import bicext.endomorphisms as _endo
 import bicext.oracle_verify as _ov
 from bicext.core_semigroup import CANONICAL_FAMILY, Family, leq_natural
+from bicext.endo_monoid_green import collapsing_class_ideal, preserving_class_cancellative
 from bicext.endomorphisms import Kind, homomorphism_counterexample
 from bicext.oracle_verify import (ALL_INVARIANTS, FAILURE_CAP, FailureLog, SUITES,
                            Truncation, UnknownSuiteError, run_suite)
@@ -214,6 +215,22 @@ def _sparse_image(kind, k, p, i, j, b):
     return i2, j2, b2
 
 
+def _dense_compose(v1, k1, p1, v2, k2, p2):
+    # wrong but in range: preserving after preserving loses its offset, and a
+    # collapsing left factor takes the right factor's kind
+    if v1 is Kind.PRESERVING:
+        return (v2, k1 * k2, 0) if v2 is Kind.PRESERVING else (v2, k1 * k2, p2 + k2 * p1)
+    return v2, k1 * k2, k2 * p1
+
+
+def _unit_compose(v1, k1, p1, v2, k2, p2):
+    # as _dense_compose, but only the unit loses the offset, so a row a.x
+    # repeats only for a = a:1,0 and no row x.a ever does
+    if v1 is Kind.PRESERVING and not (k1 == 1 and v2 is Kind.PRESERVING):
+        return v2, k1 * k2, p2 + k2 * p1
+    return _dense_compose(v1, k1, p1, v2, k2, p2)
+
+
 def _inject(monkeypatch, name, fault):
     """Replace the kernel `name` in every module that binds it."""
     bound = [m for m in _MODULES if name in vars(m)]
@@ -229,6 +246,7 @@ def _digest(failures):
 
 _MUL_FAULTS = {"dense": _dense_mul, "sparse": _sparse_mul, "idem": _idem_mul}
 _IMAGE_FAULTS = {"dense": _dense_image, "sparse": _sparse_image}
+_COMPOSE_FAULTS = {"dense": _dense_compose, "unit": _unit_compose}
 
 # (fault, suite, bounds) -> (cases, failures_total, recorded, digest of every
 # recorded (inputs, expected, got), first record, last record, summary)
@@ -286,6 +304,46 @@ _PINNED = {
 }
 
 
+# (fault, suite, kmax) -> the same fields, for the class sweeps under a wrong
+# composition table
+_PINNED_TABLE = {
+    ("dense", "cancellative", 5): (
+        6301, 1201, 100, "51df46911eb22aac",
+        ("a=a:1,0 x=a:2,0 y=a:2,1", "ax != ay", "equal"),
+        ("a=a:2,0 x=a:4,0 y=a:4,2", "xa != ya", "equal"),
+        "15 preserving endomorphisms"),
+    ("unit", "cancellative", 2): (
+        37, 3, 3, "2285ddf4d81b2584",
+        ("a=a:1,0 x=a:2,0 y=a:2,1", "ax != ay", "equal"),
+        ("kmax=2", "cancellative helper agrees", "returned False"),
+        "3 preserving endomorphisms"),
+    ("unit", "cancellative", 5): (
+        6301, 41, 41, "8d3a8df3a4f794a5",
+        ("a=a:1,0 x=a:2,0 y=a:2,1", "ax != ay", "equal"),
+        ("kmax=5", "cancellative helper agrees", "returned False"),
+        "15 preserving endomorphisms"),
+    ("dense", "ideal", 2): (
+        9, 4, 4, "7e43481cb1687d11",
+        ("b:2,1 . a:1,0", "collapsing", "a:2,1"),
+        ("kmax=2", "ideal helper agrees", "returned False"),
+        "1 collapsing endomorphisms absorbed"),
+    ("dense", "ideal", 5): (
+        501, 151, 100, "2686d7ae5724ab23",
+        ("b:2,1 . a:1,0", "collapsing", "a:2,1"),
+        ("b:5,4 . a:4,3", "collapsing", "a:20,16"),
+        "10 collapsing endomorphisms absorbed"),
+}
+
+
+def _check_pinned(report, pinned):
+    cases, total, recorded, digest, first, last, summary = pinned
+    records = [(f.inputs, f.expected, f.got) for f in report.failures]
+    assert (report.cases, report.failures_total, len(records)) == (cases, total, recorded)
+    assert (records[:1], records[-1:]) == ([first] if first else [], [last] if last else [])
+    assert _digest(report.failures) == digest
+    assert report.summary == summary
+
+
 class TestFaultInjection:
     """A deliberately wrong kernel must give the very reports the plain
     per-case loops gave: the same counts, and the same failure records in
@@ -298,13 +356,21 @@ class TestFaultInjection:
             _inject(monkeypatch, "_mul_raw", _MUL_FAULTS[fault])
         else:
             _inject(monkeypatch, "_raw_image", _IMAGE_FAULTS[fault])
-        report = run_suite(suite, **dict(bounds))
-        cases, total, recorded, digest, first, last, summary = _PINNED[key]
-        records = [(f.inputs, f.expected, f.got) for f in report.failures]
-        assert (report.cases, report.failures_total, len(records)) == (cases, total, recorded)
-        assert (records[:1], records[-1:]) == ([first] if first else [], [last] if last else [])
-        assert _digest(report.failures) == digest
-        assert report.summary == summary
+        _check_pinned(run_suite(suite, **dict(bounds)), _PINNED[key])
+
+    @pytest.mark.parametrize("key", sorted(_PINNED_TABLE),
+                             ids=lambda k: f"{k[0]}-{k[1]}-kmax{k[2]}")
+    def test_class_sweep_report_pinned(self, monkeypatch, key):
+        # each composite is computed once per left factor and compared as a
+        # row; the report must be the one the per-pair loop gave
+        fault, suite, kmax = key
+        # compose reads it from endomorphisms; the Green factor tables, which
+        # outlive the test, are left alone
+        monkeypatch.setattr(_endo, "_compose_raw", _COMPOSE_FAULTS[fault])
+        _check_pinned(run_suite(suite, kmax=kmax), _PINNED_TABLE[key])
+        helper = {"cancellative": preserving_class_cancellative,
+                  "ideal": collapsing_class_ideal}[suite]
+        assert helper(kmax) is False
 
     def test_first_counterexample_in_scan_order(self, monkeypatch):
         _inject(monkeypatch, "_raw_image", _sparse_image)
