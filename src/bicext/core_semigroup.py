@@ -49,6 +49,8 @@ class InductiveSet:
     base: int
 
     def __post_init__(self):
+        if type(self.base) is not int:  # bool and float are refused too
+            raise ValueError(f"ray base must be an integer, got {self.base!r}")
         if self.base < 0:
             raise ValueError(f"ray base must be non-negative, got {self.base}")
 

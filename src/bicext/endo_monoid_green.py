@@ -36,6 +36,8 @@ class GreenQuery:
     def __post_init__(self):
         if self.relation not in RELATIONS:
             raise ValueError(f"relation must be one of {', '.join(RELATIONS)}")
+        if type(self.kmax) is not int:
+            raise ValueError(f"kmax must be an integer, got {self.kmax!r}")
         if self.kmax < 1:
             raise ValueError("kmax must be >= 1")
 
@@ -65,9 +67,8 @@ def _code(v, k, p) -> int:
 
 @lru_cache(maxsize=None)
 def _candidates(kmax: int) -> tuple:
-    # candidate factors with their raw (kind, k, p) triples and codes
-    return tuple((e, (e.kind, e.k, e.p), _code(e.kind, e.k, e.p))
-                 for e in enumerate_endos(kmax))
+    # candidate factors with their codes
+    return tuple((e, _code(*e)) for e in enumerate_endos(kmax))
 
 
 # (code of x, kmax, side) -> table; a table depends on its key alone, so
@@ -82,8 +83,8 @@ def _table(x, kmax: int, side: str) -> dict:
     table = _TABLES.get(key)
     if table is None:
         table = _TABLES[key] = {}
-        for e, re, _ in _candidates(kmax):
-            prod = _compose_raw(*x, *re) if side == "R" else _compose_raw(*re, *x)
+        for e, _ in _candidates(kmax):
+            prod = _compose_raw(*x, *e) if side == "R" else _compose_raw(*e, *x)
             table.setdefault(_code(*prod), e)
     return table
 
@@ -100,8 +101,8 @@ def _related(x, y, kmax: int, side: str):
 def _two_sided_factors(a, b, kmax: int):
     # first pair (u, v) in candidate order with a == u b v
     ca = _code(*a)
-    for u, ru, _ in _candidates(kmax):
-        v = _table(_compose_raw(*ru, *b), kmax, "R").get(ca)
+    for u, _ in _candidates(kmax):
+        v = _table(_compose_raw(*u, *b), kmax, "R").get(ca)
         if v is not None:
             return u, v
     return None
@@ -114,7 +115,7 @@ def _d_search(a, b, kmax: int, first: str, second: str):
     # Such a c is a composite in a's `first` table and b's `second` table,
     # so those two screen c before any table of c's own is built.
     near_a, near_b = _table(a, kmax, first), _table(b, kmax, second)
-    for _, c, cc in ((None, a, _code(*a)), (None, b, _code(*b)), *_candidates(kmax)):
+    for c, cc in ((a, _code(*a)), (b, _code(*b)), *_candidates(kmax)):
         if cc not in near_a or cc not in near_b:
             continue
         w1 = _related(a, c, kmax, first)
@@ -130,9 +131,7 @@ def green_bounded_search(q: GreenQuery) -> WitnessSearchResult:
     Products are compared structurally and may exceed the bound.  For D both
     composition orders are computed and asserted to agree.
     """
-    kmax, rel = q.kmax, q.relation
-    a = (q.left.kind, q.left.k, q.left.p)
-    b = (q.right.kind, q.right.k, q.right.p)
+    kmax, rel, a, b = q.kmax, q.relation, q.left, q.right
     if rel in ("R", "L"):
         wits = _related(a, b, kmax, rel)
     elif rel == "H":

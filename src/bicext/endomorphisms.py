@@ -17,11 +17,17 @@ is closed form:
     collapsing . anything   = collapsing(k1 k2, k2 p1)
 
 so collapsing endomorphisms absorb products from either side.
+
+An InjEndo is the validated tuple (kind, k, p), as an Elem is a tuple: it
+compares and hashes as that tuple in C, and unpacks straight into the raw
+kernels _raw_image and _compose_raw, so compose builds one tuple and no
+attribute is read on the way.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from operator import itemgetter
 
 # _mul_raw stays bound here: bench/tracing.py wraps the kernels module by module
 from .core_semigroup import (CANONICAL_FAMILY, Elem, FamilyError, _columns, _mul_raw,
@@ -43,28 +49,38 @@ class Kind(Enum):
 _PRESERVING, _COLLAPSING = Kind.PRESERVING, Kind.COLLAPSING
 
 
-@dataclass(frozen=True)
-class InjEndo:
-    """A validated injective monoid endomorphism in closed form."""
+class InjEndo(tuple):
+    """A validated injective monoid endomorphism in closed form: the tuple
+    (kind, k, p), so it compares and hashes as that tuple."""
 
-    kind: Kind
-    k: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, kind: Kind, k: int, p: int) -> "InjEndo":
+        if not type(k) is type(p) is int:  # bool and float are refused too
+            raise ParameterRangeError(f"k and p must be integers, got ({k!r},{p!r})")
+        if k < 1:
             raise ParameterRangeError("k must be >= 1")
-        if self.kind is _PRESERVING:
-            if self.p < 0:
+        if kind is _PRESERVING:
+            if p < 0:
                 raise ParameterRangeError("p must be >= 0")
-        else:
-            if self.k < 2:
+        elif kind is _COLLAPSING:
+            if k < 2:
                 raise ParameterRangeError("k must be >= 2 for the collapsing kind")
-            if self.p < 1:
+            if p < 1:
                 raise ParameterRangeError(
                     "p must be >= 1: at p = 0 both levels would share images")
-        if self.p > self.k - 1:
+        else:
+            raise ParameterRangeError(f"kind must be a Kind, got {kind!r}")
+        if p > k - 1:
             raise ParameterRangeError("p exceeds k-1")
+        return tuple.__new__(cls, (kind, k, p))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return tuple(self)
+
+    kind = property(itemgetter(0))
+    k = property(itemgetter(1))
+    p = property(itemgetter(2))
 
     def __call__(self, x: Elem) -> Elem:
         return apply(self, x)
@@ -73,7 +89,9 @@ class InjEndo:
         return compose(self, other)
 
     def __str__(self) -> str:
-        return f"{self.kind.value}:{self.k},{self.p}"
+        return f"{self[0].value}:{self[1]},{self[2]}"
+
+    __repr__ = __str__
 
 
 def preserving(k: int, p: int) -> InjEndo:
@@ -109,7 +127,7 @@ def apply(e: InjEndo, x: Elem) -> Elem:
     if x.family is not CANONICAL_FAMILY:
         raise FamilyError(
             f"endomorphisms act on elements over the canonical family, not {x.family}")
-    i, j, b = _raw_image(e.kind, e.k, e.p, x.i, x.j, x.base)
+    i, j, b = _raw_image(*e, x.i, x.j, x.base)
     return CANONICAL_FAMILY.elem(i, j, b)
 
 
@@ -122,8 +140,7 @@ def _compose_raw(v1, k1, p1, v2, k2, p2):
 
 def compose(e1: InjEndo, e2: InjEndo) -> InjEndo:
     """compose(e1, e2) applies e1 first; the result is range-checked on build."""
-    v, k, p = _compose_raw(e1.kind, e1.k, e1.p, e2.kind, e2.k, e2.p)
-    return InjEndo(v, k, p)
+    return InjEndo(*_compose_raw(*e1, *e2))
 
 
 @dataclass(frozen=True)
@@ -139,6 +156,9 @@ class GeneratorImages:
     p: int
 
     def __post_init__(self):
+        if not type(self.k) is type(self.level) is type(self.p) is int:
+            raise ParameterRangeError(f"k, level and p must be integers, got "
+                                      f"({self.k!r},{self.level!r},{self.p!r})")
         if self.k < 1:
             raise ParameterRangeError("k must be >= 1")
         if self.level not in (0, 1):

@@ -12,6 +12,11 @@ form, and the pointwise composition table) run as row kernels: a whole row
 of cases is computed by map over _mul_raw or _raw_image and compared as one
 tuple in C, and only a row that mismatches is walked case by case to record
 its failures, in the same order and with the same text as a plain loop.
+Composition soundness is checked once per distinct composite: the pairs
+are grouped by the value compose gives them, that composite's image row is
+built once per group and compared with every pair's two-step row, and the
+mismatching pairs are walked in pair order after the sweep.  Injectivity
+checks one image row per form and walks only a row with a repeated image.
 The order table is one product row per t against every idempotent s^-1 s.
 The kernels run about a million times per verify run, so they read no
 builtin max and no Enum class attribute: either costs more than the sums.
@@ -267,9 +272,8 @@ def _suite_endo_homomorphism(bound: int, kmax: int):
     xy = [itemgetter(*row) for row in pid]  # xy[x](row over distinct) is row over y
     endos = enumerate_endos(kmax)
     for e in endos:
-        kind, k, p = e.kind, e.k, e.p
-        ims = _image_row(kind, k, p, cols)
-        imd = _image_row(kind, k, p, dcols)
+        ims = _image_row(*e, cols)
+        imd = _image_row(*e, dcols)
         im_cols = _columns(ims)
         for xi in range(n):
             got = _product_row(ims[xi], im_cols)  # f(x) f(y) over y
@@ -282,8 +286,8 @@ def _suite_endo_homomorphism(bound: int, kmax: int):
                             str(want[yi]), str(got[yi]))
         cases += n * n
         cases += 1
-        if _raw_image(kind, k, p, 0, 0, 0) != (0, 0, 0):
-            log.add(f"e={e}", "identity fixed", str(_raw_image(kind, k, p, 0, 0, 0)))
+        if _raw_image(*e, 0, 0, 0) != (0, 0, 0):
+            log.add(f"e={e}", "identity fixed", str(_raw_image(*e, 0, 0, 0)))
 
     # forms sharing k agree on every level-0 element
     lvl0 = [x for x in elems if x[2] == 0]
@@ -293,7 +297,7 @@ def _suite_endo_homomorphism(bound: int, kmax: int):
         for e in forms[1:]:
             for x in lvl0:
                 cases += 1
-                if _raw_image(e.kind, e.k, e.p, *x) != _raw_image(ref.kind, ref.k, ref.p, *x):
+                if _raw_image(*e, *x) != _raw_image(*ref, *x):
                     log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
 
     # the unit fixes everything; everything else moves a small element
@@ -301,9 +305,9 @@ def _suite_endo_homomorphism(bound: int, kmax: int):
     for e in endos:
         cases += 1
         if e == UNIT:
-            if any(_raw_image(e.kind, e.k, e.p, *x) != x for x in elems):
+            if any(_raw_image(*e, *x) != x for x in elems):
                 log.add("a:1,0", "fixes the whole truncation", "moves an element")
-        elif all(_raw_image(e.kind, e.k, e.p, *x) == x for x in small):
+        elif all(_raw_image(*e, *x) == x for x in small):
             log.add(f"e={e}", "moves an element with coordinates <= 2", "fixes them all")
     return cases, log, f"{len(endos)} endomorphisms on {n} elements"
 
@@ -311,37 +315,45 @@ def _suite_endo_homomorphism(bound: int, kmax: int):
 def _suite_endo_injectivity(bound: int, kmax: int):
     log = FailureLog()
     elems = Truncation(bound).raw()
-    cases = 0
+    cols = _columns(elems)
     endos = enumerate_endos(kmax)
     for e in endos:
-        seen = {}
-        for x in elems:
-            cases += 1
-            im = _raw_image(e.kind, e.k, e.p, *x)
+        row = _image_row(*e, cols)
+        if len(set(row)) == len(row):
+            continue
+        seen = {}  # only a row with a repeated image is walked
+        for x, im in zip(elems, row):
             if im in seen:
                 log.add(f"e={e}", "injective", f"{seen[im]} and {x} map to {im}")
             else:
                 seen[im] = x
+    cases = len(endos) * len(elems)
     return cases, log, f"{len(endos)} endomorphisms on {len(elems)} elements"
 
 
 def _suite_composition_table(bound: int, kmax: int, ksym: int):
     log = FailureLog()
     elems = Truncation(bound).raw()
-    cases = 0
     endos = enumerate_endos(kmax)
     cols = _columns(elems)
-    for e1 in endos:
-        mid_cols = _columns(_image_row(e1.kind, e1.k, e1.p, cols))
-        for e2 in endos:
-            c = compose(e1, e2)
-            two = _image_row(e2.kind, e2.k, e2.p, mid_cols)
-            one = _image_row(c.kind, c.k, c.p, cols)
-            if one != two:
-                for x, o, t in zip(elems, one, two):
-                    if o != t:
-                        log.add(f"{e1} . {e2} at {x}", str(t), str(o))
-            cases += len(elems)
+    # e1's images in column form, one set per e1, alive for the whole sweep;
+    # the pairs are grouped by their computed composite, whose image row is
+    # then built once per group rather than once per pair
+    mids = [_columns(_image_row(*e1, cols)) for e1 in endos]
+    groups = defaultdict(list)
+    for a, e1 in enumerate(endos):
+        for b, e2 in enumerate(endos):
+            groups[compose(e1, e2)].append((a, b))
+    bad = []
+    for c, pairs in groups.items():
+        one = _image_row(*c, cols)
+        bad += [(a, b, c) for a, b in pairs if _image_row(*endos[b], mids[a]) != one]
+    for a, b, c in sorted(bad):  # pair order, as a per-pair loop records them
+        one, two = _image_row(*c, cols), _image_row(*endos[b], mids[a])
+        for x, o, t in zip(elems, one, two):
+            if o != t:
+                log.add(f"{endos[a]} . {endos[b]} at {x}", str(t), str(o))
+    cases = len(endos) ** 2 * len(elems)
 
     # parameter ranges are closed under composition, k up to ksym
     big = enumerate_endos(ksym)
@@ -582,7 +594,8 @@ _audit_registry()
 
 def suite_bounds(name: str, **overrides) -> dict[str, int]:
     """A suite's default bounds, each replaced by an override that is not
-    None; an unknown suite or key, or a bound below its minimum, is an error."""
+    None; an unknown suite or key, or a bound that is not an int or is below
+    its minimum, is an error."""
     try:
         spec = SUITES[name]
     except KeyError:
@@ -594,6 +607,8 @@ def suite_bounds(name: str, **overrides) -> dict[str, int]:
             continue
         if key not in bounds:
             raise ValueError(f"suite {name!r} takes no bound named {key!r}")
+        if type(val) is not int:  # bool and float are refused too
+            raise ValueError(f"{key} must be an integer, got {val!r}")
         if val < _MINIMUM[key]:
             raise ValueError(f"{key} must be >= {_MINIMUM[key]}")
         bounds[key] = val

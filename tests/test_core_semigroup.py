@@ -65,6 +65,11 @@ class TestInductiveSet:
         with pytest.raises(ValueError):
             InductiveSet(-1)
 
+    @pytest.mark.parametrize("base", [0.5, 1.0, True, "1"])
+    def test_non_integer_base_rejected(self, base):
+        with pytest.raises(ValueError, match="ray base must be an integer"):
+            InductiveSet(base)
+
     def test_intersect_shifted(self):
         # (d + [a)) & [b) = [max(a+d, b))
         assert intersect_shifted(InductiveSet(0), 2, InductiveSet(1)) == InductiveSet(2)

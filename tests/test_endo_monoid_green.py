@@ -24,6 +24,11 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             GreenQuery("R", UNIT, UNIT, 0)
 
+    @pytest.mark.parametrize("kmax", [2.5, 3.0, True])
+    def test_non_integer_kmax(self, kmax):
+        with pytest.raises(ValueError, match="kmax must be an integer"):
+            GreenQuery("R", UNIT, UNIT, kmax)
+
     def test_default_kmax(self):
         assert GreenQuery("R", UNIT, UNIT).kmax == 8
 

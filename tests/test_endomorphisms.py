@@ -1,10 +1,13 @@
 """Endomorphism closed forms, composition, classification, and the
 out-of-range disqualification oracles."""
 
+import copy
+import pickle
+
 import pytest
 
 from bicext.core_semigroup import CANONICAL_FAMILY, Family, FamilyError, mul
-from bicext.endomorphisms import (GeneratorImages, Kind, ParameterRangeError, UNIT,
+from bicext.endomorphisms import (GeneratorImages, InjEndo, Kind, ParameterRangeError, UNIT,
                           _compose_raw, _raw_image, apply, classify_from_images, collapsing,
                           compose, enumerate_endos, growth_inequalities_hold,
                           homomorphism_counterexample, injectivity_collision,
@@ -48,6 +51,102 @@ class TestParameterValidation:
     def test_unit(self):
         assert UNIT == preserving(1, 0)
         assert UNIT.kind is Kind.PRESERVING
+
+
+# the range messages InjEndo gave as a frozen dataclass, one letter a case:
+# rows k = -1..6, columns p = -1..7, "." where the form is valid
+_RANGE_MESSAGES = {
+    "k": "k must be >= 1",
+    "K": "p must be >= 0",
+    "n": "p exceeds k-1",
+    "2": "k must be >= 2 for the collapsing kind",
+    "1": "p must be >= 1: at p = 0 both levels would share images",
+}
+_RANGE_GRID = {
+    Kind.PRESERVING: ["kkkkkkkkk", "kkkkkkkkk", "K.nnnnnnn", "K..nnnnnn",
+                      "K...nnnnn", "K....nnnn", "K.....nnn", "K......nn"],
+    Kind.COLLAPSING: ["kkkkkkkkk", "kkkkkkkkk", "222222222", "11.nnnnnn",
+                      "11..nnnnn", "11...nnnn", "11....nnn", "11.....nn"],
+}
+
+
+class TestInjEndoContract:
+    """InjEndo is the validated tuple (kind, k, p)."""
+
+    def test_range_messages_unchanged(self):
+        for kind, rows in _RANGE_GRID.items():
+            for k, row in zip(range(-1, 7), rows):
+                for p, code in zip(range(-1, 8), row):
+                    if code == ".":
+                        assert InjEndo(kind, k, p) == (kind, k, p)
+                        continue
+                    with pytest.raises(ParameterRangeError) as info:
+                        InjEndo(kind, k, p)
+                    assert str(info.value) == _RANGE_MESSAGES[code], (kind, k, p)
+
+    def test_non_kind_refused(self):
+        with pytest.raises(ParameterRangeError, match="kind must be a Kind"):
+            InjEndo("a", 2, 1)
+
+    def test_equal_parameters_equal_objects(self):
+        for e in enumerate_endos(4):
+            twin = InjEndo(e.kind, e.k, e.p)
+            assert twin == e and hash(twin) == hash(e) and twin is not e
+        assert preserving(2, 1) != collapsing(2, 1)
+        assert len({preserving(2, 1), preserving(2, 1), collapsing(2, 1)}) == 2
+
+    def test_fields_read_only(self):
+        e = preserving(3, 1)
+        with pytest.raises(AttributeError):
+            e.k = 4
+        with pytest.raises(AttributeError):
+            del e.k
+        with pytest.raises(AttributeError):
+            e.extra = 1  # no instance dict
+        assert (e.kind, e.k, e.p) == (Kind.PRESERVING, 3, 1)
+
+    def test_copy_and_pickle_round_trip(self):
+        for e in (UNIT, preserving(5, 3), collapsing(4, 1)):
+            for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+                assert twin == e and type(twin) is InjEndo and twin.kind is e.kind
+
+    def test_str_and_repr(self):
+        assert str(UNIT) == "a:1,0"
+        assert repr(collapsing(3, 2)) == "b:3,2"
+
+    def test_compose_builds_an_injendo(self):
+        assert isinstance(compose(preserving(2, 1), collapsing(3, 1)), InjEndo)
+        assert isinstance(preserving(2, 1) * UNIT, InjEndo)
+
+    def test_compose_matches_closed_form_table(self):
+        # the composition table written out from the module docstring
+        def closed_form(e1, e2):
+            (v1, k1, p1), (v2, k2, p2) = e1, e2
+            if v1 is Kind.COLLAPSING:
+                return Kind.COLLAPSING, k1 * k2, k2 * p1
+            return v2, k1 * k2, p2 + k2 * p1
+
+        endos = enumerate_endos(6)
+        for e1 in endos:
+            for e2 in endos:
+                assert compose(e1, e2) == closed_form(e1, e2), (e1, e2)
+
+
+class TestNonIntegerParameters:
+    """Floats and bools are refused before any range check."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: preserving(2.5, 1), lambda: collapsing(3, 1.5),
+        lambda: preserving(True, False), lambda: preserving(2.0, 1),
+        lambda: collapsing(3, "1")])
+    def test_forms_refuse(self, build):
+        with pytest.raises(ParameterRangeError, match="k and p must be integers"):
+            build()
+
+    @pytest.mark.parametrize("args", [(2.0, 1, 1), (2, True, 1), (3, 0, 1.0)])
+    def test_generator_images_refuse(self, args):
+        with pytest.raises(ParameterRangeError, match="k, level and p must be integers"):
+            classify_from_images(GeneratorImages(*args))
 
 
 class TestApply:

@@ -1,6 +1,7 @@
 """The verification engine: truncations, the registry audit, report shape,
 every suite at reduced bounds, and reports under deliberately wrong kernels."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -99,6 +100,18 @@ class TestRunSuite:
         with pytest.raises(ValueError, match=message):
             run_suite(suite, **{key: val})
 
+    @pytest.mark.parametrize("suite, key, val", [
+        ("idempotents", "kmax", 2.5), ("inverse_axioms", "bound", 1.5),
+        ("composition_table", "ksym", 3.0), ("order", "bound", True)])
+    def test_non_integer_bound_refused(self, monkeypatch, suite, key, val):
+        # refused by suite_bounds, before the suite is started
+        def never(**bounds):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(SUITES, suite, dataclasses.replace(SUITES[suite], run=never))
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            run_suite(suite, **{key: val})
+
     def test_deterministic_given_bounds(self):
         first = run_suite("order", bound=3)
         second = run_suite("order", bound=3)
@@ -174,6 +187,7 @@ class TestSuitesAtReducedBounds:
 _MODULES = (_core, _endo, _ov, _green)
 _REAL_MUL = _core._mul_raw
 _REAL_IMAGE = _endo._raw_image
+_REAL_COMPOSE = _endo._compose_raw
 
 
 def _dense_mul(i1, j1, b1, i2, j2, b2):
@@ -215,6 +229,24 @@ def _sparse_image(kind, k, p, i, j, b):
     return i2, j2, b2
 
 
+def _e2_image(kind, k, p, i, j, b):
+    # a:3,2 goes wrong only on level-1 points past the bound-6 corner, which
+    # only the images of a first factor reach: it fails as the right factor
+    # of a pair, whose composite other pairs share
+    i2, j2, b2 = _REAL_IMAGE(kind, k, p, i, j, b)
+    if b == 1 and i > 6 and (kind, k, p) == (Kind.PRESERVING, 3, 2):
+        return i2 + 1, j2, b2
+    return i2, j2, b2
+
+
+def _collide_image(kind, k, p, i, j, b):
+    # not injective: for k = 3 every level-1 point with j >= 2 lands on the
+    # image of (i, 1, 1)
+    if k == 3 and b == 1 and j >= 2:
+        j = 1
+    return _REAL_IMAGE(kind, k, p, i, j, b)
+
+
 def _dense_compose(v1, k1, p1, v2, k2, p2):
     # wrong but in range: preserving after preserving loses its offset, and a
     # collapsing left factor takes the right factor's kind
@@ -231,6 +263,16 @@ def _unit_compose(v1, k1, p1, v2, k2, p2):
     return _dense_compose(v1, k1, p1, v2, k2, p2)
 
 
+def _shared_compose(v1, k1, p1, v2, k2, p2):
+    # wrong but in range for only some pairs sharing a composite: b:k1,p1
+    # after any form with multiplier k2 is one composite, and only the
+    # preserving right factors with p2 = 1 get its offset plus one
+    v, k, p = _REAL_COMPOSE(v1, k1, p1, v2, k2, p2)
+    if v1 is Kind.COLLAPSING and v2 is Kind.PRESERVING and p2 == 1:
+        return v, k, p + 1
+    return v, k, p
+
+
 def _inject(monkeypatch, name, fault):
     """Replace the kernel `name` in every module that binds it."""
     bound = [m for m in _MODULES if name in vars(m)]
@@ -245,7 +287,8 @@ def _digest(failures):
 
 
 _MUL_FAULTS = {"dense": _dense_mul, "sparse": _sparse_mul, "idem": _idem_mul}
-_IMAGE_FAULTS = {"dense": _dense_image, "sparse": _sparse_image}
+_IMAGE_FAULTS = {"dense": _dense_image, "sparse": _sparse_image, "e2": _e2_image,
+                 "collide": _collide_image}
 _COMPOSE_FAULTS = {"dense": _dense_compose, "unit": _unit_compose}
 
 # (fault, suite, bounds) -> (cases, failures_total, recorded, digest of every
@@ -295,6 +338,16 @@ _PINNED = {
         ("a:2,0 . a:3,1 at (1, 0, 1)", "(7, 2, 1)", "(7, 1, 1)"),
         ("b:3,1 . b:4,3 at (2, 0, 1)", "(28, 8, 0)", "(28, 4, 0)"),
         "16^2 pointwise pairs, symbolic k <= 5"),
+    ("e2", "composition_table", (("bound", 6), ("kmax", 4), ("ksym", 5))): (
+        25813, 294, 100, "64172e57a94a1d07",
+        ("a:2,0 . a:3,2 at (4, 0, 1)", "(27, 2, 1)", "(26, 2, 1)"),
+        ("a:3,1 . a:3,2 at (5, 1, 1)", "(51, 14, 1)", "(50, 14, 1)"),
+        "16^2 pointwise pairs, symbolic k <= 5"),
+    ("collide", "endo_injectivity", (("bound", 8), ("kmax", 4))): (
+        2592, 315, 100, "5a7151b0b878eff2",
+        ("e=a:3,0", "injective", "(0, 1, 1) and (0, 2, 1) map to (0, 3, 1)"),
+        ("e=a:3,1", "injective", "(5, 1, 1) and (5, 3, 1) map to (16, 4, 1)"),
+        "16 endomorphisms on 162 elements"),
     ("dense", "classification_negative", (("kmax", 4), ("bound", 6))): (
         24, 0, 0, "4f53cda18c2baa0c", None, None,
         "24 homomorphism witnesses, 0 injectivity witnesses"),
@@ -372,6 +425,17 @@ class TestFaultInjection:
                   "ideal": collapsing_class_ideal}[suite]
         assert helper(kmax) is False
 
+    def test_grouped_composites_hide_no_pair(self, monkeypatch):
+        # composition soundness builds one image row per computed composite;
+        # a pair whose composite is wrong lands in another group and must
+        # still be reported, in pair order
+        monkeypatch.setattr(_endo, "_compose_raw", _shared_compose)
+        _check_pinned(run_suite("composition_table", bound=6, kmax=4, ksym=5), (
+            25813, 922, 100, "a944bbfeb84c9d42",
+            ("b:2,1 . a:2,1 at (0, 0, 1)", "(2, 2, 0)", "(3, 3, 0)"),
+            ("b:2,1 . a:4,1 at (0, 1, 1)", "(4, 12, 0)", "(5, 13, 0)"),
+            "16^2 pointwise pairs, symbolic k <= 5"))
+
     def test_first_counterexample_in_scan_order(self, monkeypatch):
         _inject(monkeypatch, "_raw_image", _sparse_image)
         got = {}
@@ -385,3 +449,19 @@ class TestFaultInjection:
             ("a", 2, 2): first_row, ("a", 4, 5): first_row,
             ("b", 3, 1): ("(0,1,0)", "(2,0,1)"), ("b", 3, 3): None,
             ("b", 2, 2): None, ("b", 4, 5): first_row}
+
+
+def test_composition_table_builds_one_row_per_distinct_composite(monkeypatch):
+    # at the default bounds: 25 first-factor rows, one row for each of the
+    # 258 distinct composites of the 625 pairs, and one right-factor row per
+    # pair, each over the 882 elements of the bound-20 truncation
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _REAL_IMAGE(*args)
+
+    monkeypatch.setattr(_endo, "_raw_image", counted)  # _image_row reads it there
+    report = run_suite("composition_table")
+    assert report.passed and report.cases == 625 * 882 + 144 ** 2 + 66 ** 2
+    assert calls[0] == (25 + 258 + 625) * 882 == 800856
