@@ -339,6 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 _PARSER = build_parser()
 
+# exit code of the first matching class; ParseError and UnknownSuiteError
+# are plain ValueErrors, and ValueError comes before OSError so that
+# io.UnsupportedOperation, which is both, exits 2
+_EXIT_CODES = ((ParameterRangeError, EXIT_RANGE), ((FamilyError, MixedFamilyError), EXIT_FAMILY),
+               (ValueError, EXIT_SYNTAX), (OSError, EXIT_IO))
+
 
 def main(argv=None) -> int:
     try:
@@ -347,21 +353,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ParseError, UnknownSuiteError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    except ParameterRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
-    except (FamilyError, MixedFamilyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAMILY
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 def main_script():

@@ -10,13 +10,16 @@ against each other by the verification suites.
 The search composes an endomorphism x with every candidate e once and
 records, per composite x e (side "R") or e x (side "L"), the first e in
 candidate order that gives it.  These factor tables are built lazily, once
-per (endomorphism, kmax, side), and kept for the life of the process; R, L,
-H and D then reduce to table lookups, and J scans u and looks the right
-factor up in the table of u b.
+per (endomorphism, kmax, side), cached under the endomorphism itself (an
+InjEndo and its raw triple share an entry) and kept for the life of the
+process; R, L, H and D then reduce to table lookups, and J scans u and looks
+the right factor up in the table of u b.  Cancellativity and absorption are
+each swept by one generator of counterexamples: the predicates take its
+first item and the verification suites log every item.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .endomorphisms import (InjEndo, _COLLAPSING, _PRESERVING, _compose_raw, compose,
                            enumerate_endos)
@@ -59,33 +62,18 @@ def green_symbolic(q: GreenQuery) -> bool:
     return q.left == q.right
 
 
-def _code(v, k, p) -> int:
-    # injective int code of a (kind, k, p) triple with 0 <= p < k; the
-    # tables are keyed by it so that lookups never hash a Kind member
-    return (k * k + p) << 1 | (v is _COLLAPSING)
-
-
-@lru_cache(maxsize=None)
+@cache
 def _candidates(kmax: int) -> tuple:
-    # candidate factors with their codes
-    return tuple((e, _code(*e)) for e in enumerate_endos(kmax))
+    return tuple(enumerate_endos(kmax))
 
 
-# (code of x, kmax, side) -> table; a table depends on its key alone, so
-# every caller in the process shares it
-_TABLES: dict = {}
-
-
+@cache  # a table depends on its key alone, so every caller shares it
 def _table(x, kmax: int, side: str) -> dict:
-    # composite code -> first candidate e with x e (side "R") or e x (side
-    # "L") equal to it; built once by composing x with every candidate
-    key = (_code(*x), kmax, side)
-    table = _TABLES.get(key)
-    if table is None:
-        table = _TABLES[key] = {}
-        for e, _ in _candidates(kmax):
-            prod = _compose_raw(*x, *e) if side == "R" else _compose_raw(*e, *x)
-            table.setdefault(_code(*prod), e)
+    # composite -> first candidate e with x e (side "R") or e x (side "L")
+    # equal to it; built once by composing x with every candidate
+    table = {}
+    for e in _candidates(kmax):
+        table.setdefault(_compose_raw(*x, *e) if side == "R" else _compose_raw(*e, *x), e)
     return table
 
 
@@ -93,16 +81,15 @@ def _related(x, y, kmax: int, side: str):
     # witnesses (e1, e2) with x == y e1 and y == x e2 (side "R"; e1 y and
     # e2 x for side "L"), or None.  The unit is the first candidate, so x == y
     # needs no special case.
-    e1 = _table(y, kmax, side).get(_code(*x))
-    e2 = _table(x, kmax, side).get(_code(*y)) if e1 is not None else None
+    e1 = _table(y, kmax, side).get(x)
+    e2 = _table(x, kmax, side).get(y) if e1 is not None else None
     return None if e2 is None else (e1, e2)
 
 
 def _two_sided_factors(a, b, kmax: int):
     # first pair (u, v) in candidate order with a == u b v
-    ca = _code(*a)
-    for u, _ in _candidates(kmax):
-        v = _table(_compose_raw(*u, *b), kmax, "R").get(ca)
+    for u in _candidates(kmax):
+        v = _table(_compose_raw(*u, *b), kmax, "R").get(a)
         if v is not None:
             return u, v
     return None
@@ -115,8 +102,8 @@ def _d_search(a, b, kmax: int, first: str, second: str):
     # Such a c is a composite in a's `first` table and b's `second` table,
     # so those two screen c before any table of c's own is built.
     near_a, near_b = _table(a, kmax, first), _table(b, kmax, second)
-    for c, cc in ((a, _code(*a)), (b, _code(*b)), *_candidates(kmax)):
-        if cc not in near_a or cc not in near_b:
+    for c in (a, b, *_candidates(kmax)):
+        if c not in near_a or c not in near_b:
             continue
         w1 = _related(a, c, kmax, first)
         w2 = _related(c, b, kmax, second) if w1 is not None else None
@@ -166,20 +153,45 @@ def find_idempotents(kmax: int) -> list[InjEndo]:
     return [e for e in enumerate_endos(kmax) if compose(e, e) == e]
 
 
-def preserving_class_cancellative(kmax: int) -> bool:
-    """Two-sided cancellativity of the preserving class, checked for k <= kmax."""
+def _cancellation_failures(kmax: int):
+    # (a, x, y, broken law) over the preserving forms; a pair x != y with
+    # ax == ay is a repeat in a's row, so only a row holding one is walked
     endos = [e for e in enumerate_endos(kmax) if in_preserving_class(e)]
-    n = len(endos)  # a pair x != y with ax == ay is a repeat in the row of a's composites
-    return all(len({compose(a, x) for x in endos}) == n
-               and len({compose(x, a) for x in endos}) == n for a in endos)
+    n = len(endos)
+    for a in endos:
+        ax = [compose(a, x) for x in endos]
+        xa = [compose(x, a) for x in endos]
+        if len(set(ax)) == n and len(set(xa)) == n:
+            continue
+        for x, a_x, x_a in zip(endos, ax, xa):
+            for y, a_y, y_a in zip(endos, ax, xa):
+                if x is y:
+                    continue
+                if a_x == a_y:
+                    yield a, x, y, "ax != ay"
+                if x_a == y_a:
+                    yield a, x, y, "xa != ya"
 
 
-def collapsing_class_ideal(kmax: int) -> bool:
-    """The collapsing class absorbs products from both sides, for k <= kmax."""
+def _absorption_failures(kmax: int):
+    # (left, right, product) for each product with a collapsing factor that
+    # is not collapsing; e b before b e
     endos = enumerate_endos(kmax)
     coll = [b for b in endos if in_collapsing_class(b)]
     for e in endos:
         for b in coll:
-            if not (in_collapsing_class(compose(e, b)) and in_collapsing_class(compose(b, e))):
-                return False
-    return True
+            eb, be = compose(e, b), compose(b, e)
+            if not in_collapsing_class(eb):
+                yield e, b, eb
+            if not in_collapsing_class(be):
+                yield b, e, be
+
+
+def preserving_class_cancellative(kmax: int) -> bool:
+    """Two-sided cancellativity of the preserving class, checked for k <= kmax."""
+    return next(_cancellation_failures(kmax), None) is None
+
+
+def collapsing_class_ideal(kmax: int) -> bool:
+    """The collapsing class absorbs products from both sides, for k <= kmax."""
+    return next(_absorption_failures(kmax), None) is None

@@ -19,9 +19,14 @@ is closed form:
 so collapsing endomorphisms absorb products from either side.
 
 An InjEndo is the validated tuple (kind, k, p), as an Elem is a tuple: it
-compares and hashes as that tuple in C, and unpacks straight into the raw
-kernels _raw_image and _compose_raw, so compose builds one tuple and no
-attribute is read on the way.
+compares and hashes as that tuple in C, since Kind hashes by identity, and
+unpacks straight into the raw kernels _raw_image and _compose_raw, so compose
+builds one tuple and no attribute is read on the way.
+
+The raw-parameter oracles (homomorphism_counterexample,
+injectivity_collision, growth_inequalities_hold) take any int (k, p), since
+out-of-range forms are what they are for, but refuse a parameter that is not
+an int, a kind that is not a Kind and a negative bound before any scan.
 """
 
 from dataclasses import dataclass
@@ -43,6 +48,8 @@ class Kind(Enum):
 
     PRESERVING = "a"
     COLLAPSING = "b"
+
+    __hash__ = object.__hash__  # members are singletons; Enum's hash runs Python
 
 
 # per-case code reads these: Kind.PRESERVING is a slow Enum class attribute read
@@ -178,6 +185,8 @@ def classify_from_images(g: GeneratorImages) -> InjEndo:
 def enumerate_endos(kmax: int) -> list[InjEndo]:
     """All valid endomorphisms with k <= kmax, preserving kind first, each in
     ascending (k, p) order.  Exactly kmax**2 in total."""
+    if type(kmax) is not int:  # bool and float are refused too
+        raise ValueError(f"kmax must be an integer, got {kmax!r}")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     out = []
@@ -190,6 +199,18 @@ def enumerate_endos(kmax: int) -> list[InjEndo]:
     return out
 
 
+def _check_raw(kind, k, p, bound):
+    # types and the sign of bound only: any int (k, p) is a form to test
+    if type(kind) is not Kind:
+        raise ParameterRangeError(f"kind must be a Kind, got {kind!r}")
+    if not type(k) is type(p) is int:  # bool and float are refused too
+        raise ParameterRangeError(f"k and p must be integers, got ({k!r},{p!r})")
+    if type(bound) is not int:
+        raise ValueError(f"bound must be an integer, got {bound!r}")
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+
+
 def homomorphism_counterexample(kind, k: int, p: int, bound: int):
     """First truncation pair (x, y) with (x y)f != (x f)(y f) under the raw
     closed form, or None.
@@ -199,6 +220,7 @@ def homomorphism_counterexample(kind, k: int, p: int, bound: int):
     ray index outermost, then i, then j.  Each x is checked against every y
     as one row; only a mismatching row is searched for its first y.
     """
+    _check_raw(kind, k, p, bound)
     elems = _raw_truncation(bound)
     cols = _columns(elems)
     images = _image_row(kind, k, p, cols)
@@ -217,14 +239,27 @@ def is_endomorphism_on_truncation(kind, k: int, p: int, bound: int) -> bool:
     return homomorphism_counterexample(kind, k, p, bound) is None
 
 
-def injectivity_collision(kind, k: int, p: int, bound: int):
-    """Two distinct truncation elements sharing a raw image, or None."""
+def _collisions(kind, k, p, elems, cols):
+    # (x, y, image) for each y of elems (in column form cols) whose raw image
+    # an earlier x has, x the first such, in elems order: one image row,
+    # walked only when it holds a repeat
+    row = _image_row(kind, k, p, cols)
+    if len(set(row)) == len(row):
+        return
     seen = {}
-    for x in _raw_truncation(bound):
-        im = _raw_image(kind, k, p, *x)
+    for y, im in zip(elems, row):
         if im in seen:
-            return CANONICAL_FAMILY.elem(*seen[im]), CANONICAL_FAMILY.elem(*x)
-        seen[im] = x
+            yield seen[im], y, im
+        else:
+            seen[im] = y
+
+
+def injectivity_collision(kind, k: int, p: int, bound: int):
+    """The first two distinct truncation elements sharing a raw image, or None."""
+    _check_raw(kind, k, p, bound)
+    elems = _raw_truncation(bound)
+    for x, y, _ in _collisions(kind, k, p, elems, _columns(elems)):
+        return CANONICAL_FAMILY.elem(*x), CANONICAL_FAMILY.elem(*y)
     return None
 
 
@@ -235,6 +270,12 @@ def growth_inequalities_hold(kind, k: int, p: int, s: int, t_max: int) -> bool:
     preserving:  p + s (t+1) >= k (t+1)  and  k (t+1) - 1 >= p + s t
     collapsing:  p + s (t+1) >= k (t+1)  and  k (t+1)     >= p + s t
     """
+    if type(kind) is not Kind:
+        raise ParameterRangeError(f"kind must be a Kind, got {kind!r}")
+    if not type(k) is type(p) is type(s) is int:  # bool and float are refused too
+        raise ParameterRangeError(f"k, p and s must be integers, got ({k!r},{p!r},{s!r})")
+    if type(t_max) is not int:
+        raise ValueError(f"t_max must be an integer, got {t_max!r}")
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive")
     if t_max < 0:

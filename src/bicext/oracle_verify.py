@@ -17,6 +17,8 @@ are grouped by the value compose gives them, that composite's image row is
 built once per group and compared with every pair's two-step row, and the
 mismatching pairs are walked in pair order after the sweep.  Injectivity
 checks one image row per form and walks only a row with a repeated image.
+Injectivity, cancellativity and absorption log every item of the one
+counterexample generator the module owning each law sweeps with.
 The order table is one product row per t against every idempotent s^-1 s.
 The kernels run about a million times per verify run, so they read no
 builtin max and no Enum class attribute: either costs more than the sums.
@@ -33,13 +35,13 @@ from typing import Callable
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, _columns, _mul_raw,
                    _product_row, _raw_truncation, inverse, is_idempotent, leq_natural,
                    mul, mul_bicyclic)
-from .endomorphisms import (Kind, ParameterRangeError, UNIT, _image_row, _raw_image,
-                    collapsing, compose, enumerate_endos, growth_inequalities_hold,
-                    homomorphism_counterexample, injectivity_collision,
-                    preserving)
-from .endo_monoid_green import (GreenQuery, RELATIONS, collapsing_class_ideal,
-                    find_idempotents, green_bounded_search, green_symbolic,
-                    in_collapsing_class, preserving_class_cancellative)
+from .endomorphisms import (Kind, ParameterRangeError, UNIT, _collisions, _image_row,
+                    _raw_image, collapsing, compose, enumerate_endos,
+                    growth_inequalities_hold, homomorphism_counterexample,
+                    injectivity_collision, preserving)
+from .endo_monoid_green import (GreenQuery, RELATIONS, _absorption_failures,
+                    _cancellation_failures, find_idempotents, green_bounded_search,
+                    green_symbolic, in_collapsing_class, in_preserving_class)
 
 FAILURE_CAP = 100
 _MINIMUM = {"bound": 0, "kmax": 1, "ksym": 1, "tmax": 0}  # smallest value of each bound
@@ -57,6 +59,8 @@ class Truncation:
     family: Family = CANONICAL_FAMILY
 
     def __post_init__(self):
+        if type(self.bound) is not int:  # bool and float are refused too
+            raise ValueError(f"bound must be an integer, got {self.bound!r}")
         if self.bound < 0:
             raise ValueError("bound must be >= 0")
 
@@ -318,15 +322,8 @@ def _suite_endo_injectivity(bound: int, kmax: int):
     cols = _columns(elems)
     endos = enumerate_endos(kmax)
     for e in endos:
-        row = _image_row(*e, cols)
-        if len(set(row)) == len(row):
-            continue
-        seen = {}  # only a row with a repeated image is walked
-        for x, im in zip(elems, row):
-            if im in seen:
-                log.add(f"e={e}", "injective", f"{seen[im]} and {x} map to {im}")
-            else:
-                seen[im] = x
+        for x, y, im in _collisions(*e, elems, cols):
+            log.add(f"e={e}", "injective", f"{x} and {y} map to {im}")
     cases = len(endos) * len(elems)
     return cases, log, f"{len(endos)} endomorphisms on {len(elems)} elements"
 
@@ -389,47 +386,27 @@ def _suite_idempotents(kmax: int):
 
 def _suite_cancellative(kmax: int):
     log = FailureLog()
-    endos = [e for e in enumerate_endos(kmax) if e.kind is Kind.PRESERVING]
-    n = len(endos)
-    cases = 0
-    for a in endos:
-        # each composite once per a; rows of distinct composites hold no failure
-        ax = [compose(a, x) for x in endos]
-        xa = [compose(x, a) for x in endos]
-        cases += 2 * n * (n - 1)  # both laws for every ordered pair x != y
-        if len(set(ax)) == n and len(set(xa)) == n:
-            continue
-        for x, a_x, x_a in zip(endos, ax, xa):
-            for y, a_y, y_a in zip(endos, ax, xa):
-                if x is y:
-                    continue
-                if a_x == a_y:
-                    log.add(f"a={a} x={x} y={y}", "ax != ay", "equal")
-                if x_a == y_a:
-                    log.add(f"a={a} x={x} y={y}", "xa != ya", "equal")
-    cases += 1
-    if not preserving_class_cancellative(kmax):
+    for a, x, y, law in _cancellation_failures(kmax):
+        log.add(f"a={a} x={x} y={y}", law, "equal")
+    n = sum(map(in_preserving_class, enumerate_endos(kmax)))
+    cases = 2 * n * n * (n - 1) + 1  # both laws per a and pair x != y, and the helper
+    # the helper takes the first item of the same sweep, so it fails exactly
+    # when the sweep logged a failure
+    if log.total:
         log.add(f"kmax={kmax}", "cancellative helper agrees", "returned False")
-    return cases, log, f"{len(endos)} preserving endomorphisms"
+    return cases, log, f"{n} preserving endomorphisms"
 
 
 def _suite_ideal(kmax: int):
     log = FailureLog()
+    for x, y, xy in _absorption_failures(kmax):
+        log.add(f"{x} . {y}", "collapsing", str(xy))
     endos = enumerate_endos(kmax)
-    coll = [b for b in endos if in_collapsing_class(b)]
-    cases = 0
-    for e in endos:
-        for b in coll:
-            cases += 2
-            eb, be = compose(e, b), compose(b, e)
-            if not in_collapsing_class(eb):
-                log.add(f"{e} . {b}", "collapsing", str(eb))
-            if not in_collapsing_class(be):
-                log.add(f"{b} . {e}", "collapsing", str(be))
-    cases += 1
-    if not collapsing_class_ideal(kmax):
+    coll = sum(map(in_collapsing_class, endos))
+    cases = 2 * len(endos) * coll + 1  # both sides of every product, and the helper
+    if log.total:  # as in _suite_cancellative
         log.add(f"kmax={kmax}", "ideal helper agrees", "returned False")
-    return cases, log, f"{len(coll)} collapsing endomorphisms absorbed"
+    return cases, log, f"{coll} collapsing endomorphisms absorbed"
 
 
 def _suite_green_agreement(kmax: int):

@@ -18,8 +18,9 @@ from bicext.cli import (EXIT_FAMILY, EXIT_IO, EXIT_OK, EXIT_RANGE,
                         EXIT_SYNTAX, EXIT_VERIFY, ParseError, REPORT_SCHEMA,
                         main, parse_element, parse_endo, parse_family,
                         report_document)
-from bicext.core_semigroup import CANONICAL_FAMILY, Family, FamilyError
-from bicext.endomorphisms import collapsing, enumerate_endos, preserving
+from bicext.core_semigroup import (CANONICAL_FAMILY, Family, FamilyClosureError, FamilyError,
+                                   MixedFamilyError)
+from bicext.endomorphisms import ParameterRangeError, collapsing, enumerate_endos, preserving
 from bicext.oracle_verify import run_suite
 
 DATA = Path(__file__).parent / "data"
@@ -206,6 +207,20 @@ class TestExitCodes:
                                "--output", "/nonexistent-dir/out.dot", capsys=capsys)
         assert code == EXIT_IO
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("exc, code", [
+        (ParseError("p"), EXIT_SYNTAX), (ParameterRangeError("r"), EXIT_RANGE),
+        (FamilyError("f"), EXIT_FAMILY), (MixedFamilyError("m"), EXIT_FAMILY),
+        (FamilyClosureError("c"), EXIT_FAMILY), (ValueError("v"), EXIT_SYNTAX),
+        (OSError("o"), EXIT_IO), (io.UnsupportedOperation("u"), EXIT_SYNTAX)],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+    def test_error_class_picks_the_exit_code(self, monkeypatch, capsys, exc, code):
+        # io.UnsupportedOperation is both a ValueError and an OSError
+        def fail(x, y):
+            raise exc
+        monkeypatch.setattr(cli, "core_mul", fail)
+        assert run_cli("mul", "(0,0,0)", "(0,0,0)", capsys=capsys) == (
+            code, "", f"error: {exc}\n")
 
     def test_export_negative_bound_exits_2_like_verify(self, tmp_path, capsys):
         target = tmp_path / "out.dot"

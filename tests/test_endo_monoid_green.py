@@ -4,7 +4,7 @@ search, plus the class-level structure results."""
 import pytest
 
 import bicext.endo_monoid_green as green
-from bicext.endomorphisms import UNIT, collapsing, compose, enumerate_endos, preserving
+from bicext.endomorphisms import UNIT, Kind, collapsing, compose, enumerate_endos, preserving
 from bicext.endo_monoid_green import (GreenQuery, RELATIONS, WitnessSearchResult,
                           collapsing_class_ideal, find_idempotents,
                           green_bounded_search, green_symbolic,
@@ -146,7 +146,7 @@ class TestSearchAgainstScan:
                     assert green_bounded_search(GreenQuery(rel, a, b, kmax)) == \
                         _scan(rel, a, b, kmax), (rel, str(a), str(b))
                 for side in ("R", "L"):
-                    assert green._table(_raw(b), kmax, side).get(green._code(*_raw(a))) \
+                    assert green._table(_raw(b), kmax, side).get(_raw(a)) \
                         == _scan_factor(a, b, cands, side)
                 assert green._two_sided_factors(_raw(a), _raw(b), kmax) == \
                     _scan_two_sided(a, b, cands)
@@ -163,18 +163,18 @@ class TestSearchAgainstScan:
     def test_factors_are_first_in_candidate_order(self):
         cands = enumerate_endos(8)
         a, b = preserving(6, 5), preserving(2, 1)
-        assert green._table(_raw(b), 8, "R")[green._code(*_raw(a))] == preserving(3, 2)
+        assert green._table(_raw(b), 8, "R")[_raw(a)] == preserving(3, 2)
         # b:2,1 e = b:4,2 for a:2,0, a:2,1 and b:2,1 alike; the first is chosen
         a, b = collapsing(4, 2), collapsing(2, 1)
         hits = [e for e in cands if compose(b, e) == a]
         assert hits == [preserving(2, 0), preserving(2, 1), collapsing(2, 1)]
-        assert green._table(_raw(b), 8, "R")[green._code(*_raw(a))] == hits[0]
+        assert green._table(_raw(b), 8, "R")[_raw(a)] == hits[0]
         pairs = [(u, v) for u in cands for v in cands if compose(compose(u, b), v) == a]
         assert len(pairs) > 1
         assert green._two_sided_factors(_raw(a), _raw(b), 8) == pairs[0]
 
     def test_warm_tables_repeat_the_cold_result(self, monkeypatch):
-        monkeypatch.setattr(green, "_TABLES", {})
+        green._table.cache_clear()
         calls = []
         compose_raw = green._compose_raw
         monkeypatch.setattr(green, "_compose_raw",
@@ -182,13 +182,22 @@ class TestSearchAgainstScan:
         a, b = collapsing(4, 1), collapsing(4, 3)
         for rel in RELATIONS:
             cold = green_bounded_search(GreenQuery(rel, a, b, 5))
-            assert green._TABLES
-            built, cold_calls = len(green._TABLES), len(calls)
+            assert green._table.cache_info().currsize
+            built, cold_calls = green._table.cache_info().misses, len(calls)
             assert green_bounded_search(GreenQuery(rel, a, b, 5)) == cold
-            assert len(green._TABLES) == built
+            assert green._table.cache_info().misses == built
             if rel != "J":  # J composes u b afresh for each candidate u
                 assert len(calls) == cold_calls
             calls.clear()
+
+    def test_tables_are_keyed_by_the_endomorphism(self):
+        assert Kind.__hash__ is object.__hash__
+        assert hash(UNIT) == hash((Kind.PRESERVING, 1, 0))
+        e = collapsing(4, 3)
+        table = green._table(e, 5, "L")
+        hits = green._table.cache_info().hits
+        assert green._table(_raw(e), 5, "L") is table
+        assert green._table.cache_info().hits == hits + 1
 
     def test_never_consults_the_closed_form(self, monkeypatch):
         def refuse(q):
@@ -215,6 +224,13 @@ class TestClassStructure:
 
     def test_collapsing_class_ideal(self):
         assert collapsing_class_ideal(5)
+
+    @pytest.mark.parametrize("helper", [find_idempotents, preserving_class_cancellative,
+                                        collapsing_class_ideal], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("kmax", [2.5, True])
+    def test_non_integer_kmax_refused(self, helper, kmax):
+        with pytest.raises(ValueError, match="kmax must be an integer"):
+            helper(kmax)
 
     def test_collapsing_absorbs_each_side(self):
         for e in enumerate_endos(4):

@@ -339,11 +339,73 @@ class TestOutOfRangeOracles:
             collision = injectivity_collision(Kind.COLLAPSING, k, k, 8)
             assert collision == (elem(1, 1, 0), elem(0, 0, 1))
 
+    def test_first_collision_matches_a_plain_scan(self):
+        # reference: every later y against every earlier x, in truncation
+        # order, so the pair is (first element with y's image, first such y)
+        def scan(kind, k, p, bound):
+            elems = truncation(bound)
+            def image(x):
+                return _raw_image(kind, k, p, x.i, x.j, x.base)
+            for n, y in enumerate(elems):
+                for x in elems[:n]:
+                    if image(x) == image(y):
+                        return x, y
+            return None
+
+        for kind in (Kind.PRESERVING, Kind.COLLAPSING):
+            for k in range(1, 5):
+                for p in range(k + 3):
+                    for bound in (3, 6):
+                        assert injectivity_collision(kind, k, p, bound) == \
+                            scan(kind, k, p, bound), (kind, k, p, bound)
+
     def test_collision_pair_really_collides(self):
         for k in range(1, 5):
             x, y = injectivity_collision(Kind.COLLAPSING, k, k, 8)
             assert _raw_image(Kind.COLLAPSING, k, k, x.i, x.j, x.base) == \
                 _raw_image(Kind.COLLAPSING, k, k, y.i, y.j, y.base) == (k, k, 0)
+
+
+class TestRawInputRefused:
+    """The raw-parameter oracles check types and the sign of the bound
+    before any scan, and never the (k, p) range."""
+
+    ORACLES = [homomorphism_counterexample, is_endomorphism_on_truncation,
+               injectivity_collision]
+
+    @pytest.mark.parametrize("oracle", ORACLES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("args, error, message", [
+        ((Kind.PRESERVING, 2.5, 1, 2), ParameterRangeError, "k and p must be integers"),
+        ((Kind.PRESERVING, 2, 1.0, 2), ParameterRangeError, "k and p must be integers"),
+        ((Kind.COLLAPSING, True, 1, 2), ParameterRangeError, "k and p must be integers"),
+        (("a", 2, 1, 2), ParameterRangeError, "kind must be a Kind"),
+        (("x", 2, 1, 2), ParameterRangeError, "kind must be a Kind"),
+        ((Kind.PRESERVING, 2, 1, 2.0), ValueError, "bound must be an integer"),
+        ((Kind.PRESERVING, 2, 1, True), ValueError, "bound must be an integer"),
+        ((Kind.PRESERVING, 2, 1, -1), ValueError, "bound must be >= 0")])
+    def test_oracles_refuse(self, oracle, args, error, message):
+        with pytest.raises(error, match=message):
+            oracle(*args)
+
+    def test_out_of_range_forms_are_still_scanned(self):
+        # k = 0 sends every level-0 element to (0, 0, 0)
+        assert injectivity_collision(Kind.PRESERVING, 0, 0, 1) == (elem(0, 0, 0), elem(0, 1, 0))
+        assert homomorphism_counterexample(Kind.PRESERVING, 2, -1, 2) is not None
+        assert homomorphism_counterexample(Kind.COLLAPSING, 1, 0, 0) is None
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((Kind.PRESERVING, 2.5, 1, 2, 3), ParameterRangeError, "k, p and s must be integers"),
+        ((Kind.PRESERVING, 2, 1, True, 3), ParameterRangeError, "k, p and s must be integers"),
+        (("b", 2, 1, 2, 3), ParameterRangeError, "kind must be a Kind"),
+        ((Kind.PRESERVING, 2, 1, 2, 3.0), ValueError, "t_max must be an integer")])
+    def test_growth_refuses(self, args, error, message):
+        with pytest.raises(error, match=message):
+            growth_inequalities_hold(*args)
+
+    @pytest.mark.parametrize("kmax", [2.5, 2.0, True, "3"])
+    def test_enumeration_refuses(self, kmax):
+        with pytest.raises(ValueError, match="kmax must be an integer"):
+            enumerate_endos(kmax)
 
 
 class TestGrowthInequalities:

@@ -39,6 +39,11 @@ class TestTruncation:
         with pytest.raises(ValueError):
             Truncation(-1)
 
+    @pytest.mark.parametrize("bound", [2.5, 2.0, True])
+    def test_non_integer_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="bound must be an integer"):
+            Truncation(bound)
+
 
 class TestFailureLog:
     def test_cap_keeps_counting(self):
