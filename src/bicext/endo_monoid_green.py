@@ -39,6 +39,9 @@ class GreenQuery:
     def __post_init__(self):
         if self.relation not in RELATIONS:
             raise ValueError(f"relation must be one of {', '.join(RELATIONS)}")
+        if not (isinstance(self.left, InjEndo) and isinstance(self.right, InjEndo)):
+            raise ValueError(f"left and right must be InjEndo, got "
+                             f"({self.left!r}, {self.right!r})")
         if type(self.kmax) is not int:
             raise ValueError(f"kmax must be an integer, got {self.kmax!r}")
         if self.kmax < 1:

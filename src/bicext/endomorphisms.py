@@ -131,6 +131,8 @@ def _image_row(kind, k, p, cols):
 
 def apply(e: InjEndo, x: Elem) -> Elem:
     """Image of x under e; defined over the canonical family only."""
+    if not isinstance(e, InjEndo):  # a raw triple skips the range check
+        raise ParameterRangeError(f"expected an InjEndo, got {e!r}")
     if x.family is not CANONICAL_FAMILY:
         raise FamilyError(
             f"endomorphisms act on elements over the canonical family, not {x.family}")
@@ -147,6 +149,8 @@ def _compose_raw(v1, k1, p1, v2, k2, p2):
 
 def compose(e1: InjEndo, e2: InjEndo) -> InjEndo:
     """compose(e1, e2) applies e1 first; the result is range-checked on build."""
+    if not (isinstance(e1, InjEndo) and isinstance(e2, InjEndo)):
+        raise ParameterRangeError(f"expected two InjEndo, got ({e1!r}, {e2!r})")
     return InjEndo(*_compose_raw(*e1, *e2))
 
 

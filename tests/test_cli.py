@@ -8,10 +8,12 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bicext import cli
 from bicext.cli import (EXIT_FAMILY, EXIT_IO, EXIT_OK, EXIT_RANGE,
@@ -21,10 +23,11 @@ from bicext.cli import (EXIT_FAMILY, EXIT_IO, EXIT_OK, EXIT_RANGE,
 from bicext.core_semigroup import (CANONICAL_FAMILY, Family, FamilyClosureError, FamilyError,
                                    MixedFamilyError)
 from bicext.endomorphisms import ParameterRangeError, collapsing, enumerate_endos, preserving
-from bicext.oracle_verify import run_suite
+from bicext.oracle_verify import VerifyReport, run_suite
 
 DATA = Path(__file__).parent / "data"
-# help texts and a usage error, recorded in process with COLUMNS=80
+# help texts, usage errors and one --opt=value call, recorded in process
+# with COLUMNS=80
 CONTRACT = json.loads((DATA / "cli_contract.json").read_text())
 
 
@@ -414,6 +417,96 @@ class TestSharedParser:
         monkeypatch.setenv("COLUMNS", "80")
         assert run_cli(*call["argv"], capsys=capsys) == (
             call["exit"], call["stdout"], call["stderr"])
+
+
+def _argv_tails(output):
+    """Argument lists after the command words: values, options, option
+    abbreviations, --opt=value, --, help flags, bad ints and bad choices.
+    --output comes only with "-" or the given path, so no call writes
+    anywhere else."""
+    single = st.sampled_from([
+        "(1,2,0)", "(1,3,1)", "(0,0,0)", "(1,2)", "(x,2,0)", "(\u0661,2,0)",
+        "a:2,1", "b:3,2", "a:2,2", "c:2,1", "1", "2", "3", "0", "-1", "x", "extra",
+        "-h", "--help", "--he", "--", "-", "--family", "--fam", "--family=0,1,2",
+        "--family=", "0,1", "0,2", "--k", "--level", "--p", "--kmax", "--km", "--kmax=2",
+        "-r", "--relation", "--rel=J", "R", "J", "X", "--mode", "--mode=search", "search",
+        "symbolic", "--suite", "--suite=ideal", "idempotents", "nope", "all", "--bound",
+        "--bound=1", "--ksym", "--tmax", "--format", "--format=csv", "json", "text", "dot",
+        "csv", "--generators", "--gen", "--nosuch"]).map(lambda t: [t])
+    outputs = st.sampled_from([["--output", "-"], ["--out", "-"], ["--output", output],
+                               [f"--output={output}"]])
+    return st.lists(st.one_of(single, outputs), max_size=7).map(
+        lambda chunks: [t for chunk in chunks for t in chunk])
+
+
+COMMAND_WORDS = [["mul"], ["endo", "apply"], ["endo", "compose"], ["endo", "classify"],
+                 ["green"], ["verify"], ["export-cayley"], ["endo"], ["endo", "nosuch"],
+                 ["nosuch"], [], ["-h"], ["--he"], ["endo", "-h"], ["--", "mul"]]
+
+
+class TestRouting:
+    """main hands argv to the leaf parser its command words name; the parse
+    of the whole tree, taken when cli._LEAVES is empty, must give the same
+    exit code, output and written file on every argv."""
+
+    def test_every_leaf_is_routed(self):
+        def leaves(parser, words=()):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield words, parser
+            for action in subs:
+                for name, child in action.choices.items():
+                    yield from leaves(child, words + (name,))
+        assert dict(leaves(cli._PARSER)) == cli._LEAVES
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_routed_parse_matches_the_full_parse(self, data, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        # the suites themselves are not what is compared; a stand-in report
+        # shows the suite name and bounds the parse produced, with no timing
+        monkeypatch.setattr(cli, "run_suite", lambda name, **bounds: VerifyReport(
+            name, bounds, 0, [], 0, 0.0, "not run"))
+        target = tmp_path / "graph.out"
+        argv = (data.draw(st.sampled_from(COMMAND_WORDS), label="words")
+                + data.draw(_argv_tails(str(target)), label="tail"))
+
+        def outcome():
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(list(argv))
+            written = target.read_text() if target.exists() else None
+            target.unlink(missing_ok=True)
+            return code, out.getvalue(), err.getvalue(), written
+
+        routed = outcome()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_LEAVES", {})
+            assert routed == outcome(), argv
+        assert os.listdir(tmp_path) == []
+
+    def test_leaf_argv_never_reaches_the_full_parse(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli._PARSER, "parse_args",
+                            lambda argv: pytest.fail(f"full parse of {argv}"))
+        # the usage error of ["mul", "(1,2,0)"] is raised by the leaf itself
+        assert [main(list(argv)) for argv in TestSharedParser.CALLS] == [
+            EXIT_OK, EXIT_OK, EXIT_OK, EXIT_SYNTAX, EXIT_OK]
+        with pytest.raises(pytest.fail.Exception, match="full parse"):
+            main(["mul", "(1,2,0)", "(1,3,1)", "extra"])
+
+    def test_main_without_argv_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["bicext", "endo", "compose", "a:2,1", "a:3,2"])
+        assert (main(), capsys.readouterr().out) == (EXIT_OK, "a:6,5\n")
+        monkeypatch.setattr(sys, "argv", ["bicext", "mul", "(1,2,0)", "(1,3,1)", "extra"])
+        assert main() == EXIT_SYNTAX
+        assert capsys.readouterr().err.endswith("unrecognized arguments: extra\n")
+
+    def test_any_argv_sequence_is_accepted(self, capsys):
+        assert main(("mul", "(1,2,0)", "(1,3,1)")) == EXIT_OK
+        assert main(iter(["endo", "apply", "b:3,2", "(1,0,1)"])) == EXIT_OK
+        assert capsys.readouterr().out == "(1,4,0)\n(5,2,0)\n"
 
 
 class TestConsoleEntry:

@@ -32,6 +32,14 @@ class TestQueryValidation:
     def test_default_kmax(self):
         assert GreenQuery("R", UNIT, UNIT).kmax == 8
 
+    @pytest.mark.parametrize("left, right", [
+        (None, None), (UNIT, None), ((Kind.PRESERVING, 1, 0), UNIT),
+        (UNIT, (Kind.COLLAPSING, 2, 1)), ("a:1,0", "a:1,0")], ids=repr)
+    def test_operands_must_be_injendos(self, left, right):
+        # green_symbolic would answer None == None with "related"
+        with pytest.raises(ValueError, match="left and right must be InjEndo"):
+            GreenQuery("R", left, right)
+
 
 class TestSymbolic:
     def test_equality_semantics(self):

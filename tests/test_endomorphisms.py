@@ -402,6 +402,19 @@ class TestRawInputRefused:
         with pytest.raises(error, match=message):
             growth_inequalities_hold(*args)
 
+    @pytest.mark.parametrize("e", [("a", 2, 1), (Kind.PRESERVING, 2, 9),
+                                   (Kind.COLLAPSING, 2, 1), "a:2,1", None],
+                             ids=repr)
+    def test_apply_and_compose_refuse_what_is_not_an_injendo(self, e):
+        # a raw triple would be read blindly: "a" as the collapsing kind, or
+        # an out-of-range (k, p) applied as if it were a form
+        with pytest.raises(ParameterRangeError, match="expected an InjEndo"):
+            apply(e, elem(1, 0, 1))
+        with pytest.raises(ParameterRangeError, match="expected two InjEndo"):
+            compose(e, UNIT)
+        with pytest.raises(ParameterRangeError, match="expected two InjEndo"):
+            compose(UNIT, e)
+
     @pytest.mark.parametrize("kmax", [2.5, 2.0, True, "3"])
     def test_enumeration_refuses(self, kmax):
         with pytest.raises(ValueError, match="kmax must be an integer"):
