@@ -33,7 +33,7 @@ import re
 import sys
 
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError,
-                   MixedFamilyError, _raw_truncation)
+                   MixedFamilyError, _raw_truncation, _require_int)
 from .core_semigroup import mul as core_mul
 from .endomorphisms import (GeneratorImages, InjEndo, ParameterRangeError, apply,
                     classify_from_images, collapsing, compose, preserving)
@@ -196,8 +196,7 @@ def report_document(report: VerifyReport) -> dict:
         "suite": report.suite,
         "bounds": dict(report.bounds),
         "cases": report.cases,
-        "failures": [{"inputs": f.inputs, "expected": f.expected, "got": f.got}
-                     for f in report.failures],
+        "failures": [f._asdict() for f in report.failures],
         "elapsed_ms": report.elapsed_ms,
         "pass": report.passed,
     }
@@ -237,8 +236,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_cayley(args) -> int:
-    if args.bound < 0:  # the same refusal as verify's truncations
-        raise ValueError("bound must be >= 0")
+    _require_int("bound", args.bound, 0)  # the same refusal as verify's truncations
     family = _family_from(args)
     generators = [parse_element(g, family) for g in args.generators]
     nodes = [Elem(*x, family) for x in _raw_truncation(args.bound, family)]

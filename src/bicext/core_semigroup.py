@@ -19,15 +19,18 @@ The only valid families are the blocks {[0), ..., [m)}, so a Family holds
 its top base m and nothing else: Family.sets and Elem.ray are views built
 from it, and an element's ray index Elem.f equals its base Elem.base.
 
+Values are validated tuples, here and in the other modules: namedtuple
+subclasses that check their fields in __new__ and act as the plain tuple.
+
 _mul_raw is the one place the formula is written, and a verify run calls it
 about a million times, so it picks the larger base by a conditional
 expression: a call to builtin max costs more than the rest of the kernel.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 
 class FamilyError(ValueError):
@@ -42,17 +45,32 @@ class MixedFamilyError(ValueError):
     """Operands drawn from two different families."""
 
 
-@dataclass(frozen=True, order=True)
-class InductiveSet:
+def _record(typename: str, field_names: str):
+    """namedtuple base whose _make and _replace, like copy and pickle, use __new__."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, fields: cls(*fields))
+    return base
+
+
+def _require_int(name: str, value, minimum: int):
+    """Refuse a bound that is not an int (bool and float too) or is below minimum."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+class InductiveSet(_record("InductiveSet", "base")):
     """The ray [base) = {base, base+1, ...}."""
 
-    base: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.base) is not int:  # bool and float are refused too
-            raise ValueError(f"ray base must be an integer, got {self.base!r}")
-        if self.base < 0:
-            raise ValueError(f"ray base must be non-negative, got {self.base}")
+    def __new__(cls, base: int) -> "InductiveSet":
+        if type(base) is not int:  # bool and float are refused too
+            raise ValueError(f"ray base must be an integer, got {base!r}")
+        if base < 0:
+            raise ValueError(f"ray base must be non-negative, got {base}")
+        return tuple.__new__(cls, (base,))
 
     def __contains__(self, n: int) -> bool:
         return n >= self.base
@@ -146,7 +164,10 @@ def _raw_truncation(bound: int, family: Family = CANONICAL_FAMILY):
     return [(i, j, b) for b in range(family.m + 1) for i in side for j in side]
 
 
-class Elem(tuple):
+_ElemFields = _record("Elem", "i j f family")
+
+
+class Elem(_ElemFields):
     """Monoid element (i, j, [base)), the tuple (i, j, base, family); f == base."""
 
     __slots__ = ()
@@ -160,13 +181,7 @@ class Elem(tuple):
             raise ValueError(f"ray index {f} out of range for family {family}")
         return tuple.__new__(cls, (i, j, f, family))
 
-    def __getnewargs__(self):  # copy and pickle rebuild through __new__
-        return tuple(self)
-
-    i = property(itemgetter(0))
-    j = property(itemgetter(1))
-    f = base = property(itemgetter(2))
-    family = property(itemgetter(3))
+    base = _ElemFields.f
 
     @property
     def ray(self) -> InductiveSet:
@@ -177,6 +192,8 @@ class Elem(tuple):
 
     def __str__(self) -> str:
         return f"({self[0]},{self[1]},{self[2]})"
+
+    __repr__ = tuple.__repr__
 
 
 def _mul_raw(i1, j1, b1, i2, j2, b2):

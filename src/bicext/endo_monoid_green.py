@@ -15,53 +15,49 @@ InjEndo and its raw triple share an entry) and kept for the life of the
 process; R, L, H and D then reduce to table lookups, and J scans u and looks
 the right factor up in the table of u b.  Cancellativity and absorption are
 each swept by one generator of counterexamples: the predicates take its
-first item and the verification suites log every item.
+first item and the verification suites log every item.  A GreenQuery is a
+validated tuple and a WitnessSearchResult a plain one.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
-from .endomorphisms import (InjEndo, _COLLAPSING, _PRESERVING, _compose_raw, compose,
-                           enumerate_endos)
+from .core_semigroup import _record, _require_int
+from .endomorphisms import (InjEndo, ParameterRangeError, _COLLAPSING, _PRESERVING,
+                           _compose_raw, compose, enumerate_endos)
 
 RELATIONS = ("R", "L", "H", "D", "J")
 
 
-@dataclass(frozen=True)
-class GreenQuery:
+class GreenQuery(_record("GreenQuery", "relation left right kmax")):
     """One relation query; kmax bounds candidate factors, never products."""
 
-    relation: str
-    left: InjEndo
-    right: InjEndo
-    kmax: int = 8
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.relation not in RELATIONS:
+    def __new__(cls, relation: str, left: InjEndo, right: InjEndo, kmax: int = 8):
+        if relation not in RELATIONS:
             raise ValueError(f"relation must be one of {', '.join(RELATIONS)}")
-        if not (isinstance(self.left, InjEndo) and isinstance(self.right, InjEndo)):
-            raise ValueError(f"left and right must be InjEndo, got "
-                             f"({self.left!r}, {self.right!r})")
-        if type(self.kmax) is not int:
-            raise ValueError(f"kmax must be an integer, got {self.kmax!r}")
-        if self.kmax < 1:
-            raise ValueError("kmax must be >= 1")
+        if not (isinstance(left, InjEndo) and isinstance(right, InjEndo)):
+            raise ValueError(f"left and right must be InjEndo, got ({left!r}, {right!r})")
+        _require_int("kmax", kmax, 1)
+        return tuple.__new__(cls, (relation, left, right, kmax))
 
 
-@dataclass(frozen=True)
-class WitnessSearchResult:
+class WitnessSearchResult(namedtuple("WitnessSearchResult",
+                                     "related witnesses exhausted_bound")):
     """Outcome of a bounded divisibility search.
 
     related implies witnesses is nonempty; for this monoid every relation is
     equality, so witnesses always deduplicate to the unit."""
 
-    related: bool
-    witnesses: tuple[InjEndo, ...]
-    exhausted_bound: int
+    __slots__ = ()
 
 
 def green_symbolic(q: GreenQuery) -> bool:
-    """Closed form: every Green relation on this monoid is equality."""
+    """Closed form: every Green relation on this monoid is equality.  A q
+    that is not a GreenQuery is a ParameterRangeError."""
+    if not isinstance(q, GreenQuery):
+        raise ParameterRangeError(f"expected a GreenQuery, got {q!r}")
     return q.left == q.right
 
 
@@ -119,8 +115,11 @@ def green_bounded_search(q: GreenQuery) -> WitnessSearchResult:
     """Brute-force divisibility search with factor k bounded by q.kmax.
 
     Products are compared structurally and may exceed the bound.  For D both
-    composition orders are computed and asserted to agree.
+    composition orders are computed and asserted to agree.  A q that is not
+    a GreenQuery is a ParameterRangeError.
     """
+    if not isinstance(q, GreenQuery):
+        raise ParameterRangeError(f"expected a GreenQuery, got {q!r}")
     kmax, rel, a, b = q.kmax, q.relation, q.left, q.right
     if rel in ("R", "L"):
         wits = _related(a, b, kmax, rel)

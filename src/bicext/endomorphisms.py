@@ -18,10 +18,11 @@ is closed form:
 
 so collapsing endomorphisms absorb products from either side.
 
-An InjEndo is the validated tuple (kind, k, p), as an Elem is a tuple: it
-compares and hashes as that tuple in C, since Kind hashes by identity, and
-unpacks straight into the raw kernels _raw_image and _compose_raw, so compose
-builds one tuple and no attribute is read on the way.
+An InjEndo is the validated tuple (kind, k, p), as an Elem is a tuple, and
+GeneratorImages the validated tuple (k, level, p): an InjEndo compares and
+hashes as that tuple in C, since Kind hashes by identity, and unpacks
+straight into the raw kernels _raw_image and _compose_raw, so compose builds
+one tuple and no attribute is read on the way.
 
 The raw-parameter oracles (homomorphism_counterexample,
 injectivity_collision, growth_inequalities_hold) take any int (k, p), since
@@ -29,18 +30,18 @@ out-of-range forms are what they are for, but refuse a parameter that is not
 an int, a kind that is not a Kind and a negative bound before any scan.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from operator import itemgetter
 
 # _mul_raw stays bound here: bench/tracing.py wraps the kernels module by module
 from .core_semigroup import (CANONICAL_FAMILY, Elem, FamilyError, _columns, _mul_raw,
-                             _product_row, _raw_truncation)
+                             _product_row, _raw_truncation, _record, _require_int)
 
 
 class ParameterRangeError(ValueError):
-    """A (k, p) pair lies outside its kind's admissible range."""
+    """A (k, p) pair lies outside its kind's admissible range, or an operand
+    is not the validated type a function takes (an InjEndo, an Elem, a
+    GreenQuery)."""
 
 
 class Kind(Enum):
@@ -56,7 +57,7 @@ class Kind(Enum):
 _PRESERVING, _COLLAPSING = Kind.PRESERVING, Kind.COLLAPSING
 
 
-class InjEndo(tuple):
+class InjEndo(_record("InjEndo", "kind k p")):
     """A validated injective monoid endomorphism in closed form: the tuple
     (kind, k, p), so it compares and hashes as that tuple."""
 
@@ -81,13 +82,6 @@ class InjEndo(tuple):
         if p > k - 1:
             raise ParameterRangeError("p exceeds k-1")
         return tuple.__new__(cls, (kind, k, p))
-
-    def __getnewargs__(self):  # copy and pickle rebuild through __new__
-        return tuple(self)
-
-    kind = property(itemgetter(0))
-    k = property(itemgetter(1))
-    p = property(itemgetter(2))
 
     def __call__(self, x: Elem) -> Elem:
         return apply(self, x)
@@ -130,9 +124,10 @@ def _image_row(kind, k, p, cols):
 
 
 def apply(e: InjEndo, x: Elem) -> Elem:
-    """Image of x under e; defined over the canonical family only."""
-    if not isinstance(e, InjEndo):  # a raw triple skips the range check
-        raise ParameterRangeError(f"expected an InjEndo, got {e!r}")
+    """Image of x under e; defined over the canonical family only.  An e that
+    is not an InjEndo or an x that is not an Elem is a ParameterRangeError."""
+    if not (isinstance(e, InjEndo) and isinstance(x, Elem)):  # a raw triple is unchecked
+        raise ParameterRangeError(f"expected an InjEndo and an Elem, got ({e!r}, {x!r})")
     if x.family is not CANONICAL_FAMILY:
         raise FamilyError(
             f"endomorphisms act on elements over the canonical family, not {x.family}")
@@ -154,28 +149,26 @@ def compose(e1: InjEndo, e2: InjEndo) -> InjEndo:
     return InjEndo(*_compose_raw(*e1, *e2))
 
 
-@dataclass(frozen=True)
-class GeneratorImages:
+class GeneratorImages(_record("GeneratorImages", "k level p")):
     """Generator images pinning down a candidate endomorphism.
 
     k is read off the image (k, k, [0)) of (1, 1, [0)); level and p describe
     the image (p, p, [level)) of (0, 0, [1)).
     """
 
-    k: int
-    level: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not type(self.k) is type(self.level) is type(self.p) is int:
+    def __new__(cls, k: int, level: int, p: int) -> "GeneratorImages":
+        if not type(k) is type(level) is type(p) is int:
             raise ParameterRangeError(f"k, level and p must be integers, got "
-                                      f"({self.k!r},{self.level!r},{self.p!r})")
-        if self.k < 1:
+                                      f"({k!r},{level!r},{p!r})")
+        if k < 1:
             raise ParameterRangeError("k must be >= 1")
-        if self.level not in (0, 1):
+        if level not in (0, 1):
             raise ParameterRangeError("level must be 0 or 1")
-        if self.p < 0:
+        if p < 0:
             raise ParameterRangeError("p must be >= 0")
+        return tuple.__new__(cls, (k, level, p))
 
 
 def classify_from_images(g: GeneratorImages) -> InjEndo:
@@ -189,10 +182,7 @@ def classify_from_images(g: GeneratorImages) -> InjEndo:
 def enumerate_endos(kmax: int) -> list[InjEndo]:
     """All valid endomorphisms with k <= kmax, preserving kind first, each in
     ascending (k, p) order.  Exactly kmax**2 in total."""
-    if type(kmax) is not int:  # bool and float are refused too
-        raise ValueError(f"kmax must be an integer, got {kmax!r}")
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    _require_int("kmax", kmax, 1)
     out = []
     for k in range(1, kmax + 1):
         for p in range(0, k):
@@ -209,10 +199,7 @@ def _check_raw(kind, k, p, bound):
         raise ParameterRangeError(f"kind must be a Kind, got {kind!r}")
     if not type(k) is type(p) is int:  # bool and float are refused too
         raise ParameterRangeError(f"k and p must be integers, got ({k!r},{p!r})")
-    if type(bound) is not int:
-        raise ValueError(f"bound must be an integer, got {bound!r}")
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    _require_int("bound", bound, 0)
 
 
 def homomorphism_counterexample(kind, k: int, p: int, bound: int):

@@ -22,19 +22,21 @@ counterexample generator the module owning each law sweeps with.
 The order table is one product row per t against every idempotent s^-1 s.
 The kernels run about a million times per verify run, so they read no
 builtin max and no Enum class attribute: either costs more than the sums.
+
+Failures, reports and registry entries are named tuples.  An exception that
+escapes a suite after its bounds are accepted becomes the one failure of a
+failed report with no cases, so a run of every suite still reports each.
 """
 
 import time
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from functools import reduce
 from itertools import chain, compress
-from operator import itemgetter, or_
-from typing import Callable
+from operator import attrgetter, itemgetter, or_
 
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, _columns, _mul_raw,
-                   _product_row, _raw_truncation, inverse, is_idempotent, leq_natural,
-                   mul, mul_bicyclic)
+                   _product_row, _raw_truncation, _require_int, inverse, is_idempotent,
+                   leq_natural, mul, mul_bicyclic)
 from .endomorphisms import (Kind, ParameterRangeError, UNIT, _collisions, _image_row,
                     _raw_image, collapsing, compose, enumerate_endos,
                     growth_inequalities_hold, homomorphism_counterexample,
@@ -51,18 +53,23 @@ class UnknownSuiteError(ValueError):
     """Asked to run a suite name that is not registered."""
 
 
-@dataclass(frozen=True)
 class Truncation:
-    """The finite slice {(i, j, f) : 0 <= i, j <= bound} of the monoid."""
+    """The finite slice {(i, j, f) : 0 <= i, j <= bound} of the monoid; not a
+    tuple, since its len and iteration are its elements."""
 
-    bound: int
-    family: Family = CANONICAL_FAMILY
+    __slots__ = ("_bound", "_family")
+    bound = property(attrgetter("_bound"))
+    family = property(attrgetter("_family"))
 
-    def __post_init__(self):
-        if type(self.bound) is not int:  # bool and float are refused too
-            raise ValueError(f"bound must be an integer, got {self.bound!r}")
-        if self.bound < 0:
-            raise ValueError("bound must be >= 0")
+    def __init__(self, bound: int, family: Family = CANONICAL_FAMILY):
+        _require_int("bound", bound, 0)
+        self._bound, self._family = bound, family
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return Truncation, (self.bound, self.family)
+
+    def __repr__(self) -> str:
+        return f"Truncation(bound={self.bound!r}, family={self.family!r})"
 
     def __len__(self) -> int:
         return (self.bound + 1) ** 2 * len(self.family)
@@ -75,11 +82,7 @@ class Truncation:
         return _raw_truncation(self.bound, self.family)
 
 
-@dataclass
-class Failure:
-    inputs: str
-    expected: str
-    got: str
+Failure = namedtuple("Failure", "inputs expected got")
 
 
 class FailureLog:
@@ -95,15 +98,9 @@ class FailureLog:
             self.recorded.append(Failure(str(inputs), str(expected), str(got)))
 
 
-@dataclass
-class VerifyReport:
-    suite: str
-    bounds: dict[str, int]
-    cases: int
-    failures: list[Failure]
-    failures_total: int
-    elapsed_ms: float
-    summary: str
+class VerifyReport(namedtuple("VerifyReport", "suite bounds cases failures failures_total "
+                                             "elapsed_ms summary")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -478,11 +475,7 @@ def _suite_growth_inequalities(kmax: int, tmax: int):
 # -------------------------------------------------------------- registry --
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
-    run: Callable
-    covers: tuple[str, ...]
-    defaults: dict[str, int]
+SuiteSpec = namedtuple("SuiteSpec", "run covers defaults")
 
 
 SUITES: dict[str, SuiteSpec] = {
@@ -584,18 +577,22 @@ def suite_bounds(name: str, **overrides) -> dict[str, int]:
             continue
         if key not in bounds:
             raise ValueError(f"suite {name!r} takes no bound named {key!r}")
-        if type(val) is not int:  # bool and float are refused too
-            raise ValueError(f"{key} must be an integer, got {val!r}")
-        if val < _MINIMUM[key]:
-            raise ValueError(f"{key} must be >= {_MINIMUM[key]}")
+        _require_int(key, val, _MINIMUM[key])
         bounds[key] = val
     return bounds
 
 
 def run_suite(name: str, **overrides) -> VerifyReport:
-    """Run one registered suite with the bounds suite_bounds gives."""
+    """Run one registered suite with the bounds suite_bounds gives.  Bounds
+    it refuses raise; an exception from the suite itself is reported as its
+    one failure, with no cases counted."""
     bounds = suite_bounds(name, **overrides)
     start = time.perf_counter()
-    cases, log, summary = SUITES[name].run(**bounds)
+    try:
+        cases, log, summary = SUITES[name].run(**bounds)
+    except Exception as exc:  # a crashed suite fails; the other suites still run
+        cases, log, summary = 0, FailureLog(), f"stopped by {type(exc).__name__}"
+        log.add(" ".join(f"{k}={v}" for k, v in bounds.items()),
+                "the suite runs to completion", f"{type(exc).__name__}: {exc}")
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerifyReport(name, bounds, cases, log.recorded, log.total, elapsed, summary)

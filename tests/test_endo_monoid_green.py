@@ -4,7 +4,8 @@ search, plus the class-level structure results."""
 import pytest
 
 import bicext.endo_monoid_green as green
-from bicext.endomorphisms import UNIT, Kind, collapsing, compose, enumerate_endos, preserving
+from bicext.endomorphisms import (UNIT, Kind, ParameterRangeError, collapsing, compose,
+                                  enumerate_endos, preserving)
 from bicext.endo_monoid_green import (GreenQuery, RELATIONS, WitnessSearchResult,
                           collapsing_class_ideal, find_idempotents,
                           green_bounded_search, green_symbolic,
@@ -39,6 +40,13 @@ class TestQueryValidation:
         # green_symbolic would answer None == None with "related"
         with pytest.raises(ValueError, match="left and right must be InjEndo"):
             GreenQuery("R", left, right)
+
+
+    @pytest.mark.parametrize("q", ["R", ("R", UNIT, UNIT, 4), None], ids=repr)
+    def test_search_and_symbolic_take_only_a_query(self, q):
+        for answer in (green_symbolic, green_bounded_search):
+            with pytest.raises(ParameterRangeError, match="expected a GreenQuery"):
+                answer(q)
 
 
 class TestSymbolic:

@@ -415,6 +415,12 @@ class TestRawInputRefused:
         with pytest.raises(ParameterRangeError, match="expected two InjEndo"):
             compose(UNIT, e)
 
+    @pytest.mark.parametrize("x", [(1, 2, 0), (1, 2, 0, CANONICAL_FAMILY), "(1,2,0)", None],
+                             ids=repr)
+    def test_apply_refuses_what_is_not_an_elem(self, x):
+        with pytest.raises(ParameterRangeError, match="expected an InjEndo and an Elem"):
+            apply(UNIT, x)
+
     @pytest.mark.parametrize("kmax", [2.5, 2.0, True, "3"])
     def test_enumeration_refuses(self, kmax):
         with pytest.raises(ValueError, match="kmax must be an integer"):

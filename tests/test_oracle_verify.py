@@ -1,11 +1,12 @@
 """The verification engine: truncations, the registry audit, report shape,
 every suite at reduced bounds, and reports under deliberately wrong kernels."""
 
-import dataclasses
 import hashlib
+import json
 
 import pytest
 
+import bicext.cli as cli
 import bicext.core_semigroup as _core
 import bicext.endo_monoid_green as _green
 import bicext.endomorphisms as _endo
@@ -113,7 +114,7 @@ class TestRunSuite:
         def never(**bounds):
             raise AssertionError("the suite ran")
 
-        monkeypatch.setitem(SUITES, suite, dataclasses.replace(SUITES[suite], run=never))
+        monkeypatch.setitem(SUITES, suite, SUITES[suite]._replace(run=never))
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             run_suite(suite, **{key: val})
 
@@ -278,6 +279,14 @@ def _shared_compose(v1, k1, p1, v2, k2, p2):
     return v, k, p
 
 
+def _minus_compose(v1, k1, p1, v2, k2, p2):
+    # out of range: after a preserving left factor the offset is p2 - k2 p1,
+    # which can fall below the kind's minimum, so compose raises
+    if v1 is Kind.PRESERVING:
+        return v2, k1 * k2, p2 - k2 * p1
+    return v2, k1 * k2, k2 * p1
+
+
 def _inject(monkeypatch, name, fault):
     """Replace the kernel `name` in every module that binds it."""
     bound = [m for m in _MODULES if name in vars(m)]
@@ -440,6 +449,28 @@ class TestFaultInjection:
             ("b:2,1 . a:2,1 at (0, 0, 1)", "(2, 2, 0)", "(3, 3, 0)"),
             ("b:2,1 . a:4,1 at (0, 1, 1)", "(4, 12, 0)", "(5, 13, 0)"),
             "16^2 pointwise pairs, symbolic k <= 5"))
+
+    @pytest.mark.parametrize("suite, inputs, got", [
+        ("composition_table", "bound=20 kmax=5 ksym=12", "p must be >= 0"),
+        ("idempotents", "kmax=20", "p must be >= 0"),
+        ("cancellative", "kmax=5", "p must be >= 0"),
+        ("ideal", "kmax=5", "p must be >= 1: at p = 0 both levels would share images")])
+    def test_crashed_suite_is_one_failure(self, monkeypatch, suite, inputs, got):
+        # compose raises inside the suite, after its bounds were accepted
+        monkeypatch.setattr(_endo, "_compose_raw", _minus_compose)
+        report = run_suite(suite)
+        assert not report.passed and (report.cases, report.failures_total) == (0, 1)
+        assert report.failures == [(inputs, "the suite runs to completion",
+                                    f"ParameterRangeError: {got}")]
+        assert report.summary == "stopped by ParameterRangeError"
+
+    def test_crashed_suite_does_not_stop_the_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(_endo, "_compose_raw", _minus_compose)
+        assert cli.main(["verify", "--suite", "all", "--format", "json"]) == cli.EXIT_VERIFY
+        out, err = capsys.readouterr()
+        failed = [r["suite"] for r in json.loads(out) if not r["pass"]]
+        assert failed == ["composition_table", "idempotents", "cancellative", "ideal"]
+        assert err == ""
 
     def test_first_counterexample_in_scan_order(self, monkeypatch):
         _inject(monkeypatch, "_raw_image", _sparse_image)
