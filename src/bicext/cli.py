@@ -15,11 +15,8 @@ they run, so patching one still takes.
 
 main hands argv straight to the leaf parser that its first one or two
 command words name ("mul", "endo apply", ...), which is what the top-level
-and endo subparser actions would do, minus their own pass over argv: that
-pass cost more than the leaf's parse (per-call parse, in process, shared
-2-vCPU host, Python 3.11: mul 36 -> 20 us, endo apply 57 -> 19 us, endo
-classify 100 -> 35 us, green --mode search 96 -> 51 us, verify 74 -> 37 us,
-export-cayley 79 -> 40 us).  An argv that names no leaf, or leaves
+and endo subparser actions would do, minus their own pass over argv, which
+cost more than the leaf's parse.  An argv that names no leaf, or leaves
 arguments over, is parsed again by the whole tree, so top-level help,
 unknown commands, a bare "endo" and "unrecognized arguments" keep the
 top-level usage and bytes; leaf help and leaf usage errors come from the

@@ -29,7 +29,7 @@ expression: a call to builtin max costs more than the rest of the kernel.
 
 from collections import namedtuple
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter
 
 
@@ -173,6 +173,8 @@ class Elem(_ElemFields):
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, f: int, family: Family) -> "Elem":
+        if type(family) is not Family:
+            raise FamilyError(f"family must be a Family, got {type(family).__name__}")
         if not type(i) is type(j) is type(f) is int:  # bool and float are refused too
             raise ValueError(f"coordinates must be integers, got ({i!r},{j!r},{f!r})")
         if i < 0 or j < 0:
@@ -216,6 +218,15 @@ def _product_row(x, cols):
     """x * y for every y of a column set, as one map over _mul_raw run in C."""
     i, j, b = x
     return tuple(map(_mul_raw, repeat(i), repeat(j), repeat(b), *cols))
+
+
+def _pair_table(elems):
+    """Index every pairwise product: returns (pid, distinct) where
+    distinct[pid[x][y]] == x * y on raw triples."""
+    cols = _columns(elems)
+    rows = [_product_row(x, cols) for x in elems]
+    ids = {v: d for d, v in enumerate(dict.fromkeys(chain.from_iterable(rows)))}
+    return [list(map(ids.__getitem__, row)) for row in rows], list(ids)
 
 
 def mul(x: Elem, y: Elem) -> Elem:

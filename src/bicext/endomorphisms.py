@@ -20,22 +20,24 @@ so collapsing endomorphisms absorb products from either side.
 
 An InjEndo is the validated tuple (kind, k, p), as an Elem is a tuple, and
 GeneratorImages the validated tuple (k, level, p): an InjEndo compares and
-hashes as that tuple in C, since Kind hashes by identity, and unpacks
-straight into the raw kernels _raw_image and _compose_raw, so compose builds
-one tuple and no attribute is read on the way.
+hashes as that tuple in C (Kind hashes by identity) and unpacks straight
+into _raw_image and _compose_raw, so compose reads no attribute.
 
 The raw-parameter oracles (homomorphism_counterexample,
 injectivity_collision, growth_inequalities_hold) take any int (k, p), since
-out-of-range forms are what they are for, but refuse a parameter that is not
-an int, a kind that is not a Kind and a negative bound before any scan.
+out-of-range forms are what they test, and refuse a non-int parameter, a
+non-Kind kind and a negative bound before any scan.  The first two return
+the first item of the one generator their law has; the suites log them all.
 """
 
 from enum import Enum
 from itertools import repeat
+from operator import itemgetter
 
 # _mul_raw stays bound here: bench/tracing.py wraps the kernels module by module
 from .core_semigroup import (CANONICAL_FAMILY, Elem, FamilyError, _columns, _mul_raw,
-                             _product_row, _raw_truncation, _record, _require_int)
+                             _pair_table, _product_row, _raw_truncation, _record,
+                             _require_int)
 
 
 class ParameterRangeError(ValueError):
@@ -202,26 +204,36 @@ def _check_raw(kind, k, p, bound):
     _require_int("bound", bound, 0)
 
 
+def _homomorphism_failures(kind, k, p, elems, pairs):
+    # (x, y, f(xy), f(x) f(y)) for each pair of elems the raw form does not
+    # respect, in (x, y) order; pairs is _pair_table(elems).  f(xy) is read
+    # off one image row over the distinct products; each x is one product
+    # row of images, walked only when it mismatches
+    pid, distinct = pairs
+    images = _image_row(kind, k, p, _columns(elems))
+    fxy = _image_row(kind, k, p, _columns(distinct))
+    image_cols = _columns(images)
+    for x, fx, row in zip(elems, images, pid):
+        got = _product_row(fx, image_cols)
+        want = itemgetter(*row)(fxy)
+        if got != want:
+            for y, w, g in zip(elems, want, got):
+                if w != g:
+                    yield x, y, w, g
+
+
 def homomorphism_counterexample(kind, k: int, p: int, bound: int):
     """First truncation pair (x, y) with (x y)f != (x f)(y f) under the raw
     closed form, or None.
 
     Valid parameter ranges never produce one; out of range the scan is the
     disqualification oracle.  Scan order matches the truncation enumeration:
-    ray index outermost, then i, then j.  Each x is checked against every y
-    as one row; only a mismatching row is searched for its first y.
+    ray index outermost, then i, then j.
     """
     _check_raw(kind, k, p, bound)
     elems = _raw_truncation(bound)
-    cols = _columns(elems)
-    images = _image_row(kind, k, p, cols)
-    image_cols = _columns(images)
-    for x, fx in zip(elems, images):
-        want = _product_row(fx, image_cols)
-        got = _image_row(kind, k, p, _columns(_product_row(x, cols)))
-        if got != want:
-            y = next(y for y, g, w in zip(elems, got, want) if g != w)
-            return CANONICAL_FAMILY.elem(*x), CANONICAL_FAMILY.elem(*y)
+    for x, y, _, _ in _homomorphism_failures(kind, k, p, elems, _pair_table(elems)):
+        return CANONICAL_FAMILY.elem(*x), CANONICAL_FAMILY.elem(*y)
     return None
 
 

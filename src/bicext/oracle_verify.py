@@ -15,10 +15,9 @@ its failures, in the same order and with the same text as a plain loop.
 Composition soundness is checked once per distinct composite: the pairs
 are grouped by the value compose gives them, that composite's image row is
 built once per group and compared with every pair's two-step row, and the
-mismatching pairs are walked in pair order after the sweep.  Injectivity
-checks one image row per form and walks only a row with a repeated image.
-Injectivity, cancellativity and absorption log every item of the one
-counterexample generator the module owning each law sweeps with.
+mismatching pairs are walked in pair order after the sweep.  The
+homomorphism law, injectivity, cancellativity and absorption each log every
+item of the one counterexample generator of the module owning the law.
 The order table is one product row per t against every idempotent s^-1 s.
 The kernels run about a million times per verify run, so they read no
 builtin max and no Enum class attribute: either costs more than the sums.
@@ -31,16 +30,15 @@ failed report with no cases, so a run of every suite still reports each.
 import time
 from collections import defaultdict, namedtuple
 from functools import reduce
-from itertools import chain, compress
+from itertools import compress
 from operator import attrgetter, itemgetter, or_
 
-from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, _columns, _mul_raw,
-                   _product_row, _raw_truncation, _require_int, inverse, is_idempotent,
-                   leq_natural, mul, mul_bicyclic)
-from .endomorphisms import (Kind, ParameterRangeError, UNIT, _collisions, _image_row,
-                    _raw_image, collapsing, compose, enumerate_endos,
-                    growth_inequalities_hold, homomorphism_counterexample,
-                    injectivity_collision, preserving)
+from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError, _columns,
+                   _mul_raw, _pair_table, _product_row, _raw_truncation, _require_int,
+                   inverse, is_idempotent, leq_natural, mul, mul_bicyclic)
+from .endomorphisms import (Kind, ParameterRangeError, UNIT, _collisions,
+                    _homomorphism_failures, _image_row, _raw_image, compose,
+                    enumerate_endos, growth_inequalities_hold, preserving)
 from .endo_monoid_green import (GreenQuery, RELATIONS, _absorption_failures,
                     _cancellation_failures, find_idempotents, green_bounded_search,
                     green_symbolic, in_collapsing_class, in_preserving_class)
@@ -63,6 +61,8 @@ class Truncation:
 
     def __init__(self, bound: int, family: Family = CANONICAL_FAMILY):
         _require_int("bound", bound, 0)
+        if type(family) is not Family:
+            raise FamilyError(f"family must be a Family, got {type(family).__name__}")
         self._bound, self._family = bound, family
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
@@ -105,15 +105,6 @@ class VerifyReport(namedtuple("VerifyReport", "suite bounds cases failures failu
     @property
     def passed(self) -> bool:
         return self.failures_total == 0
-
-
-def _pair_table(elems):
-    """Index every pairwise product: returns (pid, distinct) where
-    distinct[pid[x][y]] == x * y on raw triples."""
-    cols = _columns(elems)
-    rows = [_product_row(x, cols) for x in elems]
-    ids = {v: d for d, v in enumerate(dict.fromkeys(chain.from_iterable(rows)))}
-    return [list(map(ids.__getitem__, row)) for row in rows], list(ids)
 
 
 def _leq_table(elems):
@@ -268,23 +259,11 @@ def _suite_endo_homomorphism(bound: int, kmax: int):
     elems = Truncation(bound).raw()
     n = len(elems)
     cases = 0
-    pid, distinct = _pair_table(elems)
-    cols, dcols = _columns(elems), _columns(distinct)
-    xy = [itemgetter(*row) for row in pid]  # xy[x](row over distinct) is row over y
+    pairs = _pair_table(elems)
     endos = enumerate_endos(kmax)
     for e in endos:
-        ims = _image_row(*e, cols)
-        imd = _image_row(*e, dcols)
-        im_cols = _columns(ims)
-        for xi in range(n):
-            got = _product_row(ims[xi], im_cols)  # f(x) f(y) over y
-            want = xy[xi](imd)  # f(xy) over y
-            if got == want:
-                continue
-            for yi in range(n):
-                if got[yi] != want[yi]:
-                    log.add(f"e={e} x={elems[xi]} y={elems[yi]}",
-                            str(want[yi]), str(got[yi]))
+        for x, y, fxy, fxfy in _homomorphism_failures(*e, elems, pairs):
+            log.add(f"e={e} x={x} y={y}", str(fxy), str(fxfy))
         cases += n * n
         cases += 1
         if _raw_image(*e, 0, 0, 0) != (0, 0, 0):
@@ -360,15 +339,14 @@ def _suite_composition_table(bound: int, kmax: int, ksym: int):
                 log.add(f"{e1} . {e2}", "in-range composite", str(exc))
 
     # a collapsing left factor erases the right factor's kind
-    for e1 in big:
-        if e1.kind is not Kind.COLLAPSING:
-            continue
-        for k2 in range(2, ksym + 1):
-            for p2 in range(1, k2):
-                cases += 1
-                if compose(e1, preserving(k2, p2)) != compose(e1, collapsing(k2, p2)):
-                    log.add(f"{e1} . (k={k2},p={p2})", "same composite for both kinds",
-                            "differs")
+    coll = [e for e in big if e.kind is Kind.COLLAPSING]
+    for e1 in coll:
+        for e2 in coll:
+            cases += 1
+            _, k2, p2 = e2
+            if compose(e1, preserving(k2, p2)) != compose(e1, e2):
+                log.add(f"{e1} . (k={k2},p={p2})", "same composite for both kinds",
+                        "differs")
     return cases, log, f"{len(endos)}^2 pointwise pairs, symbolic k <= {ksym}"
 
 
@@ -441,13 +419,15 @@ def _suite_classification_negative(kmax: int, bound: int):
     log = FailureLog()
     cases = 0
     homo = coll = 0
+    elems = _raw_truncation(bound)
+    pairs, cols = _pair_table(elems), _columns(elems)
     for kind in (Kind.PRESERVING, Kind.COLLAPSING):
         for k in range(1, kmax + 1):
             for p in (k, k + 1, k + 2):
                 cases += 1
-                if homomorphism_counterexample(kind, k, p, bound) is not None:
+                if next(_homomorphism_failures(kind, k, p, elems, pairs), None):
                     homo += 1
-                elif injectivity_collision(kind, k, p, bound) is not None:
+                elif next(_collisions(kind, k, p, elems, cols), None):
                     coll += 1
                 else:
                     log.add(f"{kind.value}:{k},{p}",
@@ -458,17 +438,13 @@ def _suite_classification_negative(kmax: int, bound: int):
 def _suite_growth_inequalities(kmax: int, tmax: int):
     log = FailureLog()
     cases = 0
-    for kind in (Kind.PRESERVING, Kind.COLLAPSING):
-        kmin = 1 if kind is Kind.PRESERVING else 2
-        pmin = 0 if kind is Kind.PRESERVING else 1
-        for k in range(kmin, kmax + 1):
-            for p in range(pmin, k):
-                for s in range(1, k + 4):
-                    cases += 1
-                    want = s == k
-                    got = growth_inequalities_hold(kind, k, p, s, tmax)
-                    if got != want:
-                        log.add(f"kind={kind.value} k={k} p={p} s={s}", str(want), str(got))
+    for kind, k, p in enumerate_endos(kmax):
+        for s in range(1, k + 4):
+            cases += 1
+            want = s == k
+            got = growth_inequalities_hold(kind, k, p, s, tmax)
+            if got != want:
+                log.add(f"kind={kind.value} k={k} p={p} s={s}", str(want), str(got))
     return cases, log, f"multiplier pinned for k <= {kmax}, t <= {tmax}"
 
 

@@ -3,6 +3,7 @@
 import copy
 import pickle
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -214,6 +215,14 @@ class TestElem:
                 Elem(*args, CANONICAL_FAMILY)
         with pytest.raises(ValueError, match="^coordinates must be integers"):
             CANONICAL_FAMILY.elem(1, 2, 1.0)
+
+    @pytest.mark.parametrize("family, name", [
+        ("x", "str"), (None, "NoneType"), (1, "int"), (SimpleNamespace(m=1), "SimpleNamespace")])
+    def test_non_family_is_refused(self, family, name):
+        # checked before the coordinates, and by type: an object with an m is no family
+        for args in ((1, 2, 0), (-1, 0, 0)):
+            with pytest.raises(FamilyError, match=rf"^family must be a Family, got {name}$"):
+                Elem(*args, family)
 
     def test_str(self):
         assert str(elem(1, 4, 0)) == "(1,4,0)"

@@ -11,7 +11,7 @@ import bicext.core_semigroup as _core
 import bicext.endo_monoid_green as _green
 import bicext.endomorphisms as _endo
 import bicext.oracle_verify as _ov
-from bicext.core_semigroup import CANONICAL_FAMILY, Family, leq_natural
+from bicext.core_semigroup import CANONICAL_FAMILY, Family, FamilyError, leq_natural, mul
 from bicext.endo_monoid_green import collapsing_class_ideal, preserving_class_cancellative
 from bicext.endomorphisms import Kind, homomorphism_counterexample
 from bicext.oracle_verify import (ALL_INVARIANTS, FAILURE_CAP, FailureLog, SUITES,
@@ -39,6 +39,12 @@ class TestTruncation:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             Truncation(-1)
+
+    @pytest.mark.parametrize("family, name", [("x", "str"), (None, "NoneType"),
+                                              ((0, 1), "tuple")])
+    def test_non_family_rejected(self, family, name):
+        with pytest.raises(FamilyError, match=rf"^family must be a Family, got {name}$"):
+            Truncation(2, family)
 
     @pytest.mark.parametrize("bound", [2.5, 2.0, True])
     def test_non_integer_bound_rejected(self, bound):
@@ -501,3 +507,65 @@ def test_composition_table_builds_one_row_per_distinct_composite(monkeypatch):
     report = run_suite("composition_table")
     assert report.passed and report.cases == 625 * 882 + 144 ** 2 + 66 ** 2
     assert calls[0] == (25 + 258 + 625) * 882 == 800856
+
+
+@pytest.mark.parametrize("fault", [None, "dense"])
+def test_homomorphism_failures_match_a_plain_scan(monkeypatch, fault):
+    # every mismatching (x, y, f(xy), f(x) f(y)), not only the first, in
+    # (x, y) order, against a nested scan through public mul; under a wrong
+    # closed form the scan applies that same form
+    if fault:
+        _inject(monkeypatch, "_raw_image", _IMAGE_FAULTS[fault])
+    elems = Truncation(3).raw()
+    pairs = _core._pair_table(elems)
+    elem = CANONICAL_FAMILY.elem
+    trunc = [elem(*x) for x in elems]
+    forms = [(kind, k, p) for kind in Kind for k in range(1, 5) for p in range(k + 3)]
+    lengths = {}
+    for kind, k, p in forms:
+        def image(x):
+            return elem(*_endo._raw_image(kind, k, p, x.i, x.j, x.base))
+        want = [(x, y, image(mul(x, y)), mul(image(x), image(y)))
+                for x in trunc for y in trunc if image(mul(x, y)) != mul(image(x), image(y))]
+        got = [tuple(elem(*t) for t in item)
+               for item in _endo._homomorphism_failures(kind, k, p, elems, pairs)]
+        assert got == want, (kind, k, p)
+        lengths[kind.value, k, p] = len(got)
+    if fault:
+        assert min(lengths.values()) > 1
+    else:  # the raw form is a homomorphism for p < k, and for p = k if collapsing
+        assert {f for f, n in lengths.items() if not n} == {
+            (kind.value, k, p) for kind, k, p in forms if p < k + (kind is Kind.COLLAPSING)}
+    assert 1 not in lengths.values()  # every failing form yields more than its first
+
+
+def _count_kernel_calls(monkeypatch, suite):
+    """(_mul_raw calls, _raw_image calls) of run_suite(suite) at its defaults."""
+    calls = {"_mul_raw": 0, "_raw_image": 0}
+
+    def counter(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    _inject(monkeypatch, "_mul_raw", counter("_mul_raw", _REAL_MUL))
+    _inject(monkeypatch, "_raw_image", counter("_raw_image", _REAL_IMAGE))
+    assert run_suite(suite).passed
+    return calls["_mul_raw"], calls["_raw_image"]
+
+
+def test_classification_negative_builds_one_pair_table(monkeypatch):
+    # bound 6: 98 elements, whose 98^2 products take 266 distinct values.
+    # Each of the 24 forms maps the elements and the distinct products once;
+    # 20 fail in their second product row, and the 4 collapsing p = k forms
+    # are homomorphisms, so all 98 rows run and then one injectivity row
+    n, distinct, rows = 98, 266, 20 * 2 + 4 * 98
+    assert _count_kernel_calls(monkeypatch, "classification_negative") == (
+        n * n + rows * n, 24 * (n + distinct) + 4 * n) == (51940, 9128)
+
+
+def test_endo_homomorphism_kernel_calls(monkeypatch):
+    # bound 8, kmax 5: one pair table, then per form one image row over the
+    # elements and one over the distinct products, and a product row per x
+    assert _count_kernel_calls(monkeypatch, "endo_homomorphism") == (682344, 18775)
