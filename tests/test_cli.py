@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -80,6 +81,10 @@ class TestParsing:
         with pytest.raises(FamilyError):
             parse_family("-1,0")
         assert parse_family(" 0 , 1 ") == CANONICAL_FAMILY
+        # int() reads each of these, the family syntax none
+        for text in ("0,+1", "+0,1", "0,0_1", "0_0,1", "0,1.0", "0,--1", "0,,1", "0,1 1"):
+            with pytest.raises(ParseError, match="cannot parse family"):
+                parse_family(text)
 
     def test_non_ascii_digits_are_syntax(self):
         arabic_one = "\u0661"  # int() and \d both read it as 1
@@ -188,6 +193,13 @@ class TestExitCodes:
         code, out, err = run_cli("mul", "(1,2,0)", "(1,3,1)", f"--family={family}",
                                  capsys=capsys)
         assert (code, out, err) == (EXIT_FAMILY, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("family", ["0,+1", "0,0_1"])
+    def test_family_int_would_read_exits_2(self, family, capsys):
+        code, out, err = run_cli("mul", "(1,2,1)", "(0,1,1)", "--family", family,
+                                 capsys=capsys)
+        assert (code, out, err) == (EXIT_SYNTAX, "", f"error: cannot parse family "
+                                    f"{family!r}; expected comma-separated bases\n")
 
     def test_green_refuses_non_canonical_family(self, capsys):
         code, _, err = run_cli("green", "-r", "R", "a:2,1", "a:2,1",
@@ -443,11 +455,100 @@ COMMAND_WORDS = [["mul"], ["endo", "apply"], ["endo", "compose"], ["endo", "clas
                  ["green"], ["verify"], ["export-cayley"], ["endo"], ["endo", "nosuch"],
                  ["nosuch"], [], ["-h"], ["--he"], ["endo", "-h"], ["--", "mul"]]
 
+# values the leaves' actions take, by dest; none starts with "-"
+_ELEMS = st.sampled_from(["(1,2,0)", "(0,0,0)", "(1,0,2)", " (1, 3 ,1) ", "(x,1,0)", ""])
+_ENDOS = st.sampled_from(["a:2,1", "b:3,2", "a:1,0", "a:2,2", "c:2,1"])
+_TEXT_VALUES = {"x": _ELEMS, "y": _ELEMS, "element": _ELEMS, "generators": _ELEMS,
+                "endo": _ENDOS, "first": _ENDOS, "second": _ENDOS,
+                "family": st.sampled_from(["0,1", "0", "0,1,2", " 0 , 1 ", "", "0,2", "0,+1"]),
+                "suite": st.sampled_from(["all", "idempotents", "nope"])}
+# int() reads each of these, so argparse does; all are at most 2, which keeps
+# green searches and Cayley exports small
+_INT_TEXTS = st.sampled_from(["0", "1", "2", "+1", " 2", "\u0662"])
+
+
+# now and then one of these instead: a value argparse may refuse or read as
+# an option, which the table must leave to argparse
+_SPOILERS = ("X", "x", "-1", "-1,0", "-h", "--p")
+
+
+def _action_value(action, output):
+    if action.dest == "output":  # no other path, so no call writes elsewhere
+        return st.just(output)
+    if action.choices is not None:
+        value = st.sampled_from(list(action.choices))
+    else:
+        value = _INT_TEXTS if action.type is int else _TEXT_VALUES[action.dest]
+    return st.integers(0, 7).flatmap(lambda n: st.sampled_from(_SPOILERS) if n == 0 else value)
+
+
+@st.composite
+def _leaf_argv(draw, output):
+    """A leaf's command words, then its positionals in order with its options
+    placed among them: each option 0-2 times (a required one at least once)
+    under any of its option strings, each with values its action takes, save
+    that a value is now and then a spoiler.  Returns (argv, spoiled)."""
+    words, leaf = draw(st.sampled_from(sorted(cli._LEAVES.items())), label="leaf")
+    chunks, positionals, values = [], [], []
+    for action in leaf._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:
+            positionals.append(action)
+            continue
+        for _ in range(draw(st.integers(1 if action.required else 0, 2))):
+            value = _action_value(action, output)
+            taken = draw(st.lists(value, max_size=3) if action.nargs == "*"
+                         else value.map(lambda v: [v]))
+            values += taken
+            chunks.append([draw(st.sampled_from(action.option_strings)), *taken])
+    chunks = draw(st.permutations(chunks))
+    at = 0
+    for action in positionals:
+        at = draw(st.integers(at, len(chunks)))
+        values.append(draw(_action_value(action, output)))
+        chunks.insert(at, values[-1:])
+        at += 1
+    spoiled = not set(values).isdisjoint(_SPOILERS)
+    return [*words, *(token for chunk in chunks for token in chunk)], spoiled
+
+
+@pytest.fixture
+def outcome(tmp_path, monkeypatch):
+    """main's exit code, stdout, stderr and written file for an argv."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    # the suites themselves are not what is compared; a stand-in report
+    # shows the suite name and bounds the parse produced, with no timing
+    monkeypatch.setattr(cli, "run_suite", lambda name, **bounds: VerifyReport(
+        name, bounds, 0, [], 0, 0.0, "not run"))
+    target = tmp_path / "graph.out"
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        written = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        assert os.listdir(tmp_path) == []
+        return code, out.getvalue(), err.getvalue(), written
+    run.target = str(target)
+    return run
+
+
+def _readme_calls():
+    """The argv of each bicext call in the README's command line block."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("bicext ")]
+
 
 class TestRouting:
-    """main hands argv to the leaf parser its command words name; the parse
-    of the whole tree, taken when cli._LEAVES is empty, must give the same
-    exit code, output and written file on every argv."""
+    """main parses argv by the table compiled from the leaf parser that its
+    command words name; the parse of the whole tree, taken when cli._TABLES
+    is empty, must give the same exit code, output and written file on
+    every argv."""
 
     def test_every_leaf_is_routed(self):
         def leaves(parser, words=()):
@@ -459,42 +560,91 @@ class TestRouting:
                     yield from leaves(child, words + (name,))
         assert dict(leaves(cli._PARSER)) == cli._LEAVES
 
+    def test_every_leaf_is_tabled(self):
+        assert len(cli._LEAVES) == 7
+        assert cli._TABLES.keys() == cli._LEAVES.keys()
+
+    @pytest.mark.parametrize("add", [
+        lambda p: p.add_argument("--flag", action="store_true"),
+        lambda p: p.add_argument("--maybe", nargs="?"),
+        lambda p: p.add_argument("--many", action="append"),
+        lambda p: p.add_argument("--two", nargs=2),
+        lambda p: p.add_argument("--n", type=int, default="3"),
+        lambda p: p.add_argument("--items", nargs="*"),
+        lambda p: p.add_argument("rest", nargs="*")],
+        ids=["store_true", "nargs ?", "append", "nargs 2", "str default with a type",
+             "* option with a positional", "* positional"])
+    def test_a_leaf_the_table_does_not_model_gets_no_table(self, add):
+        leaf = argparse.ArgumentParser()
+        leaf.add_argument("x")
+        leaf.add_argument("--family", default="0,1")
+        assert cli._compile(leaf) is not None
+        add(leaf)
+        assert cli._compile(leaf) is None
+
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_routed_parse_matches_the_full_parse(self, data, tmp_path, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.chdir(tmp_path)
-        # the suites themselves are not what is compared; a stand-in report
-        # shows the suite name and bounds the parse produced, with no timing
-        monkeypatch.setattr(cli, "run_suite", lambda name, **bounds: VerifyReport(
-            name, bounds, 0, [], 0, 0.0, "not run"))
-        target = tmp_path / "graph.out"
+    def test_routed_parse_matches_the_full_parse(self, data, outcome, monkeypatch):
         argv = (data.draw(st.sampled_from(COMMAND_WORDS), label="words")
-                + data.draw(_argv_tails(str(target)), label="tail"))
-
-        def outcome():
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main(list(argv))
-            written = target.read_text() if target.exists() else None
-            target.unlink(missing_ok=True)
-            return code, out.getvalue(), err.getvalue(), written
-
-        routed = outcome()
+                + data.draw(_argv_tails(outcome.target), label="tail"))
+        tabled = outcome(argv)
         with monkeypatch.context() as m:
-            m.setattr(cli, "_LEAVES", {})
-            assert routed == outcome(), argv
-        assert os.listdir(tmp_path) == []
+            m.setattr(cli, "_TABLES", {})
+            assert tabled == outcome(argv), argv
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_leaf_argv_is_tabled_as_the_leaf_parses_it(self, data, outcome, monkeypatch):
+        argv, spoiled = data.draw(_leaf_argv(outcome.target), label="argv")
+        n = 2 if argv[0] == "endo" else 1
+        args = cli._table_parse(cli._TABLES[tuple(argv[:n])], argv[n:])
+        assert spoiled or args is not None, argv  # well-formed argv is tabled
+        if args is not None:
+            want, extras = cli._LEAVES[tuple(argv[:n])].parse_known_args(argv[n:])
+            assert (vars(args), extras) == (vars(want), [])
+        tabled = outcome(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_TABLES", {})
+            assert tabled == outcome(argv), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["mul", "(0,0,0)", "(0,0,0)", "--fam", "0"],  # an abbreviation
+        ["mul", "(0,0,0)", "(0,0,0)", "--family=0"],
+        ["mul", "--", "(0,0,0)", "(0,0,0)"],
+        ["mul", "-h"],
+        ["mul", "-1", "(0,0,0)"],  # argparse reads -1 as a positional
+        ["mul", "(0,0,0)", "(0,0,0)", "--family", "-1,0"],  # argparse: an option
+        ["verify", "--suite", "-h"],
+        ["verify", "--bound", "-1"],  # argparse: the value -1
+        ["export-cayley", "--generators", "(0,1,0)", "-1"],
+        ["mul", "(0,0,0)"],
+        ["mul", "(0,0,0)", "(0,0,0)", "extra"],
+        ["endo", "classify", "--k", "2", "--level", "1"],  # --p is required
+        ["endo", "classify", "--k", "x", "--level", "0", "--p", "0"],
+        ["green", "-r", "X", "a:1,0", "a:1,0"]],
+        ids=lambda argv: " ".join(argv))
+    def test_what_the_table_leaves_to_argparse(self, argv, outcome, monkeypatch):
+        n = 2 if argv[0] == "endo" else 1
+        assert cli._table_parse(cli._TABLES[tuple(argv[:n])], argv[n:]) is None
+        tabled = outcome(argv)
+        monkeypatch.setattr(cli, "_TABLES", {})
+        assert tabled == outcome(argv)
 
     def test_leaf_argv_never_reaches_the_full_parse(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli._PARSER, "parse_args",
-                            lambda argv: pytest.fail(f"full parse of {argv}"))
-        # the usage error of ["mul", "(1,2,0)"] is raised by the leaf itself
-        assert [main(list(argv)) for argv in TestSharedParser.CALLS] == [
-            EXIT_OK, EXIT_OK, EXIT_OK, EXIT_SYNTAX, EXIT_OK]
-        with pytest.raises(pytest.fail.Exception, match="full parse"):
-            main(["mul", "(1,2,0)", "(1,3,1)", "extra"])
+        monkeypatch.setattr(cli, "run_suite", lambda name, **bounds: VerifyReport(
+            name, bounds, 0, [], 0, 0.0, "not run"))
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda parser, argv, namespace=None: pytest.fail(
+                                f"argparse parse of {argv}"))
+        valid = [argv for argv in TestSharedParser.CALLS if argv != ["mul", "(1,2,0)"]]
+        calls = valid + _readme_calls()
+        assert len(calls) == 4 + 8
+        assert [main(list(argv)) for argv in calls] == [EXIT_OK] * len(calls)
+        for usage_error in (["mul", "(1,2,0)"], ["mul", "(1,2,0)", "(1,3,1)", "extra"]):
+            with pytest.raises(pytest.fail.Exception, match="argparse parse"):
+                main(usage_error)
 
     def test_main_without_argv_reads_sys_argv(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["bicext", "endo", "compose", "a:2,1", "a:3,2"])

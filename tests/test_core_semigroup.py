@@ -312,6 +312,33 @@ class TestProduct:
                 assert _mul_raw(i1, j1, b1, i2, j2, b2) == want
         assert ties > 0
 
+    def test_three_ray_products_follow_the_shift_and_intersect_formula(self):
+        # with rays up to [2) the arm (i2-j1)+F2 of a j1 > i2 product can hold
+        # the larger base, which it never does when every base is 0 or 1
+        fam = Family.from_bases(0, 1, 2)
+        window = range(16)  # room for every shift a bound-3 product makes
+
+        def ray(base):
+            return {n for n in window if n >= base}
+
+        def shift(d, s):
+            return {n + d for n in s}
+        elems = [fam.elem(i, j, b) for b in range(3) for i in range(4) for j in range(4)]
+        products = {}
+        for x, y in product(elems, repeat=2):
+            (i1, j1, b1), (i2, j2, b2) = x[:3], y[:3]
+            if j1 <= i2:  # the module docstring's formula, on sets
+                ij, ray_part = (i1 - j1 + i2, j2), shift(j1 - i2, ray(b1)) & ray(b2)
+            else:
+                ij, ray_part = (i1, j1 - i2 + j2), ray(b1) & shift(i2 - j1, ray(b2))
+            z = products[x, y] = mul(x, y)
+            assert ((z.i, z.j), min(ray_part)) == (ij, z.base), (x, y)
+            assert ray_part == set(range(z.base, max(ray_part) + 1)), (x, y)
+        assert {z.base for z in products.values()} == {0, 1, 2}
+        bad = [(x, y, z) for x, y, z in product(elems, repeat=3)
+               if mul(products[x, y], z) != mul(x, products[y, z])]
+        assert bad == []
+
     def test_mul_raw_calls_no_builtin_max(self):
         # a call to max costs more than the rest of the kernel
         assert "max" not in _mul_raw.__code__.co_names
