@@ -2,10 +2,15 @@
 
 Every algebraic claim the package exposes is owned by exactly one suite in
 the registry below; a registry audit runs at import time so nothing is
-silently unowned.  Suites enumerate truncations {(i, j, f) : i, j <= bound}
-deterministically (ray index outermost, then i, then j), count every
-executed check, run to completion, and record up to FAILURE_CAP concrete
-counterexamples instead of stopping at the first.
+silently unowned, and every suite takes `log` and exactly its bounds.
+Suites enumerate truncations {(i, j, f) : i, j <= bound} deterministically
+(ray index outermost, then i, then j), run to completion, and record up to
+FAILURE_CAP concrete counterexamples instead of stopping at the first.
+
+Every suite has one shape: run_suite builds the FailureLog and passes it
+as `log`, and the suite returns (cases, summary).  Each phase counts its
+executed checks once, from the sizes it swept, never case by case.  Raw
+loops read _raw_truncation(bound), Elem loops iterate a Truncation.
 
 The three heaviest sweeps (associativity, the homomorphism property of every
 form, and the pointwise composition table) run as row kernels: a whole row
@@ -23,8 +28,12 @@ The kernels run about a million times per verify run, so they read no
 builtin max and no Enum class attribute: either costs more than the sums.
 
 Failures, reports and registry entries are named tuples.  An exception that
-escapes a suite after its bounds are accepted becomes the one failure of a
-failed report with no cases, so a run of every suite still reports each.
+escapes a suite after its bounds are accepted fails its report with no
+cases: the failures the suite logged stay, and the exception is one more,
+so a run of every suite still reports each.  suite_bounds refuses a bound
+below its minimum, then a bound below the suite's own floor, where the
+suite would fail though the maths holds (classification_negative at bound
+0, growth_inequalities at tmax < kmax).
 """
 
 import time
@@ -45,6 +54,10 @@ from .endo_monoid_green import (GreenQuery, RELATIONS, _absorption_failures,
 
 FAILURE_CAP = 100
 _MINIMUM = {"bound": 0, "kmax": 1, "ksym": 1, "tmax": 0}  # smallest value of each bound
+# a suite's own floor for one bound, a number or another bound's name: the
+# bound-0 truncation holds no witness against any out-of-range form, and
+# at tmax < kmax the growth inequalities do not yet pin k = kmax
+_FLOORS = {"classification_negative": ("bound", 1), "growth_inequalities": ("tmax", "kmax")}
 
 
 class UnknownSuiteError(ValueError):
@@ -117,9 +130,8 @@ def _leq_table(elems):
 # ---------------------------------------------------------------- suites --
 
 
-def _suite_semigroup_axioms(bound: int):
-    log = FailureLog()
-    elems = Truncation(bound).raw()
+def _suite_semigroup_axioms(log, bound: int):
+    elems = _raw_truncation(bound)
     n = len(elems)
 
     # associativity over every triple, memoized through the distinct pair
@@ -145,20 +157,15 @@ def _suite_semigroup_axioms(bound: int):
                 if lv != rx[qi]:
                     log.add(f"x={elems[xi]} y={elems[yi]} z={elems[zi]}",
                             "(xy)z == x(yz)", f"{triple[lv]} vs {triple[rx[qi]]}")
-    triples = n ** 3
 
     # the two product branches agree where both apply (x.j == y.i)
-    branch_pairs = 0
-    for x in elems:
-        for y in elems:
-            if x[1] != y[0]:
-                continue
-            branch_pairs += 1
-            b1 = (x[0] - x[1] + y[0], y[1], max(x[2] + x[1] - y[0], y[2]))
-            b2 = (x[0], x[1] - y[0] + y[1], max(y[2] + y[0] - x[1], x[2]))
-            got = _mul_raw(*x, *y)
-            if not (b1 == b2 == got):
-                log.add(f"x={x} y={y}", "both branches equal", f"{b1} vs {b2} vs {got}")
+    aligned = [(x, y) for x in elems for y in elems if x[1] == y[0]]
+    for x, y in aligned:
+        b1 = (x[0] - x[1] + y[0], y[1], max(x[2] + x[1] - y[0], y[2]))
+        b2 = (x[0], x[1] - y[0] + y[1], max(y[2] + y[0] - x[1], x[2]))
+        got = _mul_raw(*x, *y)
+        if not (b1 == b2 == got):
+            log.add(f"x={x} y={y}", "both branches equal", f"{b1} vs {b2} vs {got}")
 
     # (0,0,[0)) is a two-sided identity
     e0 = CANONICAL_FAMILY.elem(0, 0, 0)
@@ -177,16 +184,13 @@ def _suite_semigroup_axioms(bound: int):
                 log.add(f"({x.i},{x.j})*({y.i},{y.j}) over {{[0)}}",
                         f"{want}", f"({got.i},{got.j})")
 
-    aux = branch_pairs + n + len(single) ** 2  # branch pairs, identity, projection
-    return triples + aux, log, f"{triples} triples, {aux} auxiliary checks"
+    aux = len(aligned) + n + len(single) ** 2  # branch pairs, identity, projection
+    return n ** 3 + aux, f"{n ** 3} triples, {aux} auxiliary checks"
 
 
-def _suite_inverse_axioms(bound: int):
-    log = FailureLog()
+def _suite_inverse_axioms(log, bound: int):
     elems = list(Truncation(bound))
-    cases = 0
     for x in elems:
-        cases += 3
         if mul(mul(x, inverse(x)), x) != x:
             log.add(f"x={x}", "x x^-1 x == x", str(mul(mul(x, inverse(x)), x)))
         if inverse(inverse(x)) != x:
@@ -195,41 +199,32 @@ def _suite_inverse_axioms(bound: int):
             log.add(f"x={x}", "x x^-1 and x^-1 x idempotent", "not idempotent")
     # idempotents are exactly the balanced triples, and they commute
     for x in elems:
-        cases += 1
         if is_idempotent(x) != (x.i == x.j):
             log.add(f"x={x}", "idempotent iff i == j", str(is_idempotent(x)))
     idems = [x for x in elems if x.i == x.j]
     for e in idems:
         for f2 in idems:
-            cases += 1
             if mul(e, f2) != mul(f2, e):
                 log.add(f"e={e} f={f2}", "ef == fe", f"{mul(e, f2)} vs {mul(f2, e)}")
-    return cases, log, f"{len(elems)} elements, {len(idems)} idempotents"
+    cases = 4 * len(elems) + len(idems) ** 2  # three axioms and the characterization per x
+    return cases, f"{len(elems)} elements, {len(idems)} idempotents"
 
 
-def _suite_order(bound: int):
-    log = FailureLog()
-    trunc = Truncation(bound)
-    elems = list(trunc)  # Elem form, for failure messages
+def _suite_order(log, bound: int):
+    elems = list(Truncation(bound))  # Elem form, for failure messages
     n = len(elems)
-    cases = 0
-
-    leq = _leq_table(trunc.raw())
-    cases += n * n
+    leq = _leq_table(_raw_truncation(bound))
     for a in range(n):
-        cases += 1
         if not leq[a][a]:
             log.add(f"{elems[a]}", "reflexive", "not <= itself")
     for a in range(n):
         for b in range(n):
-            cases += 1
             if a != b and leq[a][b] and leq[b][a]:
                 log.add(f"{elems[a]}, {elems[b]}", "antisymmetry", "both directions hold")
 
     # transitivity through bitmask rows: rows[a] is the up-set of a
     rows = [sum(1 << b for b, up in enumerate(row) if up) for row in leq]
     for a in range(n):
-        cases += n
         m = rows[a]
         extra = reduce(or_, compress(rows, leq[a]), m) & ~m
         if extra:
@@ -237,76 +232,70 @@ def _suite_order(bound: int):
             log.add(f"a={elems[a]}", "transitive up-set", f"missing {elems[c]}")
 
     # cross-level law on balanced elements, and the descending chain
-    fam = trunc.family
+    elem = CANONICAL_FAMILY.elem
     for k in range(bound + 1):
         for p in range(bound + 1):
-            cases += 1
             want = p <= k - 1
-            got = leq_natural(fam.elem(k, k, 0), fam.elem(p, p, 1))
+            got = leq_natural(elem(k, k, 0), elem(p, p, 1))
             if got != want:
                 log.add(f"({k},{k},0) <= ({p},{p},1)", str(want), str(got))
     for t in range(bound):
-        cases += 2
-        if not leq_natural(fam.elem(t + 1, t + 1, 1), fam.elem(t + 1, t + 1, 0)):
+        if not leq_natural(elem(t + 1, t + 1, 1), elem(t + 1, t + 1, 0)):
             log.add(f"t={t}", "(t+1,t+1,1) <= (t+1,t+1,0)", "false")
-        if not leq_natural(fam.elem(t + 1, t + 1, 0), fam.elem(t, t, 1)):
+        if not leq_natural(elem(t + 1, t + 1, 0), elem(t, t, 1)):
             log.add(f"t={t}", "(t+1,t+1,0) <= (t,t,1)", "false")
-    return cases, log, f"{n} elements ordered"
+    # the table, antisymmetry and transitivity n^2 each, reflexivity n, then
+    # the cross-level law per (k, p) and the two chain links per t
+    cases = 3 * n * n + n + (bound + 1) ** 2 + 2 * bound
+    return cases, f"{n} elements ordered"
 
 
-def _suite_endo_homomorphism(bound: int, kmax: int):
-    log = FailureLog()
-    elems = Truncation(bound).raw()
+def _suite_endo_homomorphism(log, bound: int, kmax: int):
+    elems = _raw_truncation(bound)
     n = len(elems)
-    cases = 0
     pairs = _pair_table(elems)
     endos = enumerate_endos(kmax)
     for e in endos:
         for x, y, fxy, fxfy in _homomorphism_failures(*e, elems, pairs):
             log.add(f"e={e} x={x} y={y}", str(fxy), str(fxfy))
-        cases += n * n
-        cases += 1
         if _raw_image(*e, 0, 0, 0) != (0, 0, 0):
             log.add(f"e={e}", "identity fixed", str(_raw_image(*e, 0, 0, 0)))
 
     # forms sharing k agree on every level-0 element
     lvl0 = [x for x in elems if x[2] == 0]
     for k in range(1, kmax + 1):
-        forms = [e for e in endos if e.k == k]
-        ref = forms[0]
-        for e in forms[1:]:
+        ref, *rest = [e for e in endos if e.k == k]
+        for e in rest:
             for x in lvl0:
-                cases += 1
                 if _raw_image(*e, *x) != _raw_image(*ref, *x):
                     log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
 
     # the unit fixes everything; everything else moves a small element
     small = _raw_truncation(2)
     for e in endos:
-        cases += 1
         if e == UNIT:
             if any(_raw_image(*e, *x) != x for x in elems):
                 log.add("a:1,0", "fixes the whole truncation", "moves an element")
         elif all(_raw_image(*e, *x) == x for x in small):
             log.add(f"e={e}", "moves an element with coordinates <= 2", "fixes them all")
-    return cases, log, f"{len(endos)} endomorphisms on {n} elements"
+    # per form: every pair, the identity and rigidity; per form but the
+    # first of its k: every level-0 element
+    cases = len(endos) * (n * n + 2) + (len(endos) - kmax) * len(lvl0)
+    return cases, f"{len(endos)} endomorphisms on {n} elements"
 
 
-def _suite_endo_injectivity(bound: int, kmax: int):
-    log = FailureLog()
-    elems = Truncation(bound).raw()
+def _suite_endo_injectivity(log, bound: int, kmax: int):
+    elems = _raw_truncation(bound)
     cols = _columns(elems)
     endos = enumerate_endos(kmax)
     for e in endos:
         for x, y, im in _collisions(*e, elems, cols):
             log.add(f"e={e}", "injective", f"{x} and {y} map to {im}")
-    cases = len(endos) * len(elems)
-    return cases, log, f"{len(endos)} endomorphisms on {len(elems)} elements"
+    return len(endos) * len(elems), f"{len(endos)} endomorphisms on {len(elems)} elements"
 
 
-def _suite_composition_table(bound: int, kmax: int, ksym: int):
-    log = FailureLog()
-    elems = Truncation(bound).raw()
+def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
+    elems = _raw_truncation(bound)
     endos = enumerate_endos(kmax)
     cols = _columns(elems)
     # e1's images in column form, one set per e1, alive for the whole sweep;
@@ -326,69 +315,61 @@ def _suite_composition_table(bound: int, kmax: int, ksym: int):
         for x, o, t in zip(elems, one, two):
             if o != t:
                 log.add(f"{endos[a]} . {endos[b]} at {x}", str(t), str(o))
-    cases = len(endos) ** 2 * len(elems)
 
     # parameter ranges are closed under composition, k up to ksym
     big = enumerate_endos(ksym)
     for e1 in big:
         for e2 in big:
-            cases += 1
             try:
                 compose(e1, e2)
             except ParameterRangeError as exc:
                 log.add(f"{e1} . {e2}", "in-range composite", str(exc))
 
     # a collapsing left factor erases the right factor's kind
-    coll = [e for e in big if e.kind is Kind.COLLAPSING]
+    coll = list(filter(in_collapsing_class, big))
     for e1 in coll:
         for e2 in coll:
-            cases += 1
             _, k2, p2 = e2
             if compose(e1, preserving(k2, p2)) != compose(e1, e2):
                 log.add(f"{e1} . (k={k2},p={p2})", "same composite for both kinds",
                         "differs")
-    return cases, log, f"{len(endos)}^2 pointwise pairs, symbolic k <= {ksym}"
+    cases = len(endos) ** 2 * len(elems) + len(big) ** 2 + len(coll) ** 2
+    return cases, f"{len(endos)}^2 pointwise pairs, symbolic k <= {ksym}"
 
 
-def _suite_idempotents(kmax: int):
-    log = FailureLog()
+def _suite_idempotents(log, kmax: int):
     found = find_idempotents(kmax)
-    cases = kmax * kmax
     if found != [UNIT]:
         log.add(f"kmax={kmax}", "[a:1,0]", "[" + ", ".join(str(e) for e in found) + "]")
-    return cases, log, f"{cases} endomorphisms scanned"
+    return kmax * kmax, f"{kmax * kmax} endomorphisms scanned"
 
 
-def _suite_cancellative(kmax: int):
-    log = FailureLog()
+def _suite_cancellative(log, kmax: int):
     for a, x, y, law in _cancellation_failures(kmax):
         log.add(f"a={a} x={x} y={y}", law, "equal")
     n = sum(map(in_preserving_class, enumerate_endos(kmax)))
-    cases = 2 * n * n * (n - 1) + 1  # both laws per a and pair x != y, and the helper
     # the helper takes the first item of the same sweep, so it fails exactly
     # when the sweep logged a failure
     if log.total:
         log.add(f"kmax={kmax}", "cancellative helper agrees", "returned False")
-    return cases, log, f"{n} preserving endomorphisms"
+    # both laws per a and pair x != y, and the helper
+    return 2 * n * n * (n - 1) + 1, f"{n} preserving endomorphisms"
 
 
-def _suite_ideal(kmax: int):
-    log = FailureLog()
+def _suite_ideal(log, kmax: int):
     for x, y, xy in _absorption_failures(kmax):
         log.add(f"{x} . {y}", "collapsing", str(xy))
     endos = enumerate_endos(kmax)
     coll = sum(map(in_collapsing_class, endos))
-    cases = 2 * len(endos) * coll + 1  # both sides of every product, and the helper
     if log.total:  # as in _suite_cancellative
         log.add(f"kmax={kmax}", "ideal helper agrees", "returned False")
-    return cases, log, f"{coll} collapsing endomorphisms absorbed"
+    # both sides of every product, and the helper
+    return 2 * len(endos) * coll + 1, f"{coll} collapsing endomorphisms absorbed"
 
 
-def _suite_green_agreement(kmax: int):
-    log = FailureLog()
+def _suite_green_agreement(log, kmax: int):
     search_bound = kmax + 2  # factors may need more room than the pair sweep
     endos = enumerate_endos(kmax)
-    cases = 0
     for a in endos:
         for b in endos:
             results = {}
@@ -397,13 +378,11 @@ def _suite_green_agreement(kmax: int):
                 sym = green_symbolic(q)
                 got = green_bounded_search(q)
                 results[rel] = got.related
-                cases += 1
                 if got.related != sym:
                     log.add(f"{rel}({a}, {b})", str(sym), str(got.related))
                 if got.related and tuple(got.witnesses) != (UNIT,):
                     log.add(f"{rel}({a}, {b})", "witnesses deduplicate to the unit",
                             ", ".join(str(w) for w in got.witnesses))
-            cases += 4
             if results["H"] != (results["R"] and results["L"]):
                 log.add(f"H({a}, {b})", "H == R and L", str(results))
             if (results["R"] or results["L"]) and not results["D"]:
@@ -412,40 +391,37 @@ def _suite_green_agreement(kmax: int):
                 log.add(f"J({a}, {b})", "D implies J", str(results))
             if a.kind is not b.kind and any(results.values()):
                 log.add(f"{a} vs {b}", "no relation across kinds", str(results))
-    return cases, log, f"{len(endos)}^2 pairs, factors bounded by k <= {search_bound}"
+    # per pair: the five relations, then the four laws across them
+    return 9 * len(endos) ** 2, f"{len(endos)}^2 pairs, factors bounded by k <= {search_bound}"
 
 
-def _suite_classification_negative(kmax: int, bound: int):
-    log = FailureLog()
-    cases = 0
+def _suite_classification_negative(log, kmax: int, bound: int):
     homo = coll = 0
     elems = _raw_truncation(bound)
     pairs, cols = _pair_table(elems), _columns(elems)
-    for kind in (Kind.PRESERVING, Kind.COLLAPSING):
-        for k in range(1, kmax + 1):
-            for p in (k, k + 1, k + 2):
-                cases += 1
-                if next(_homomorphism_failures(kind, k, p, elems, pairs), None):
-                    homo += 1
-                elif next(_collisions(kind, k, p, elems, cols), None):
-                    coll += 1
-                else:
-                    log.add(f"{kind.value}:{k},{p}",
-                            "a homomorphism or injectivity witness", "none found")
-    return cases, log, f"{homo} homomorphism witnesses, {coll} injectivity witnesses"
+    forms = [(kind, k, p) for kind in Kind for k in range(1, kmax + 1)
+             for p in (k, k + 1, k + 2)]
+    for kind, k, p in forms:
+        if next(_homomorphism_failures(kind, k, p, elems, pairs), None):
+            homo += 1
+        elif next(_collisions(kind, k, p, elems, cols), None):
+            coll += 1
+        else:
+            log.add(f"{kind.value}:{k},{p}",
+                    "a homomorphism or injectivity witness", "none found")
+    return len(forms), f"{homo} homomorphism witnesses, {coll} injectivity witnesses"
 
 
-def _suite_growth_inequalities(kmax: int, tmax: int):
-    log = FailureLog()
-    cases = 0
-    for kind, k, p in enumerate_endos(kmax):
+def _suite_growth_inequalities(log, kmax: int, tmax: int):
+    endos = enumerate_endos(kmax)
+    for kind, k, p in endos:
         for s in range(1, k + 4):
-            cases += 1
             want = s == k
             got = growth_inequalities_hold(kind, k, p, s, tmax)
             if got != want:
                 log.add(f"kind={kind.value} k={k} p={p} s={s}", str(want), str(got))
-    return cases, log, f"multiplier pinned for k <= {kmax}, t <= {tmax}"
+    # candidate multipliers s = 1 .. k + 3 per form
+    return sum(k + 3 for _, k, _ in endos), f"multiplier pinned for k <= {kmax}, t <= {tmax}"
 
 
 # -------------------------------------------------------------- registry --
@@ -533,6 +509,12 @@ def _audit_registry():
         raise AssertionError(
             f"registry incomplete: missing={sorted(ALL_INVARIANTS - set(owned))} "
             f"extra={sorted(set(owned) - ALL_INVARIANTS)}")
+    for name, spec in SUITES.items():  # run_suite calls run(log, **bounds)
+        code = spec.run.__code__
+        params = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+        if params[:1] != ("log",) or sorted(params[1:]) != sorted(spec.defaults):
+            raise AssertionError(f"suite {name!r} takes {params}, not log and "
+                                 f"its bounds {tuple(spec.defaults)}")
 
 
 _audit_registry()
@@ -540,8 +522,8 @@ _audit_registry()
 
 def suite_bounds(name: str, **overrides) -> dict[str, int]:
     """A suite's default bounds, each replaced by an override that is not
-    None; an unknown suite or key, or a bound that is not an int or is below
-    its minimum, is an error."""
+    None; an unknown suite or key, a bound that is not an int or is below its
+    minimum, and then a bound below the suite's own floor, is an error."""
     try:
         spec = SUITES[name]
     except KeyError:
@@ -555,19 +537,27 @@ def suite_bounds(name: str, **overrides) -> dict[str, int]:
             raise ValueError(f"suite {name!r} takes no bound named {key!r}")
         _require_int(key, val, _MINIMUM[key])
         bounds[key] = val
+    if name in _FLOORS:
+        key, floor = _FLOORS[name]
+        least = bounds.get(floor, floor)  # a bound's name stands for its value
+        if bounds[key] < least:
+            shown = f"{floor} ({least})" if floor in bounds else floor
+            raise ValueError(f"{key} must be >= {shown}")
     return bounds
 
 
 def run_suite(name: str, **overrides) -> VerifyReport:
     """Run one registered suite with the bounds suite_bounds gives.  Bounds
-    it refuses raise; an exception from the suite itself is reported as its
-    one failure, with no cases counted."""
+    it refuses raise.  An exception from the suite itself fails the report:
+    the failures the suite logged stay, the exception is one more, and no
+    cases are counted."""
     bounds = suite_bounds(name, **overrides)
+    log = FailureLog()
     start = time.perf_counter()
     try:
-        cases, log, summary = SUITES[name].run(**bounds)
+        cases, summary = SUITES[name].run(log, **bounds)
     except Exception as exc:  # a crashed suite fails; the other suites still run
-        cases, log, summary = 0, FailureLog(), f"stopped by {type(exc).__name__}"
+        cases, summary = 0, f"stopped by {type(exc).__name__}"
         log.add(" ".join(f"{k}={v}" for k, v in bounds.items()),
                 "the suite runs to completion", f"{type(exc).__name__}: {exc}")
     elapsed = (time.perf_counter() - start) * 1000.0

@@ -250,14 +250,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("suite, flag, val, message", [
         ("classification_negative", "--bound", "-1", "bound must be >= 0"),
         ("classification_negative", "--kmax", "0", "kmax must be >= 1"),
-        ("growth_inequalities", "--kmax", "0", "kmax must be >= 1")])
+        ("growth_inequalities", "--kmax", "0", "kmax must be >= 1"),
+        ("classification_negative", "--bound", "0", "bound must be >= 1"),
+        ("growth_inequalities", "--tmax", "5", "tmax must be >= kmax (6)"),
+        ("growth_inequalities", "--kmax", "51", "tmax must be >= kmax (51)")])
     def test_verify_refuses_bounds_below_minimum(self, suite, flag, val, message, capsys):
         code, out, err = run_cli("verify", "--suite", suite, flag, val, capsys=capsys)
         assert (code, out, err) == (EXIT_SYNTAX, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("flag, val, message", [
         ("--bound", "-1", "bound must be >= 0"), ("--kmax", "0", "kmax must be >= 1"),
-        ("--ksym", "0", "ksym must be >= 1"), ("--tmax", "-1", "tmax must be >= 0")])
+        ("--ksym", "0", "ksym must be >= 1"), ("--tmax", "-1", "tmax must be >= 0"),
+        ("--bound", "0", "bound must be >= 1"), ("--tmax", "5", "tmax must be >= kmax (6)")])
     def test_verify_all_refuses_before_any_suite_runs(self, flag, val, message,
                                                        monkeypatch, capsys):
         def refuse(name, **bounds):

@@ -76,6 +76,17 @@ class TestRegistry:
             for key, val in spec.defaults.items():
                 assert isinstance(val, int) and val >= 0
 
+    @pytest.mark.parametrize("run", [lambda bound, kmax: None, lambda log, bound: None,
+                                     lambda log, bound, kmax, tmax: None,
+                                     lambda log, **bounds: None],
+                             ids=["no-log", "missing-kmax", "extra-tmax", "any-keyword"])
+    def test_audit_refuses_a_suite_not_taking_log_and_its_bounds(self, monkeypatch, run):
+        _ov._audit_registry()
+        spec = SUITES["endo_homomorphism"]
+        monkeypatch.setitem(SUITES, "endo_homomorphism", spec._replace(run=run))
+        with pytest.raises(AssertionError, match="suite 'endo_homomorphism' takes"):
+            _ov._audit_registry()
+
 
 class TestRunSuite:
     def test_unknown_suite(self):
@@ -111,6 +122,26 @@ class TestRunSuite:
     def test_bound_below_its_minimum_refused(self, suite, key, val, message):
         with pytest.raises(ValueError, match=message):
             run_suite(suite, **{key: val})
+
+    @pytest.mark.parametrize("suite, overrides, message", [
+        ("classification_negative", {"bound": 0}, "bound must be >= 1"),
+        ("growth_inequalities", {"tmax": 5}, "tmax must be >= kmax (6)"),
+        ("growth_inequalities", {"kmax": 51}, "tmax must be >= kmax (51)"),
+        ("growth_inequalities", {"kmax": 3, "tmax": 2}, "tmax must be >= kmax (3)")])
+    def test_bound_below_the_suite_floor_refused(self, monkeypatch, suite, overrides,
+                                                 message):
+        # the suite would fail there though the maths holds: refused before it starts
+        def never(log, **bounds):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(SUITES, suite, SUITES[suite]._replace(run=never))
+        with pytest.raises(ValueError) as info:
+            run_suite(suite, **overrides)
+        assert str(info.value) == message
+
+    def test_floors_hold_from_where_the_suites_pass(self):
+        assert run_suite("classification_negative", kmax=2, bound=1).passed
+        assert run_suite("growth_inequalities", kmax=4, tmax=4).passed
 
     @pytest.mark.parametrize("suite, key, val", [
         ("idempotents", "kmax", 2.5), ("inverse_axioms", "bound", 1.5),
@@ -497,13 +528,20 @@ class TestFaultInjection:
         ("cancellative", "kmax=5", "p must be >= 0"),
         ("ideal", "kmax=5", "p must be >= 1: at p = 0 both levels would share images")])
     def test_crashed_suite_is_one_failure(self, monkeypatch, suite, inputs, got):
-        # compose raises inside the suite, after its bounds were accepted
+        # compose raises inside the suite, after its bounds were accepted; the
+        # failures it logged before that stay in the report, ahead of the crash
         monkeypatch.setattr(_endo, "_compose_raw", _minus_compose)
+        logged = 20 if suite == "ideal" else 0
         report = run_suite(suite)
-        assert not report.passed and (report.cases, report.failures_total) == (0, 1)
-        assert report.failures == [(inputs, "the suite runs to completion",
-                                    f"ParameterRangeError: {got}")]
+        assert not report.passed and (report.cases, report.failures_total) == (0, logged + 1)
+        assert report.failures[logged:] == [(inputs, "the suite runs to completion",
+                                             f"ParameterRangeError: {got}")]
         assert report.summary == "stopped by ParameterRangeError"
+        if logged:  # ideal: every b:k,p . a:1,0 and b:k,p . a:2,0, then the crash
+            before = report.failures[:logged]
+            assert {f.expected for f in before} == {"collapsing"}
+            assert (before[0].inputs, before[-1].inputs) == ("b:2,1 . a:1,0", "b:5,4 . a:2,0")
+            assert _digest(before) == "181ffdd5fc1be30b"
 
     def test_crashed_suite_does_not_stop_the_run(self, monkeypatch, capsys):
         monkeypatch.setattr(_endo, "_compose_raw", _minus_compose)
