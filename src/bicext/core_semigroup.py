@@ -220,6 +220,12 @@ def _product_row(x, cols):
     return tuple(map(_mul_raw, repeat(i), repeat(j), repeat(b), *cols))
 
 
+def _product_col(cols, y):
+    """x * y for every x of a column set: _product_row's right-hand twin."""
+    i, j, b = y
+    return tuple(map(_mul_raw, *cols, repeat(i), repeat(j), repeat(b)))
+
+
 def _pair_table(elems):
     """Index every pairwise product: returns (pid, distinct) where
     distinct[pid[x][y]] == x * y on raw triples."""

@@ -24,6 +24,10 @@ mismatching pairs are walked in pair order after the sweep.  The
 homomorphism law, injectivity, cancellativity and absorption each log every
 item of the one counterexample generator of the module owning the law.
 The order table is one product row per t against every idempotent s^-1 s.
+The inverse axioms take x^-1 as the swap (j, i, b) and map _mul_raw over
+the truncation for x x^-1, x^-1 x, (x x^-1) x and the squares; idempotents
+commute when their product table equals its transpose.  An element's text
+is formatted only for a failure it records.
 The kernels run about a million times per verify run, so they read no
 builtin max and no Enum class attribute: either costs more than the sums.
 
@@ -44,7 +48,7 @@ from operator import attrgetter, itemgetter, or_
 
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError, _columns,
                    _mul_raw, _pair_table, _product_row, _raw_truncation, _require_int,
-                   inverse, is_idempotent, leq_natural, mul, mul_bicyclic)
+                   leq_natural, mul, mul_bicyclic)
 from .endomorphisms import (Kind, ParameterRangeError, UNIT, _collisions,
                     _homomorphism_failures, _image_row, _raw_image, compose,
                     enumerate_endos, growth_inequalities_hold, preserving)
@@ -189,25 +193,43 @@ def _suite_semigroup_axioms(log, bound: int):
 
 
 def _suite_inverse_axioms(log, bound: int):
-    elems = list(Truncation(bound))
-    for x in elems:
-        if mul(mul(x, inverse(x)), x) != x:
-            log.add(f"x={x}", "x x^-1 x == x", str(mul(mul(x, inverse(x)), x)))
-        if inverse(inverse(x)) != x:
-            log.add(f"x={x}", "(x^-1)^-1 == x", str(inverse(inverse(x))))
-        if not (is_idempotent(mul(x, inverse(x))) and is_idempotent(mul(inverse(x), x))):
-            log.add(f"x={x}", "x x^-1 and x^-1 x idempotent", "not idempotent")
+    elems = _raw_truncation(bound)
+    n = len(elems)
+    inv = [(j, i, b) for i, j, b in elems]  # x^-1, as in _leq_table
+    twice = [(j, i, b) for i, j, b in inv]  # (x^-1)^-1
+    cols, icols = _columns(elems), _columns(inv)
+    right = list(map(_mul_raw, *cols, *icols))  # x x^-1
+    left = list(map(_mul_raw, *icols, *cols))  # x^-1 x
+    back = list(map(_mul_raw, *_columns(right), *cols))  # (x x^-1) x
+    # one row of squares: x x, then (x x^-1)^2, then (x^-1 x)^2
+    squares = list(map(_mul_raw, *_columns(elems + right + left) * 2))
+    square, right2, left2 = squares[:n], squares[n:2 * n], squares[2 * n:]
+    label = Elem.__str__  # an Elem's text, of a raw triple, only for a failure
+    if (back, twice, right2, left2) != (elems, elems, right, left):
+        for x, y, t, r, r2, l, l2 in zip(elems, back, twice, right, right2, left, left2):
+            if y != x:
+                log.add(f"x={label(x)}", "x x^-1 x == x", label(y))
+            if t != x:
+                log.add(f"x={label(x)}", "(x^-1)^-1 == x", label(t))
+            if r2 != r or l2 != l:
+                log.add(f"x={label(x)}", "x x^-1 and x^-1 x idempotent", "not idempotent")
     # idempotents are exactly the balanced triples, and they commute
-    for x in elems:
-        if is_idempotent(x) != (x.i == x.j):
-            log.add(f"x={x}", "idempotent iff i == j", str(is_idempotent(x)))
-    idems = [x for x in elems if x.i == x.j]
-    for e in idems:
-        for f2 in idems:
-            if mul(e, f2) != mul(f2, e):
-                log.add(f"e={e} f={f2}", "ef == fe", f"{mul(e, f2)} vs {mul(f2, e)}")
-    cases = 4 * len(elems) + len(idems) ** 2  # three axioms and the characterization per x
-    return cases, f"{len(elems)} elements, {len(idems)} idempotents"
+    idem = list(map(tuple.__eq__, square, elems))
+    if idem != [i == j for i, j, _ in elems]:
+        for x, got in zip(elems, idem):
+            if got != (x[0] == x[1]):
+                log.add(f"x={label(x)}", "idempotent iff i == j", str(got))
+    idems = [x for x in elems if x[0] == x[1]]
+    ecols = _columns(idems)
+    table = [_product_row(e, ecols) for e in idems]  # table[e][f] is e f
+    if table != list(zip(*table)):
+        for e, row, col in zip(idems, table, zip(*table)):
+            for f2, ef, fe in zip(idems, row, col):
+                if ef != fe:
+                    log.add(f"e={label(e)} f={label(f2)}", "ef == fe",
+                            f"{label(ef)} vs {label(fe)}")
+    cases = 4 * n + len(idems) ** 2  # three axioms and the characterization per x
+    return cases, f"{n} elements, {len(idems)} idempotents"
 
 
 def _suite_order(log, bound: int):

@@ -21,8 +21,9 @@ from bicext.cli import (EXIT_FAMILY, EXIT_IO, EXIT_OK, EXIT_RANGE,
                         EXIT_SYNTAX, EXIT_VERIFY, ParseError, REPORT_SCHEMA,
                         main, parse_element, parse_endo, parse_family,
                         report_document)
+import bicext.core_semigroup as _core
 from bicext.core_semigroup import (CANONICAL_FAMILY, Family, FamilyClosureError, FamilyError,
-                                   MixedFamilyError)
+                                   MixedFamilyError, _mul_raw, mul)
 from bicext.endomorphisms import ParameterRangeError, collapsing, enumerate_endos, preserving
 from bicext.oracle_verify import VerifyReport, run_suite
 
@@ -372,6 +373,63 @@ class TestExportCayley:
                                "--output", str(target), capsys=capsys)
         assert code == EXIT_OK and out == ""
         assert target.read_text().startswith("digraph cayley {")
+
+    @staticmethod
+    def reference(bound, family, generators, fmt):
+        """The export by a plain loop over public Elem, mul and str: nodes
+        ray outermost, then i, then j, and edges x-major."""
+        nodes = [family.elem(i, j, b) for b in range(len(family))
+                 for i in range(bound + 1) for j in range(bound + 1)]
+        gens = [parse_element(g, family) for g in generators]
+        edges = [(x, g, mul(x, g)) for x in nodes for g in gens if mul(x, g) in nodes]
+        out = io.StringIO()
+        if fmt == "dot":
+            out.write("digraph cayley {\n")
+            out.writelines(f'  "{x}";\n' for x in nodes)
+            out.writelines(f'  "{x}" -> "{t}" [label="{g}"];\n' for x, g, t in edges)
+            out.write("}\n")
+        else:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(["source", "generator", "target"])
+            writer.writerows([str(x), str(g), str(t)] for x, g, t in edges)
+        return out.getvalue()
+
+    # no generator, one, a repeated one, and one whose products all leave
+    # the truncation (j grows by 3) beside one that stays; B is the top base
+    @pytest.mark.parametrize("generators", [(), ("(0,1,0)",), ("(1,0,B)", "(1,0,B)"),
+                                            ("(0,4,B)", "(1,1,0)")])
+    @pytest.mark.parametrize("bases", ["0", "0,1", "0,1,2"])
+    def test_export_matches_a_plain_loop(self, tmp_path, capsys, bases, generators):
+        family = parse_family(bases)
+        generators = [g.replace("B", str(family.m)) for g in generators]
+        for bound in range(4):
+            for fmt in ("dot", "csv"):
+                want = self.reference(bound, family, generators, fmt)
+                argv = ["export-cayley", "--bound", str(bound), "--family", bases,
+                        "--generators", *generators, "--format", fmt]
+                assert run_cli(*argv, capsys=capsys) == (EXIT_OK, want, "")
+                target = tmp_path / f"graph.{fmt}"
+                assert run_cli(*argv, "--output", str(target), capsys=capsys) == (
+                    EXIT_OK, "", "")
+                assert target.read_bytes() == want.encode()
+
+    def test_one_kernel_call_per_node_and_generator(self, monkeypatch, capsys):
+        # bound 3 over {[0),[1),[2)}: 48 nodes, two generators, no Elem product
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _mul_raw(*args)
+
+        def refused(*args):
+            raise AssertionError("an Elem product")
+        monkeypatch.setattr(_core, "_mul_raw", counted)
+        monkeypatch.setattr(_core, "mul", refused)
+        monkeypatch.setattr(cli, "core_mul", refused)
+        code, out, _ = run_cli("export-cayley", "--bound", "3", "--family", "0,1,2",
+                               "--generators", "(0,1,0)", "(1,0,2)", capsys=capsys)
+        assert code == EXIT_OK and " -> " in out
+        assert len(calls) == 48 * 2
 
 
 def run_fresh(argv):

@@ -9,7 +9,7 @@ import pytest
 
 from bicext.core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyClosureError,
                          FamilyError, InductiveSet, MixedFamilyError, _columns,
-                         _mul_raw, _product_row, intersect_shifted, inverse,
+                         _mul_raw, _product_col, _product_row, intersect_shifted, inverse,
                          is_idempotent, leq_natural, mul, mul_bicyclic)
 
 
@@ -352,6 +352,13 @@ class TestProduct:
         # three empty columns, not none: map over no columns would never stop
         assert _columns([]) == [(), (), ()]
         assert _product_row((1, 2, 0), _columns([])) == ()
+
+    def test_product_col_matches_per_case_products(self):
+        # the right-hand twin of _product_row: x * y for every x, y fixed
+        xs = [x for x, _, _ in self.FROZEN] + [want for _, _, want in self.FROZEN]
+        for _, y, _ in self.FROZEN:
+            assert _product_col(_columns(xs), y) == tuple(_mul_raw(*x, *y) for x in xs)
+        assert _product_col(_columns([]), (1, 2, 0)) == ()
 
     def test_mul_bicyclic_frozen(self):
         assert mul_bicyclic((1, 2), (3, 4)) == (2, 4)

@@ -11,7 +11,8 @@ import bicext.core_semigroup as _core
 import bicext.endo_monoid_green as _green
 import bicext.endomorphisms as _endo
 import bicext.oracle_verify as _ov
-from bicext.core_semigroup import CANONICAL_FAMILY, Family, FamilyError, leq_natural, mul
+from bicext.core_semigroup import (CANONICAL_FAMILY, Family, FamilyError, inverse,
+                                   is_idempotent, leq_natural, mul)
 from bicext.endo_monoid_green import collapsing_class_ideal, preserving_class_cancellative
 from bicext.endomorphisms import Kind, homomorphism_counterexample
 from bicext.oracle_verify import (ALL_INVARIANTS, FAILURE_CAP, FailureLog, SUITES,
@@ -183,6 +184,14 @@ class TestSuitesAtReducedBounds:
     def test_inverse_axioms(self):
         assert run_suite("inverse_axioms", bound=4).passed
 
+    def test_public_inverse_and_idempotent_follow_the_suite_rule(self):
+        # the suite checks the raw swap (j, i, b) and x x == x on raw
+        # triples; the public functions must keep to that same rule
+        for x in Truncation(4, Family.from_bases(0, 1, 2)):
+            raw = (x.i, x.j, x.base)
+            assert inverse(x) == (x.j, x.i, x.base, x.family)
+            assert is_idempotent(x) is (_core._mul_raw(*raw, *raw) == raw)
+
     def test_order(self):
         assert run_suite("order", bound=4).passed
 
@@ -293,6 +302,17 @@ def _idem_mul(i1, j1, b1, i2, j2, b2):
     return i, j, b
 
 
+def _commute_mul(i1, j1, b1, i2, j2, b2):
+    # breaks only idempotent commutativity: a product of two balanced
+    # triples whose left ray is the higher takes the right factor's ray, so
+    # every product the other inverse axioms take, x x^-1 x and the squares,
+    # stays right
+    i, j, b = _REAL_MUL(i1, j1, b1, i2, j2, b2)
+    if i1 == j1 and i2 == j2 and b1 > b2:
+        return i, j, b2
+    return i, j, b
+
+
 def _dense_image(kind, k, p, i, j, b):
     i2, j2, b2 = _REAL_IMAGE(kind, k, p, i, j, b)
     if (i + 2 * j + k) % 5 == 1:
@@ -372,7 +392,8 @@ def _digest(failures):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-_MUL_FAULTS = {"dense": _dense_mul, "sparse": _sparse_mul, "idem": _idem_mul}
+_MUL_FAULTS = {"dense": _dense_mul, "sparse": _sparse_mul, "idem": _idem_mul,
+               "commute": _commute_mul}
 _IMAGE_FAULTS = {"dense": _dense_image, "sparse": _sparse_image, "e2": _e2_image,
                  "collide": _collide_image}
 _COMPOSE_FAULTS = {"dense": _dense_compose, "unit": _unit_compose}
@@ -394,6 +415,16 @@ _PINNED = {
         ("x=(2, 4, 1) y=(4, 1, 1) z=(0, 3, 0)", "(xy)z == x(yz)",
          "(2, 4, 0) vs (2, 4, 1)"),
         "125000 triples, 1175 auxiliary checks"),
+    ("idem", "inverse_axioms", (("bound", 4),)): (
+        300, 86, 86, "4ffb668f521a48a0",
+        ("x=(0,1,0)", "x x^-1 and x^-1 x idempotent", "not idempotent"),
+        ("e=(4,4,1) f=(3,3,1)", "ef == fe", "(4,4,0) vs (4,4,1)"),
+        "50 elements, 10 idempotents"),
+    ("commute", "inverse_axioms", (("bound", 4),)): (
+        300, 30, 30, "8e2f9463ce5f72d3",
+        ("e=(0,0,0) f=(0,0,1)", "ef == fe", "(0,0,1) vs (0,0,0)"),
+        ("e=(4,4,1) f=(4,4,0)", "ef == fe", "(4,4,0) vs (4,4,1)"),
+        "50 elements, 10 idempotents"),
     ("dense", "order", (("bound", 4),)): (
         7583, 8, 8, "31f5d36bf4d105f2",
         ("a=(1,3,1)", "transitive up-set", "missing (0,2,0)"),
@@ -491,7 +522,7 @@ class TestFaultInjection:
     @pytest.mark.parametrize("key", sorted(_PINNED), ids=lambda k: f"{k[0]}-{k[1]}")
     def test_report_pinned(self, monkeypatch, key):
         fault, suite, bounds = key
-        if suite in ("semigroup_axioms", "order"):
+        if suite in ("semigroup_axioms", "inverse_axioms", "order"):
             _inject(monkeypatch, "_mul_raw", _MUL_FAULTS[fault])
         else:
             _inject(monkeypatch, "_raw_image", _IMAGE_FAULTS[fault])
@@ -612,9 +643,9 @@ def test_homomorphism_failures_match_a_plain_scan(monkeypatch, fault):
     assert 1 not in lengths.values()  # every failing form yields more than its first
 
 
-def _count_kernel_calls(monkeypatch, suite):
-    """(_mul_raw calls, _raw_image calls) of run_suite(suite) at its defaults."""
-    calls = {"_mul_raw": 0, "_raw_image": 0}
+def _count_kernel_calls(monkeypatch, suite, names=("_mul_raw", "_raw_image")):
+    """Calls of each named kernel by run_suite(suite) at its defaults."""
+    calls = dict.fromkeys(names, 0)
 
     def counter(name, real):
         def counted(*args):
@@ -622,10 +653,11 @@ def _count_kernel_calls(monkeypatch, suite):
             return real(*args)
         return counted
 
-    _inject(monkeypatch, "_mul_raw", counter("_mul_raw", _REAL_MUL))
-    _inject(monkeypatch, "_raw_image", counter("_raw_image", _REAL_IMAGE))
+    real = {"_mul_raw": _REAL_MUL, "_raw_image": _REAL_IMAGE, "mul": _core.mul}
+    for name in names:
+        _inject(monkeypatch, name, counter(name, real[name]))
     assert run_suite(suite).passed
-    return calls["_mul_raw"], calls["_raw_image"]
+    return tuple(calls.values())
 
 
 def test_classification_negative_builds_one_pair_table(monkeypatch):
@@ -642,3 +674,11 @@ def test_endo_homomorphism_kernel_calls(monkeypatch):
     # bound 8, kmax 5: one pair table, then per form one image row over the
     # elements and one over the distinct products, and a product row per x
     assert _count_kernel_calls(monkeypatch, "endo_homomorphism") == (682344, 18775)
+
+
+def test_inverse_axioms_kernel_calls(monkeypatch):
+    # bound 8: 162 elements, 18 of them balanced.  x x^-1, x^-1 x and
+    # (x x^-1) x are one row each, the squares of x, x x^-1 and x^-1 x one
+    # row of 3 * 162, then one product row per idempotent; no Elem product
+    assert _count_kernel_calls(monkeypatch, "inverse_axioms", ("_mul_raw", "mul")) == (
+        6 * 162 + 18 ** 2, 0) == (1296, 0)
