@@ -9,14 +9,17 @@ against each other by the verification suites.
 
 The search composes an endomorphism x with every candidate e once and
 records, per composite x e (side "R") or e x (side "L"), the first e in
-candidate order that gives it.  These factor tables are built lazily, once
-per (endomorphism, kmax, side), cached under the endomorphism itself (an
-InjEndo and its raw triple share an entry) and kept for the life of the
-process; R, L, H and D then reduce to table lookups, and J scans u and looks
-the right factor up in the table of u b.  Cancellativity and absorption are
-each swept by one generator of counterexamples: the predicates take its
-first item and the verification suites log every item.  A GreenQuery is a
-validated tuple and a WitnessSearchResult a plain one.
+candidate order that gives it.  The candidates are the shared table of forms
+of the endomorphisms module, read only after kmax is validated.  These
+factor tables are built lazily, once per (endomorphism, kmax, side), cached
+under the endomorphism itself (an InjEndo and its raw triple share an entry)
+and kept for the life of the process; R, L, H and D then reduce to table
+lookups, and J scans u and looks the right factor up in the table of u b.
+Cancellativity and absorption are each swept by one generator of
+counterexamples over a table of forms it is handed: the predicates take its
+first item and the verification suites log every item, reading the table
+once per run.  A GreenQuery is a validated tuple and a WitnessSearchResult a
+plain one.
 """
 
 from collections import namedtuple
@@ -24,7 +27,7 @@ from functools import cache
 
 from .core_semigroup import _record, _require_int
 from .endomorphisms import (InjEndo, ParameterRangeError, _COLLAPSING, _PRESERVING,
-                           _compose_raw, compose, enumerate_endos)
+                           _compose_raw, _forms, compose)
 
 RELATIONS = ("R", "L", "H", "D", "J")
 
@@ -61,17 +64,12 @@ def green_symbolic(q: GreenQuery) -> bool:
     return q.left == q.right
 
 
-@cache
-def _candidates(kmax: int) -> tuple:
-    return tuple(enumerate_endos(kmax))
-
-
 @cache  # a table depends on its key alone, so every caller shares it
 def _table(x, kmax: int, side: str) -> dict:
     # composite -> first candidate e with x e (side "R") or e x (side "L")
     # equal to it; built once by composing x with every candidate
     table = {}
-    for e in _candidates(kmax):
+    for e in _forms(kmax):
         table.setdefault(_compose_raw(*x, *e) if side == "R" else _compose_raw(*e, *x), e)
     return table
 
@@ -87,7 +85,7 @@ def _related(x, y, kmax: int, side: str):
 
 def _two_sided_factors(a, b, kmax: int):
     # first pair (u, v) in candidate order with a == u b v
-    for u in _candidates(kmax):
+    for u in _forms(kmax):
         v = _table(_compose_raw(*u, *b), kmax, "R").get(a)
         if v is not None:
             return u, v
@@ -101,7 +99,7 @@ def _d_search(a, b, kmax: int, first: str, second: str):
     # Such a c is a composite in a's `first` table and b's `second` table,
     # so those two screen c before any table of c's own is built.
     near_a, near_b = _table(a, kmax, first), _table(b, kmax, second)
-    for c in (a, b, *_candidates(kmax)):
+    for c in (a, b, *_forms(kmax)):
         if c not in near_a or c not in near_b:
             continue
         w1 = _related(a, c, kmax, first)
@@ -152,13 +150,14 @@ def in_collapsing_class(e: InjEndo) -> bool:
 
 def find_idempotents(kmax: int) -> list[InjEndo]:
     """Idempotent endomorphisms with k <= kmax; the unit is the only one."""
-    return [e for e in enumerate_endos(kmax) if compose(e, e) == e]
+    _require_int("kmax", kmax, 1)
+    return [e for e in _forms(kmax) if compose(e, e) == e]
 
 
-def _cancellation_failures(kmax: int):
-    # (a, x, y, broken law) over the preserving forms; a pair x != y with
-    # ax == ay is a repeat in a's row, so only a row holding one is walked
-    endos = [e for e in enumerate_endos(kmax) if in_preserving_class(e)]
+def _cancellation_failures(forms):
+    # (a, x, y, broken law) over the preserving forms in forms; a pair x != y
+    # with ax == ay is a repeat in a's row, so only a row holding one is walked
+    endos = [e for e in forms if in_preserving_class(e)]
     n = len(endos)
     for a in endos:
         ax = [compose(a, x) for x in endos]
@@ -175,12 +174,11 @@ def _cancellation_failures(kmax: int):
                     yield a, x, y, "xa != ya"
 
 
-def _absorption_failures(kmax: int):
-    # (left, right, product) for each product with a collapsing factor that
-    # is not collapsing; e b before b e
-    endos = enumerate_endos(kmax)
-    coll = [b for b in endos if in_collapsing_class(b)]
-    for e in endos:
+def _absorption_failures(forms):
+    # (left, right, product) for each product of two forms in forms, one of
+    # them collapsing, that is not collapsing; e b before b e
+    coll = [b for b in forms if in_collapsing_class(b)]
+    for e in forms:
         for b in coll:
             eb, be = compose(e, b), compose(b, e)
             if not in_collapsing_class(eb):
@@ -191,9 +189,11 @@ def _absorption_failures(kmax: int):
 
 def preserving_class_cancellative(kmax: int) -> bool:
     """Two-sided cancellativity of the preserving class, checked for k <= kmax."""
-    return next(_cancellation_failures(kmax), None) is None
+    _require_int("kmax", kmax, 1)
+    return next(_cancellation_failures(_forms(kmax)), None) is None
 
 
 def collapsing_class_ideal(kmax: int) -> bool:
     """The collapsing class absorbs products from both sides, for k <= kmax."""
-    return next(_absorption_failures(kmax), None) is None
+    _require_int("kmax", kmax, 1)
+    return next(_absorption_failures(_forms(kmax)), None) is None

@@ -23,6 +23,14 @@ GeneratorImages the validated tuple (k, level, p): an InjEndo compares and
 hashes as that tuple in C (Kind hashes by identity) and unpacks straight
 into _raw_image and _compose_raw, so compose reads no attribute.
 
+A process builds each table of validated forms once.  _forms(kmax), in a
+bounded cache, is the one tuple of the kmax**2 forms; enumerate_endos
+validates kmax and copies it, and the Green search and the suites read it
+once kmax is validated.  compose recomputes the composite triple on every
+call and remembers only the range check of a triple it accepted, in a
+bounded typed cache; a refused triple raises every time.  A one-shot
+command line process gains only the reuse within its one run.
+
 The raw-parameter oracles (homomorphism_counterexample,
 injectivity_collision, growth_inequalities_hold) take any int (k, p), since
 out-of-range forms are what they test, and refuse a non-int parameter, a
@@ -31,6 +39,7 @@ the first item of the one generator their law has; the suites log them all.
 """
 
 from enum import Enum
+from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 
@@ -144,11 +153,16 @@ def _compose_raw(v1, k1, p1, v2, k2, p2):
     return _COLLAPSING, k1 * k2, k2 * p1
 
 
+# InjEndo remembering the triples it accepted; bounded, as composites grow
+# without end, and typed, so (True, 0) or (6, 5.0) is no cached int form
+_form = lru_cache(maxsize=1024, typed=True)(InjEndo)
+
+
 def compose(e1: InjEndo, e2: InjEndo) -> InjEndo:
     """compose(e1, e2) applies e1 first; the result is range-checked on build."""
     if not (isinstance(e1, InjEndo) and isinstance(e2, InjEndo)):
         raise ParameterRangeError(f"expected two InjEndo, got ({e1!r}, {e2!r})")
-    return InjEndo(*_compose_raw(*e1, *e2))
+    return _form(*_compose_raw(*e1, *e2))
 
 
 class GeneratorImages(_record("GeneratorImages", "k level p")):
@@ -181,18 +195,19 @@ def classify_from_images(g: GeneratorImages) -> InjEndo:
     return collapsing(g.k, g.p)
 
 
+@lru_cache(maxsize=16, typed=True)  # callers have validated kmax >= 1
+def _forms(kmax: int) -> tuple[InjEndo, ...]:
+    # enumerate_endos(kmax) as the one table every caller shares; a tuple, so
+    # no caller can change what the next one reads
+    return (*(preserving(k, p) for k in range(1, kmax + 1) for p in range(k)),
+            *(collapsing(k, p) for k in range(2, kmax + 1) for p in range(1, k)))
+
+
 def enumerate_endos(kmax: int) -> list[InjEndo]:
     """All valid endomorphisms with k <= kmax, preserving kind first, each in
-    ascending (k, p) order.  Exactly kmax**2 in total."""
+    ascending (k, p) order.  Exactly kmax**2 in total, as a new list."""
     _require_int("kmax", kmax, 1)
-    out = []
-    for k in range(1, kmax + 1):
-        for p in range(0, k):
-            out.append(preserving(k, p))
-    for k in range(2, kmax + 1):
-        for p in range(1, k):
-            out.append(collapsing(k, p))
-    return out
+    return list(_forms(kmax))
 
 
 def _check_raw(kind, k, p, bound):
@@ -283,6 +298,12 @@ def growth_inequalities_hold(kind, k: int, p: int, s: int, t_max: int) -> bool:
         raise ValueError("k and s must be positive")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
+    return _growth_holds(kind, k, p, s, t_max)
+
+
+def _growth_holds(kind, k, p, s, t_max):
+    # growth_inequalities_hold on arguments it accepts, as a validated form
+    # and tmax are
     slack = 1 if kind is _PRESERVING else 0
     for t in range(t_max + 1):
         if p + s * (t + 1) < k * (t + 1):

@@ -49,9 +49,9 @@ from operator import attrgetter, itemgetter, or_
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError, _columns,
                    _mul_raw, _pair_table, _product_row, _raw_truncation, _require_int,
                    leq_natural, mul, mul_bicyclic)
-from .endomorphisms import (Kind, ParameterRangeError, UNIT, _collisions,
-                    _homomorphism_failures, _image_row, _raw_image, compose,
-                    enumerate_endos, growth_inequalities_hold, preserving)
+from .endomorphisms import (Kind, ParameterRangeError, UNIT, _collisions, _forms,
+                    _growth_holds, _homomorphism_failures, _image_row, _raw_image,
+                    compose, preserving)
 from .endo_monoid_green import (GreenQuery, RELATIONS, _absorption_failures,
                     _cancellation_failures, find_idempotents, green_bounded_search,
                     green_symbolic, in_collapsing_class, in_preserving_class)
@@ -276,7 +276,7 @@ def _suite_endo_homomorphism(log, bound: int, kmax: int):
     elems = _raw_truncation(bound)
     n = len(elems)
     pairs = _pair_table(elems)
-    endos = enumerate_endos(kmax)
+    endos = _forms(kmax)
     for e in endos:
         for x, y, fxy, fxfy in _homomorphism_failures(*e, elems, pairs):
             log.add(f"e={e} x={x} y={y}", str(fxy), str(fxfy))
@@ -309,7 +309,7 @@ def _suite_endo_homomorphism(log, bound: int, kmax: int):
 def _suite_endo_injectivity(log, bound: int, kmax: int):
     elems = _raw_truncation(bound)
     cols = _columns(elems)
-    endos = enumerate_endos(kmax)
+    endos = _forms(kmax)
     for e in endos:
         for x, y, im in _collisions(*e, elems, cols):
             log.add(f"e={e}", "injective", f"{x} and {y} map to {im}")
@@ -318,7 +318,7 @@ def _suite_endo_injectivity(log, bound: int, kmax: int):
 
 def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
     elems = _raw_truncation(bound)
-    endos = enumerate_endos(kmax)
+    endos = _forms(kmax)
     cols = _columns(elems)
     # e1's images in column form, one set per e1, alive for the whole sweep;
     # the pairs are grouped by their computed composite, whose image row is
@@ -339,7 +339,7 @@ def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
                 log.add(f"{endos[a]} . {endos[b]} at {x}", str(t), str(o))
 
     # parameter ranges are closed under composition, k up to ksym
-    big = enumerate_endos(ksym)
+    big = _forms(ksym)
     for e1 in big:
         for e2 in big:
             try:
@@ -367,9 +367,10 @@ def _suite_idempotents(log, kmax: int):
 
 
 def _suite_cancellative(log, kmax: int):
-    for a, x, y, law in _cancellation_failures(kmax):
+    forms = _forms(kmax)
+    for a, x, y, law in _cancellation_failures(forms):
         log.add(f"a={a} x={x} y={y}", law, "equal")
-    n = sum(map(in_preserving_class, enumerate_endos(kmax)))
+    n = sum(map(in_preserving_class, forms))
     # the helper takes the first item of the same sweep, so it fails exactly
     # when the sweep logged a failure
     if log.total:
@@ -379,19 +380,19 @@ def _suite_cancellative(log, kmax: int):
 
 
 def _suite_ideal(log, kmax: int):
-    for x, y, xy in _absorption_failures(kmax):
+    forms = _forms(kmax)
+    for x, y, xy in _absorption_failures(forms):
         log.add(f"{x} . {y}", "collapsing", str(xy))
-    endos = enumerate_endos(kmax)
-    coll = sum(map(in_collapsing_class, endos))
+    coll = sum(map(in_collapsing_class, forms))
     if log.total:  # as in _suite_cancellative
         log.add(f"kmax={kmax}", "ideal helper agrees", "returned False")
     # both sides of every product, and the helper
-    return 2 * len(endos) * coll + 1, f"{coll} collapsing endomorphisms absorbed"
+    return 2 * len(forms) * coll + 1, f"{coll} collapsing endomorphisms absorbed"
 
 
 def _suite_green_agreement(log, kmax: int):
     search_bound = kmax + 2  # factors may need more room than the pair sweep
-    endos = enumerate_endos(kmax)
+    endos = _forms(kmax)
     for a in endos:
         for b in endos:
             results = {}
@@ -435,11 +436,11 @@ def _suite_classification_negative(log, kmax: int, bound: int):
 
 
 def _suite_growth_inequalities(log, kmax: int, tmax: int):
-    endos = enumerate_endos(kmax)
+    endos = _forms(kmax)
     for kind, k, p in endos:
         for s in range(1, k + 4):
             want = s == k
-            got = growth_inequalities_hold(kind, k, p, s, tmax)
+            got = _growth_holds(kind, k, p, s, tmax)
             if got != want:
                 log.add(f"kind={kind.value} k={k} p={p} s={s}", str(want), str(got))
     # candidate multipliers s = 1 .. k + 3 per form

@@ -22,6 +22,7 @@ from bicext.cli import (EXIT_FAMILY, EXIT_IO, EXIT_OK, EXIT_RANGE,
                         main, parse_element, parse_endo, parse_family,
                         report_document)
 import bicext.core_semigroup as _core
+import bicext.endomorphisms as _endo
 from bicext.core_semigroup import (CANONICAL_FAMILY, Family, FamilyClosureError, FamilyError,
                                    MixedFamilyError, _mul_raw, mul)
 from bicext.endomorphisms import ParameterRangeError, collapsing, enumerate_endos, preserving
@@ -321,6 +322,34 @@ class TestVerifyCommand:
         doc = report_document(report)
         jsonschema.validate([doc], REPORT_SCHEMA)
         assert doc["cases"] == 16 and doc["pass"] is True and doc["failures"] == []
+
+    def test_warm_caches_repeat_the_cold_report(self, capsys):
+        # the benchmark's ten single-suite calls and a small full run, each
+        # cold (form table and remembered range checks cleared) and then
+        # twice more with whatever the calls before it left cached
+        calls = [["--suite", suite, f"--{key}", str(val)] for suite, key, val in (
+            ("idempotents", "kmax", 8), ("ideal", "kmax", 3), ("cancellative", "kmax", 3),
+            ("growth_inequalities", "kmax", 3), ("inverse_axioms", "bound", 2),
+            ("idempotents", "kmax", 6), ("ideal", "kmax", 4), ("inverse_axioms", "bound", 3),
+            ("cancellative", "kmax", 2), ("growth_inequalities", "kmax", 4))]
+        calls.append(["--suite", "all", "--bound", "2", "--kmax", "2", "--ksym", "3",
+                      "--tmax", "4"])
+
+        def report(argv):
+            code, out, _ = run_cli("verify", *argv, "--format", "json", capsys=capsys)
+            docs = json.loads(out)
+            for doc in docs:
+                del doc["elapsed_ms"]
+            return code, docs
+
+        cold = []
+        for argv in calls:
+            _endo._form.cache_clear()
+            _endo._forms.cache_clear()
+            cold.append(report(argv))
+        assert {code for code, _ in cold} == {EXIT_OK}
+        for _ in range(2):
+            assert [report(argv) for argv in calls] == cold
 
 
 class TestExportCayley:

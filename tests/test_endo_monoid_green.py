@@ -225,6 +225,32 @@ class TestSearchAgainstScan:
                 GreenQuery(rel, preserving(2, 1), collapsing(2, 1), 3)).related
 
 
+class TestSharedFormTable:
+    """Every kmax-bounded sweep reads one shared table of forms; callers see
+    a copy or nothing, and a kmax is validated before the table is read."""
+
+    @pytest.mark.parametrize("kmax", [True, 2.0])
+    @pytest.mark.parametrize("call", [enumerate_endos, find_idempotents,
+                                      preserving_class_cancellative, collapsing_class_ideal])
+    def test_kmax_look_alike_is_refused_when_warm(self, call, kmax):
+        for warm in (1, 2):  # the int tables are cached now
+            call(warm)
+        with pytest.raises(ValueError, match="kmax must be an integer"):
+            call(kmax)
+
+    def test_enumerate_endos_hands_out_a_new_list(self):
+        a, b = collapsing(4, 2), collapsing(2, 1)
+        first, second = enumerate_endos(3), enumerate_endos(3)
+        assert first == second and first is not second
+        first.reverse()
+        first[1:] = [collapsing(3, 2)]
+        green._table.cache_clear()  # the search rebuilds from the table
+        assert enumerate_endos(3) == second
+        # b e == a for e = a:2,0, a:2,1 and b:2,1; the search keeps the first
+        assert green._table(b, 3, "R")[a] == preserving(2, 0)
+        assert green._two_sided_factors(a, b, 3) == (UNIT, preserving(2, 0))
+
+
 class TestClassStructure:
     def test_kind_predicates(self):
         assert in_preserving_class(preserving(3, 1))

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+import bicext.endomorphisms as _endo
 from bicext.core_semigroup import CANONICAL_FAMILY, Family, FamilyError, mul
 from bicext.endomorphisms import (GeneratorImages, InjEndo, Kind, ParameterRangeError, UNIT,
                           _compose_raw, _raw_image, apply, classify_from_images, collapsing,
@@ -241,6 +242,41 @@ class TestCompose:
             for e2 in endos:
                 for e3 in endos:
                     assert compose(compose(e1, e2), e3) == compose(e1, compose(e2, e3))
+
+
+class TestRememberedRangeCheck:
+    """compose remembers the range check of a triple it accepted, and of
+    nothing else: the kernel still runs on every call."""
+
+    @pytest.mark.parametrize("triple", [(Kind.PRESERVING, 6, 5.0),
+                                        (Kind.PRESERVING, True, 0)])
+    def test_look_alike_of_a_cached_form_is_refused(self, monkeypatch, triple):
+        # equal and equally hashed to the cached a:6,5 and a:1,0
+        assert compose(UNIT, preserving(6, 5)) == preserving(6, 5)
+        assert compose(UNIT, UNIT) == UNIT
+        monkeypatch.setattr(_endo, "_compose_raw", lambda *args: triple)
+        with pytest.raises(ParameterRangeError, match=r"^k and p must be integers, "):
+            compose(UNIT, UNIT)
+
+    def test_patched_kernel_takes_effect_when_warm(self, monkeypatch):
+        a, b = preserving(2, 1), preserving(3, 2)
+        assert compose(a, b) == compose(a, b) == preserving(6, 5)
+        monkeypatch.setattr(_endo, "_compose_raw", lambda *args: (Kind.COLLAPSING, 6, 5))
+        assert compose(a, b) == collapsing(6, 5)
+        monkeypatch.setattr(_endo, "_compose_raw", lambda *args: (Kind.PRESERVING, 6, 6))
+        with pytest.raises(ParameterRangeError, match="p exceeds k-1"):
+            compose(a, b)
+
+    def test_refused_triple_is_not_kept(self, monkeypatch):
+        _endo._form.cache_clear()
+        monkeypatch.setattr(_endo, "_compose_raw", lambda *args: (Kind.COLLAPSING, 7, 0))
+        for _ in range(2):
+            with pytest.raises(ParameterRangeError, match="p must be >= 1"):
+                compose(UNIT, UNIT)
+        assert _endo._form.cache_info().currsize == 0
+        monkeypatch.setattr(_endo, "_compose_raw", lambda *args: (Kind.COLLAPSING, 7, 1))
+        assert compose(UNIT, UNIT) == collapsing(7, 1)
+        assert _endo._form.cache_info().currsize == 1
 
 
 class TestClassify:

@@ -1,12 +1,15 @@
-"""No module imports a name it does not use.
+"""No module imports a name it does not use, and no cache grows unbounded.
 
-There is no linter in the toolchain, so this stdlib-ast pass is the check.
-A name a module imports must be read in that module, unless the traced
-benchmark run needs it bound there (test_trace_names.KERNELS); the package
-__init__ imports to re-export and is left out.
+There is no linter in the toolchain, so these stdlib-ast passes are the
+check.  A name a module imports must be read in that module, unless the
+traced benchmark run needs it bound there (test_trace_names.KERNELS); the
+package __init__ imports to re-export and is left out.  Every
+functools.cache or lru_cache must state a maxsize, or be listed in
+UNBOUNDED with the reason its growth is harmless or tracked.
 """
 
 import ast
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,85 @@ def test_every_import_is_used(module):
               if name not in used and name not in traced}
     assert unused == {}, f"bicext.{module} imports names it never uses"
 
+
+#: (module, cached name) -> why the cache may stay unbounded
+UNBOUNDED = {
+    ("core_semigroup", "_family"): "one entry per validated top base m, each a bare int",
+    ("endo_monoid_green", "_table"): "grows as kmax^4 under J; tracked by the FOUND line "
+                                     "on J tables in CHANGES.md and ROADMAP item 7",
+}
+
+
+def _cache_uses(tree):
+    # (name the cache is bound to, its maxsize node or None, line) for each
+    # use of functools.cache or lru_cache, and the lines of any other use
+    caches, mods = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            caches |= {a.asname or a.name for a in node.names
+                       if a.name in ("cache", "lru_cache")}
+        elif isinstance(node, ast.Import):
+            mods |= {a.asname or a.name for a in node.names if a.name == "functools"}
+
+    def is_cache(node):
+        if isinstance(node, ast.Name):
+            return node.id in caches
+        return (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+                and isinstance(node.value, ast.Name) and node.value.id in mods)
+
+    def maxsize(node):
+        # a bounded use is lru_cache(n) or lru_cache(maxsize=n), n an int
+        if not isinstance(node, ast.Call):
+            return None
+        sizes = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+        return next((n for n in sizes if isinstance(n, ast.Constant)
+                     and type(n.value) is int), None)
+
+    uses, placed = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if is_cache(target):
+                    uses.append((node.name, maxsize(deco), node.lineno))
+                    placed.add(id(target))
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Call)):
+            call = node.value  # cache(f), or lru_cache(...)(f)
+            factory = call.func if isinstance(call.func, ast.Call) else call
+            if is_cache(factory.func):
+                uses.append((node.targets[0].id, maxsize(factory), node.lineno))
+                placed.add(id(factory.func))
+    stray = [n.lineno for n in ast.walk(tree) if is_cache(n) and id(n) not in placed]
+    return sorted(uses, key=itemgetter(2)), sorted(stray)
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_every_cache_is_bounded_or_listed(module):
+    uses, stray = _cache_uses(ast.parse((_SRC / f"{module}.py").read_text()))
+    assert stray == [], f"bicext.{module} uses a cache neither as a decorator nor `x = cache(f)`"
+    unbounded = {name for name, size, _ in uses if size is None}
+    listed = {name for mod, name in UNBOUNDED if mod == module}
+    assert unbounded == listed, f"bicext.{module}: unbounded caches, and those listed"
+    for name, size, line in uses:
+        assert size is None or size.value > 0, f"bicext.{module}:{line} {name}"
+
+
+def test_the_guard_sees_each_form():
+    src = """
+import functools
+from functools import cache, lru_cache as memo
+@cache
+def a(): pass
+@memo(maxsize=8, typed=True)
+def b(): pass
+@functools.lru_cache(None)
+def c(): pass
+d = memo(16)(int)
+e = functools.cache(int)
+f = [functools.cache]
+"""
+    uses, stray = _cache_uses(ast.parse(src))
+    assert [(name, size and size.value) for name, size, _ in uses] == [
+        ("a", None), ("b", 8), ("c", None), ("d", 16), ("e", None)]
+    assert stray == [12]
