@@ -16,10 +16,11 @@ under the endomorphism itself (an InjEndo and its raw triple share an entry)
 and kept for the life of the process; R, L, H and D then reduce to table
 lookups, and J scans u and looks the right factor up in the table of u b.
 Cancellativity and absorption are each swept by one generator of
-counterexamples over a table of forms it is handed: the predicates take its
-first item and the verification suites log every item, reading the table
-once per run.  A GreenQuery is a validated tuple and a WitnessSearchResult a
-plain one.
+counterexamples over the forms it is handed: the public predicates hand it
+enumerate_endos(kmax), which validates kmax, and take its first item; the
+verification suites hand it the shared table once per run and log every
+item.  A GreenQuery is a validated tuple and a WitnessSearchResult a plain
+one.
 """
 
 from collections import namedtuple
@@ -27,7 +28,7 @@ from functools import cache
 
 from .core_semigroup import _record, _require_int
 from .endomorphisms import (InjEndo, ParameterRangeError, _COLLAPSING, _PRESERVING,
-                           _compose_raw, _forms, compose)
+                           _compose_raw, _forms, compose, enumerate_endos)
 
 RELATIONS = ("R", "L", "H", "D", "J")
 
@@ -150,8 +151,7 @@ def in_collapsing_class(e: InjEndo) -> bool:
 
 def find_idempotents(kmax: int) -> list[InjEndo]:
     """Idempotent endomorphisms with k <= kmax; the unit is the only one."""
-    _require_int("kmax", kmax, 1)
-    return [e for e in _forms(kmax) if compose(e, e) == e]
+    return [e for e in enumerate_endos(kmax) if compose(e, e) == e]
 
 
 def _cancellation_failures(forms):
@@ -189,11 +189,9 @@ def _absorption_failures(forms):
 
 def preserving_class_cancellative(kmax: int) -> bool:
     """Two-sided cancellativity of the preserving class, checked for k <= kmax."""
-    _require_int("kmax", kmax, 1)
-    return next(_cancellation_failures(_forms(kmax)), None) is None
+    return next(_cancellation_failures(enumerate_endos(kmax)), None) is None
 
 
 def collapsing_class_ideal(kmax: int) -> bool:
     """The collapsing class absorbs products from both sides, for k <= kmax."""
-    _require_int("kmax", kmax, 1)
-    return next(_absorption_failures(_forms(kmax)), None) is None
+    return next(_absorption_failures(enumerate_endos(kmax)), None) is None

@@ -23,13 +23,15 @@ GeneratorImages the validated tuple (k, level, p): an InjEndo compares and
 hashes as that tuple in C (Kind hashes by identity) and unpacks straight
 into _raw_image and _compose_raw, so compose reads no attribute.
 
-A process builds each table of validated forms once.  _forms(kmax), in a
-bounded cache, is the one tuple of the kmax**2 forms; enumerate_endos
-validates kmax and copies it, and the Green search and the suites read it
-once kmax is validated.  compose recomputes the composite triple on every
-call and remembers only the range check of a triple it accepted, in a
-bounded typed cache; a refused triple raises every time.  A one-shot
-command line process gains only the reuse within its one run.
+A process builds each small table of validated forms once: _forms(kmax) is
+the one tuple of the kmax**2 forms, the last 16 tables with kmax <= 32 are
+kept (under 0.8 MB) and a larger one is built for each call.
+enumerate_endos validates kmax and copies the table, and the Green search
+and the suites read it once kmax is validated.  compose recomputes the
+composite triple on every call and remembers only the range check of a
+triple it accepted, in a bounded typed cache; a refused triple raises every
+time.  Most of the reuse is across calls, so a one-shot command line
+process gains only the reuse within its one run (BENCH_form_table.json).
 
 The raw-parameter oracles (homomorphism_counterexample,
 injectivity_collision, growth_inequalities_hold) take any int (k, p), since
@@ -195,12 +197,21 @@ def classify_from_images(g: GeneratorImages) -> InjEndo:
     return collapsing(g.k, g.p)
 
 
-@lru_cache(maxsize=16, typed=True)  # callers have validated kmax >= 1
-def _forms(kmax: int) -> tuple[InjEndo, ...]:
-    # enumerate_endos(kmax) as the one table every caller shares; a tuple, so
-    # no caller can change what the next one reads
+def _build_forms(kmax):
     return (*(preserving(k, p) for k in range(1, kmax + 1) for p in range(k)),
             *(collapsing(k, p) for k in range(2, kmax + 1) for p in range(1, k)))
+
+
+# the last 16 tables with kmax <= _KEPT_KMAX (1,024 forms): at most
+# sum(k*k for k in range(17, 33)) = 9,944 forms of 80 B, 0.8 MB, stay alive
+_KEPT_KMAX = 32
+_kept_forms = lru_cache(maxsize=16, typed=True)(_build_forms)
+
+
+def _forms(kmax: int) -> tuple[InjEndo, ...]:
+    # enumerate_endos(kmax) as one table every caller shares, a tuple, so no
+    # caller can change what the next one reads; callers have validated kmax
+    return _kept_forms(kmax) if kmax <= _KEPT_KMAX else _build_forms(kmax)
 
 
 def enumerate_endos(kmax: int) -> list[InjEndo]:

@@ -345,7 +345,7 @@ class TestVerifyCommand:
         cold = []
         for argv in calls:
             _endo._form.cache_clear()
-            _endo._forms.cache_clear()
+            _endo._kept_forms.cache_clear()
             cold.append(report(argv))
         assert {code for code, _ in cold} == {EXIT_OK}
         for _ in range(2):

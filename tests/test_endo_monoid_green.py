@@ -4,6 +4,7 @@ search, plus the class-level structure results."""
 import pytest
 
 import bicext.endo_monoid_green as green
+import bicext.endomorphisms as _endo
 from bicext.endomorphisms import (UNIT, Kind, ParameterRangeError, collapsing, compose,
                                   enumerate_endos, preserving)
 from bicext.endo_monoid_green import (GreenQuery, RELATIONS, WitnessSearchResult,
@@ -237,6 +238,15 @@ class TestSharedFormTable:
             call(warm)
         with pytest.raises(ValueError, match="kmax must be an integer"):
             call(kmax)
+
+    def test_only_small_tables_are_kept(self):
+        _endo._kept_forms.cache_clear()
+        big = _endo._KEPT_KMAX + 1
+        assert enumerate_endos(big) == enumerate_endos(big)
+        assert len(enumerate_endos(big)) == big * big
+        assert _endo._kept_forms.cache_info().currsize == 0
+        enumerate_endos(_endo._KEPT_KMAX)
+        assert _endo._kept_forms.cache_info().currsize == 1
 
     def test_enumerate_endos_hands_out_a_new_list(self):
         a, b = collapsing(4, 2), collapsing(2, 1)
