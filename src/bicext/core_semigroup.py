@@ -27,9 +27,9 @@ about a million times, so it picks the larger base by a conditional
 expression: a call to builtin max costs more than the rest of the kernel.
 """
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from functools import cache
-from itertools import chain, repeat
+from itertools import count, repeat
 from operator import attrgetter
 
 
@@ -226,13 +226,23 @@ def _product_col(cols, y):
     return tuple(map(_mul_raw, *cols, repeat(i), repeat(j), repeat(b)))
 
 
+def _interner(triples):
+    """Ids for triples, as a dict: the given ones get 0, 1, ... in order, and
+    looking up an unseen triple gives it the next id."""
+    ids = defaultdict(None, zip(triples, count()))
+    ids.default_factory = ids.__len__
+    return ids
+
+
 def _pair_table(elems):
     """Index every pairwise product: returns (pid, distinct) where
-    distinct[pid[x][y]] == x * y on raw triples."""
+    distinct[pid[x][y]] == x * y on raw triples.  distinct starts with the
+    distinct elems in order, and each row of products is interned as it is
+    built, so no row of triples outlives its own map."""
     cols = _columns(elems)
-    rows = [_product_row(x, cols) for x in elems]
-    ids = {v: d for d, v in enumerate(dict.fromkeys(chain.from_iterable(rows)))}
-    return [list(map(ids.__getitem__, row)) for row in rows], list(ids)
+    ids = _interner(dict.fromkeys(elems))
+    intern = ids.__getitem__
+    return [tuple(map(intern, _product_row(x, cols))) for x in elems], list(ids)
 
 
 def mul(x: Elem, y: Elem) -> Elem:

@@ -114,8 +114,9 @@ def green_bounded_search(q: GreenQuery) -> WitnessSearchResult:
     """Brute-force divisibility search with factor k bounded by q.kmax.
 
     Products are compared structurally and may exceed the bound.  For D both
-    composition orders are computed and asserted to agree.  A q that is not
-    a GreenQuery is a ParameterRangeError.
+    composition orders are computed, and an AssertionError is raised if they
+    disagree, also under python -O.  A q that is not a GreenQuery is a
+    ParameterRangeError.
     """
     if not isinstance(q, GreenQuery):
         raise ParameterRangeError(f"expected a GreenQuery, got {q!r}")
@@ -129,7 +130,8 @@ def green_bounded_search(q: GreenQuery) -> WitnessSearchResult:
     elif rel == "D":
         wits = _d_search(a, b, kmax, "L", "R")
         rl = _d_search(a, b, kmax, "R", "L")
-        assert (wits is None) == (rl is None), "the two D compositions disagree"
+        if (wits is None) != (rl is None):
+            raise AssertionError("the two D compositions disagree")
     else:  # J
         f1 = _two_sided_factors(a, b, kmax)
         f2 = _two_sided_factors(b, a, kmax) if f1 is not None else None

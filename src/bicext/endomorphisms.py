@@ -32,12 +32,19 @@ composite triple on every call and remembers only the range check of a
 triple it accepted, in a bounded typed cache; a refused triple raises every
 time.  Most of the reuse is across calls, so a one-shot command line
 process gains only the reuse within its one run (BENCH_form_table.json).
+The verification sweeps over many compositions do not go through compose:
+_compose_row maps _compose_raw over a row of right factors, as _image_row
+maps _raw_image, and the caller range-checks each distinct composite once.
+Both live here, so a replaced kernel reaches them too.
 
 The raw-parameter oracles (homomorphism_counterexample,
 injectivity_collision, growth_inequalities_hold) take any int (k, p), since
 out-of-range forms are what they test, and refuse a non-int parameter, a
 non-Kind kind and a negative bound before any scan.  The first two return
 the first item of the one generator their law has; the suites log them all.
+A suite sweeping the homomorphism law over many forms hands the generator
+one dict of level-0 image blocks, so the products of level-0 images are
+built once per distinct block value; a single scan shares nothing.
 """
 
 from enum import Enum
@@ -155,6 +162,12 @@ def _compose_raw(v1, k1, p1, v2, k2, p2):
     return _COLLAPSING, k1 * k2, k2 * p1
 
 
+def _compose_row(kind, k, p, cols):
+    """Raw composites of one left factor with every form of a column set, as
+    one map over _compose_raw run in C; nothing is range-checked."""
+    return tuple(map(_compose_raw, repeat(kind), repeat(k), repeat(p), *cols))
+
+
 # InjEndo remembering the triples it accepted; bounded, as composites grow
 # without end, and typed, so (True, 0) or (6, 5.0) is no cached int form
 _form = lru_cache(maxsize=1024, typed=True)(InjEndo)
@@ -230,17 +243,36 @@ def _check_raw(kind, k, p, bound):
     _require_int("bound", bound, 0)
 
 
-def _homomorphism_failures(kind, k, p, elems, pairs):
+def _homomorphism_failures(kind, k, p, elems, pairs, blocks=None):
     # (x, y, f(xy), f(x) f(y)) for each pair of elems the raw form does not
     # respect, in (x, y) order; pairs is _pair_table(elems).  f(xy) is read
     # off one image row over the distinct products; each x is one product
-    # row of images, walked only when it mismatches
+    # row of images, walked only when it mismatches.
+    # blocks, a dict the caller keeps for one sweep over several forms, maps
+    # the block of images of the first half of elems (level 0, for a
+    # truncation, which every form with the same k sends alike) to its
+    # products with itself, one row per x, their equal triples kept once; a
+    # form whose block equals an earlier one's reads those rows.  Its last
+    # key is the block of the form swept last.
     pid, distinct = pairs
     images = _image_row(kind, k, p, _columns(elems))
     fxy = _image_row(kind, k, p, _columns(distinct))
-    image_cols = _columns(images)
-    for x, fx, row in zip(elems, images, pid):
-        got = _product_row(fx, image_cols)
+    image_cols, half = _columns(images), len(elems) // 2
+    rows = None
+    if blocks is not None:
+        block = images[:half]
+        rows = blocks.pop(block, None)
+        if rows is None:
+            low, pool = _columns(block), {}
+            products = map(_product_row, block, repeat(low))
+            rows = [tuple(map(pool.setdefault, r, r)) for r in products]
+        blocks[block] = rows
+        high = _columns(images[half:])
+    for i, (x, fx, row) in enumerate(zip(elems, images, pid)):
+        if rows is None or i >= half:
+            got = _product_row(fx, image_cols)
+        else:
+            got = rows[i] + _product_row(fx, high)
         want = itemgetter(*row)(fxy)
         if got != want:
             for y, w, g in zip(elems, want, got):

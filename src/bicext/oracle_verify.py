@@ -9,18 +9,32 @@ FAILURE_CAP concrete counterexamples instead of stopping at the first.
 
 Every suite has one shape: run_suite builds the FailureLog and passes it
 as `log`, and the suite returns (cases, summary).  Each phase counts its
-executed checks once, from the sizes it swept, never case by case.  Raw
-loops read _raw_truncation(bound), Elem loops iterate a Truncation.
+executed checks once, from the sizes it swept, never case by case.  Every
+suite loop reads raw (i, j, base) triples from _raw_truncation(bound) and
+calls the kernels; no suite multiplies Elems through mul.
 
 The three heaviest sweeps (associativity, the homomorphism property of every
 form, and the pointwise composition table) run as row kernels: a whole row
 of cases is computed by map over _mul_raw or _raw_image and compared as one
 tuple in C, and only a row that mismatches is walked case by case to record
 its failures, in the same order and with the same text as a plain loop.
+A row is computed once per suite run and shared only between inputs equal
+by value, never by a closed form standing in for a scan:
+  - associativity takes the rows of the elements themselves from the pair
+    table and computes only those of the other products;
+  - every form sends its level-0 elements to a block of images that forms
+    with equal k share, so the products of a level-0 image with such a
+    block are built once per distinct block value, and so is a right
+    factor's two-step row over a first factor's block; level-0 agreement
+    compares the forms' blocks.
 Composition soundness is checked once per distinct composite: the pairs
 are grouped by the value compose gives them, that composite's image row is
 built once per group and compared with every pair's two-step row, and the
-mismatching pairs are walked in pair order after the sweep.  The
+mismatching pairs are walked in pair order after the sweep.  The closure
+and collapse sweeps to ksym no longer go through compose or its cache: they
+map _compose_raw over a row per left factor and range-check each distinct
+composite once with InjEndo, walking pairs in order only to log a refusal
+or a difference, or to stop where compose would have raised.  The
 homomorphism law, injectivity, cancellativity and absorption each log every
 item of the one counterexample generator of the module owning the law.
 The order table is one product row per t against every idempotent s^-1 s.
@@ -43,15 +57,17 @@ suite would fail though the maths holds (classification_negative at bound
 import time
 from collections import defaultdict, namedtuple
 from functools import reduce
-from itertools import compress
+from itertools import compress, filterfalse, repeat
 from operator import attrgetter, itemgetter, or_
 
+# mul stays bound here though no suite calls it: bench/tracing.py counts its
+# calls module by module
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError, _columns,
-                   _mul_raw, _pair_table, _product_row, _raw_truncation, _require_int,
-                   leq_natural, mul, mul_bicyclic)
-from .endomorphisms import (Kind, ParameterRangeError, UNIT, _collisions, _forms,
-                    _growth_holds, _homomorphism_failures, _image_row, _raw_image,
-                    compose, preserving)
+                   _interner, _mul_raw, _pair_table, _product_col, _product_row,
+                   _raw_truncation, _require_int, mul, mul_bicyclic)
+from .endomorphisms import (InjEndo, Kind, ParameterRangeError, UNIT, _collisions,
+                    _compose_row, _forms, _growth_holds, _homomorphism_failures,
+                    _image_row, _raw_image, compose, preserving)
 from .endo_monoid_green import (GreenQuery, RELATIONS, _absorption_failures,
                     _cancellation_failures, find_idempotents, green_bounded_search,
                     green_symbolic, in_collapsing_class, in_preserving_class)
@@ -137,17 +153,21 @@ def _leq_table(elems):
 def _suite_semigroup_axioms(log, bound: int):
     elems = _raw_truncation(bound)
     n = len(elems)
+    cols = _columns(elems)
+    label = Elem.__str__  # an Elem's text, of a raw triple, only for a failure
 
     # associativity over every triple, memoized through the distinct pair
     # products: left[d][z] is d*z and right[x][d] is x*d, both as ids of
-    # interned triples, so (xy)z == x(yz) over all z is one tuple comparison
+    # interned triples, so (xy)z == x(yz) over all z is one tuple comparison.
+    # The first n ids are the elements, whose rows are the pair table's:
+    # left[y] is pid[y] and right[x] starts with pid[x]
     pid, distinct = _pair_table(elems)
-    ids = defaultdict()
-    ids.default_factory = ids.__len__  # an unseen triple gets the next id
+    ids = _interner(distinct)
     intern = ids.__getitem__
-    cols, dcols = _columns(elems), _columns(distinct)
-    left = [tuple(map(intern, _product_row(d, cols))) for d in distinct]
-    right = [tuple(map(intern, _product_row(x, dcols))) for x in elems]
+    extra = distinct[n:]
+    left = pid + [tuple(map(intern, _product_row(d, cols))) for d in extra]
+    ecols = _columns(extra)
+    right = [row + tuple(map(intern, _product_row(x, ecols))) for x, row in zip(elems, pid)]
     triple = list(ids)
     yz = [itemgetter(*row) for row in pid]  # yz[y](right[x]) is x(yz) over z
     for xi in range(n):
@@ -171,22 +191,26 @@ def _suite_semigroup_axioms(log, bound: int):
         if not (b1 == b2 == got):
             log.add(f"x={x} y={y}", "both branches equal", f"{b1} vs {b2} vs {got}")
 
-    # (0,0,[0)) is a two-sided identity
-    e0 = CANONICAL_FAMILY.elem(0, 0, 0)
-    for x in Truncation(bound):
-        if mul(e0, x) != x or mul(x, e0) != x:
-            log.add(f"x={x}", "identity fixes x", "moved")
+    # (0,0,0) is a two-sided identity
+    e0, fixed = (0, 0, 0), tuple(elems)
+    ex, xe = _product_row(e0, cols), _product_col(cols, e0)
+    if ex != fixed or xe != fixed:
+        for x, a, b in zip(elems, ex, xe):
+            if a != x or b != x:
+                log.add(f"x={label(x)}", "identity fixes x", "moved")
 
     # over the one-ray family the third coordinate is inert: the product
     # projects onto the plain bicyclic product
-    single = list(Truncation(bound, Family.from_bases(0)))
+    single = _raw_truncation(bound, Family.from_bases(0))
+    scols, pairs = _columns(single), [x[:2] for x in single]
     for x in single:
-        for y in single:
-            got = mul(x, y)
-            want = mul_bicyclic((x.i, x.j), (y.i, y.j))
-            if (got.i, got.j, got.base) != (*want, 0):
-                log.add(f"({x.i},{x.j})*({y.i},{y.j}) over {{[0)}}",
-                        f"{want}", f"({got.i},{got.j})")
+        want = [(*w, 0) for w in map(mul_bicyclic, repeat(x[:2]), pairs)]
+        got = _product_row(x, scols)
+        if want != list(got):
+            for y, w, g in zip(single, want, got):
+                if g != w:
+                    log.add(f"({x[0]},{x[1]})*({y[0]},{y[1]}) over {{[0)}}",
+                            f"{w[:2]}", f"({g[0]},{g[1]})")
 
     aux = len(aligned) + n + len(single) ** 2  # branch pairs, identity, projection
     return n ** 3 + aux, f"{n ** 3} triples, {aux} auxiliary checks"
@@ -233,16 +257,18 @@ def _suite_inverse_axioms(log, bound: int):
 
 
 def _suite_order(log, bound: int):
-    elems = list(Truncation(bound))  # Elem form, for failure messages
+    elems = _raw_truncation(bound)
     n = len(elems)
-    leq = _leq_table(_raw_truncation(bound))
+    label = Elem.__str__  # as in _suite_inverse_axioms
+    leq = _leq_table(elems)
     for a in range(n):
         if not leq[a][a]:
-            log.add(f"{elems[a]}", "reflexive", "not <= itself")
+            log.add(label(elems[a]), "reflexive", "not <= itself")
     for a in range(n):
         for b in range(n):
             if a != b and leq[a][b] and leq[b][a]:
-                log.add(f"{elems[a]}, {elems[b]}", "antisymmetry", "both directions hold")
+                log.add(f"{label(elems[a])}, {label(elems[b])}", "antisymmetry",
+                        "both directions hold")
 
     # transitivity through bitmask rows: rows[a] is the up-set of a
     rows = [sum(1 << b for b, up in enumerate(row) if up) for row in leq]
@@ -251,20 +277,24 @@ def _suite_order(log, bound: int):
         extra = reduce(or_, compress(rows, leq[a]), m) & ~m
         if extra:
             c = extra.bit_length() - 1
-            log.add(f"a={elems[a]}", "transitive up-set", f"missing {elems[c]}")
+            log.add(f"a={label(elems[a])}", "transitive up-set", f"missing {label(elems[c])}")
 
-    # cross-level law on balanced elements, and the descending chain
-    elem = CANONICAL_FAMILY.elem
+    # cross-level law on balanced elements, and the descending chain, by
+    # _leq_table's rule s <= t iff t (s^-1 s) == s
+    def leq_raw(s, t):
+        i, j, b = s
+        return _mul_raw(*t, *_mul_raw(j, i, b, i, j, b)) == s
+
     for k in range(bound + 1):
         for p in range(bound + 1):
             want = p <= k - 1
-            got = leq_natural(elem(k, k, 0), elem(p, p, 1))
+            got = leq_raw((k, k, 0), (p, p, 1))
             if got != want:
                 log.add(f"({k},{k},0) <= ({p},{p},1)", str(want), str(got))
     for t in range(bound):
-        if not leq_natural(elem(t + 1, t + 1, 1), elem(t + 1, t + 1, 0)):
+        if not leq_raw((t + 1, t + 1, 1), (t + 1, t + 1, 0)):
             log.add(f"t={t}", "(t+1,t+1,1) <= (t+1,t+1,0)", "false")
-        if not leq_natural(elem(t + 1, t + 1, 0), elem(t, t, 1)):
+        if not leq_raw((t + 1, t + 1, 0), (t, t, 1)):
             log.add(f"t={t}", "(t+1,t+1,0) <= (t,t,1)", "false")
     # the table, antisymmetry and transitivity n^2 each, reflexivity n, then
     # the cross-level law per (k, p) and the two chain links per t
@@ -277,20 +307,23 @@ def _suite_endo_homomorphism(log, bound: int, kmax: int):
     n = len(elems)
     pairs = _pair_table(elems)
     endos = _forms(kmax)
+    blocks, lows = {}, []  # level-0 image blocks shared by value; each form's block
     for e in endos:
-        for x, y, fxy, fxfy in _homomorphism_failures(*e, elems, pairs):
+        for x, y, fxy, fxfy in _homomorphism_failures(*e, elems, pairs, blocks):
             log.add(f"e={e} x={x} y={y}", str(fxy), str(fxfy))
+        lows.append(next(reversed(blocks)))
         if _raw_image(*e, 0, 0, 0) != (0, 0, 0):
             log.add(f"e={e}", "identity fixed", str(_raw_image(*e, 0, 0, 0)))
 
-    # forms sharing k agree on every level-0 element
-    lvl0 = [x for x in elems if x[2] == 0]
+    # forms sharing k agree on every level-0 element, read off the blocks
+    lvl0 = elems[:n // 2]
     for k in range(1, kmax + 1):
-        ref, *rest = [e for e in endos if e.k == k]
-        for e in rest:
-            for x in lvl0:
-                if _raw_image(*e, *x) != _raw_image(*ref, *x):
-                    log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
+        (ref, ref_low), *rest = [(e, low) for e, low in zip(endos, lows) if e.k == k]
+        for e, low in rest:
+            if low != ref_low:
+                for x, a, b in zip(lvl0, ref_low, low):
+                    if a != b:
+                        log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
 
     # the unit fixes everything; everything else moves a small element
     small = _raw_truncation(2)
@@ -320,10 +353,26 @@ def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
     elems = _raw_truncation(bound)
     endos = _forms(kmax)
     cols = _columns(elems)
-    # e1's images in column form, one set per e1, alive for the whole sweep;
-    # the pairs are grouped by their computed composite, whose image row is
-    # then built once per group rather than once per pair
-    mids = [_columns(_image_row(*e1, cols)) for e1 in endos]
+    half = len(elems) // 2  # the level-0 elements come first
+    # e1's images of level 1 in column form, one set per e1; its images of
+    # level 0 form a block that first factors share by value (forms with
+    # equal k send level 0 alike), so e2's row over a block is built once
+    # per distinct block, and rows equal by value are kept once.  The pairs
+    # are grouped by their computed composite, whose image row is built
+    # once per group rather than once per pair
+    blocks, block_of, highs = {}, [], []
+    for e1 in endos:
+        images = _image_row(*e1, cols)
+        block_of.append(blocks.setdefault(images[:half], len(blocks)))
+        highs.append(_columns(images[half:]))
+    kept, lows = {}, []  # lows[block][b] is e2's row over that block
+    for block in blocks:
+        bcols = _columns(block)
+        lows.append([kept.setdefault(r, r) for r in (_image_row(*e2, bcols) for e2 in endos)])
+
+    def two_step(a, b):  # e1 then e2, over every element
+        return lows[block_of[a]][b] + _image_row(*endos[b], highs[a])
+
     groups = defaultdict(list)
     for a, e1 in enumerate(endos):
         for b, e2 in enumerate(endos):
@@ -331,30 +380,51 @@ def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
     bad = []
     for c, pairs in groups.items():
         one = _image_row(*c, cols)
-        bad += [(a, b, c) for a, b in pairs if _image_row(*endos[b], mids[a]) != one]
+        bad += [(a, b, c) for a, b in pairs if two_step(a, b) != one]
     for a, b, c in sorted(bad):  # pair order, as a per-pair loop records them
-        one, two = _image_row(*c, cols), _image_row(*endos[b], mids[a])
+        one, two = _image_row(*c, cols), two_step(a, b)
         for x, o, t in zip(elems, one, two):
             if o != t:
                 log.add(f"{endos[a]} . {endos[b]} at {x}", str(t), str(o))
 
-    # parameter ranges are closed under composition, k up to ksym
+    # parameter ranges are closed under composition, k up to ksym: one row
+    # of raw composites per left factor, each distinct composite validated
+    # once, and a row walked only when it holds a refused composite
     big = _forms(ksym)
-    for e1 in big:
-        for e2 in big:
-            try:
-                compose(e1, e2)
-            except ParameterRangeError as exc:
-                log.add(f"{e1} . {e2}", "in-range composite", str(exc))
+    refusals = {}  # composite -> InjEndo's refusal text, or None
 
-    # a collapsing left factor erases the right factor's kind
+    def refused(row):
+        for t in filterfalse(refusals.__contains__, dict.fromkeys(row)):
+            try:
+                InjEndo(*t)
+                refusals[t] = None
+            except ParameterRangeError as exc:
+                refusals[t] = str(exc)
+        return any(map(refusals.__getitem__, row))
+
+    bcols = _columns(big)
+    for e1 in big:
+        row = _compose_row(*e1, bcols)
+        if refused(row):
+            for e2, t in zip(big, row):
+                if refusals[t]:
+                    log.add(f"{e1} . {e2}", "in-range composite", refusals[t])
+
+    # a collapsing left factor erases the right factor's kind; a refused
+    # composite stops the suite at the first pair holding one, as compose would
     coll = list(filter(in_collapsing_class, big))
+    ccols = _columns(coll)
+    pcols = _columns([preserving(k2, p2) for _, k2, p2 in coll])
     for e1 in coll:
-        for e2 in coll:
-            _, k2, p2 = e2
-            if compose(e1, preserving(k2, p2)) != compose(e1, e2):
-                log.add(f"{e1} . (k={k2},p={p2})", "same composite for both kinds",
-                        "differs")
+        got, want = _compose_row(*e1, pcols), _compose_row(*e1, ccols)
+        if refused(got + want) or got != want:
+            for (_, k2, p2), g, w in zip(coll, got, want):
+                for t in (g, w):
+                    if refusals[t]:
+                        raise ParameterRangeError(refusals[t])
+                if g != w:
+                    log.add(f"{e1} . (k={k2},p={p2})", "same composite for both kinds",
+                            "differs")
     cases = len(endos) ** 2 * len(elems) + len(big) ** 2 + len(coll) ** 2
     return cases, f"{len(endos)}^2 pointwise pairs, symbolic k <= {ksym}"
 

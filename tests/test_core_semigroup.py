@@ -9,8 +9,9 @@ import pytest
 
 from bicext.core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyClosureError,
                          FamilyError, InductiveSet, MixedFamilyError, _columns,
-                         _mul_raw, _product_col, _product_row, intersect_shifted, inverse,
-                         is_idempotent, leq_natural, mul, mul_bicyclic)
+                         _mul_raw, _pair_table, _product_col, _product_row,
+                         _raw_truncation, intersect_shifted, inverse, is_idempotent,
+                         leq_natural, mul, mul_bicyclic)
 
 
 def elem(i, j, base):
@@ -359,6 +360,18 @@ class TestProduct:
         for _, y, _ in self.FROZEN:
             assert _product_col(_columns(xs), y) == tuple(_mul_raw(*x, *y) for x in xs)
         assert _product_col(_columns([]), (1, 2, 0)) == ()
+
+    @pytest.mark.parametrize("elems", [_raw_truncation(3), _raw_truncation(2)[::-1],
+                                       [(2, 0, 1), (0, 3, 0), (2, 0, 1)]])
+    def test_pair_table_indexes_every_product_after_the_elements(self, elems):
+        # semigroup_axioms reads the rows of the elements themselves off the
+        # pair table, so the distinct elements take the first ids, in order
+        pid, distinct = _pair_table(elems)
+        firsts = list(dict.fromkeys(elems))
+        assert distinct[:len(firsts)] == firsts and len(set(distinct)) == len(distinct)
+        assert [[distinct[d] for d in row] for row in pid] == [
+            [_mul_raw(*x, *y) for y in elems] for x in elems]
+        assert set(distinct) == {*elems, *(_mul_raw(*x, *y) for x in elems for y in elems)}
 
     def test_mul_bicyclic_frozen(self):
         assert mul_bicyclic((1, 2), (3, 4)) == (2, 4)

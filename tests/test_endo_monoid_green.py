@@ -87,6 +87,17 @@ class TestBoundedSearch:
         assert not res.related
         assert res.exhausted_bound == 6
 
+    @pytest.mark.parametrize("found", ["L", "R"])
+    def test_disagreeing_d_compositions_raise(self, monkeypatch, found):
+        # one composition order finds a middle element, the other none; the
+        # check is an explicit raise, so python -O keeps it
+        def one_sided(a, b, kmax, first, second):
+            return (UNIT,) * 4 if first == found else None
+
+        monkeypatch.setattr(green, "_d_search", one_sided)
+        with pytest.raises(AssertionError, match="^the two D compositions disagree$"):
+            green_bounded_search(GreenQuery("D", UNIT, UNIT, 2))
+
     def test_divisibility_really_searched(self):
         # a genuine right factor exists (a:2,1 . a:3,2 = a:6,5) yet R still
         # refuses a:2,1 R a:6,5 because the reverse division has no solution

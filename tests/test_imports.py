@@ -1,11 +1,13 @@
-"""No module imports a name it does not use, and no cache grows unbounded.
+"""No module imports a name it does not use, no cache grows unbounded, and
+no check is an assert statement.
 
 There is no linter in the toolchain, so these stdlib-ast passes are the
 check.  A name a module imports must be read in that module, unless the
 traced benchmark run needs it bound there (test_trace_names.KERNELS); the
 package __init__ imports to re-export and is left out.  Every
 functools.cache or lru_cache must state a maxsize, or be listed in
-UNBOUNDED with the reason its growth is harmless or tracked.
+UNBOUNDED with the reason its growth is harmless or tracked.  python -O
+strips assert statements, so a check in the package raises explicitly.
 """
 
 import ast
@@ -46,6 +48,21 @@ def test_every_import_is_used(module):
     unused = {name: line for name, line in imported.items()
               if name not in used and name not in traced}
     assert unused == {}, f"bicext.{module} imports names it never uses"
+
+
+def _asserts(tree):
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("module", _MODULES + ["__init__"])
+def test_no_assert_statement(module):
+    lines = _asserts(ast.parse((_SRC / f"{module}.py").read_text()))
+    assert lines == [], f"bicext.{module} has assert statements, which python -O strips"
+
+
+def test_the_assert_guard_sees_nested_asserts():
+    src = "assert a\ndef f():\n    if b:\n        assert c, 'x'\nraise AssertionError('y')\n"
+    assert _asserts(ast.parse(src)) == [1, 4]
 
 
 #: (module, cached name) -> why the cache may stay unbounded

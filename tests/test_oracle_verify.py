@@ -345,6 +345,16 @@ def _collide_image(kind, k, p, i, j, b):
     return _REAL_IMAGE(kind, k, p, i, j, b)
 
 
+def _level0_image(kind, k, p, i, j, b):
+    # a:3,2 alone moves the level-0 points with i = 1, so its level-0 image
+    # block differs from the one every other k = 3 form has: a row shared
+    # between forms equal by k instead of by value would hide it
+    i2, j2, b2 = _REAL_IMAGE(kind, k, p, i, j, b)
+    if b == 0 and i == 1 and (kind, k, p) == (Kind.PRESERVING, 3, 2):
+        return i2, j2 + 1, b2
+    return i2, j2, b2
+
+
 def _dense_compose(v1, k1, p1, v2, k2, p2):
     # wrong but in range: preserving after preserving loses its offset, and a
     # collapsing left factor takes the right factor's kind
@@ -379,6 +389,23 @@ def _minus_compose(v1, k1, p1, v2, k2, p2):
     return v2, k1 * k2, k2 * p1
 
 
+def _wide_compose(v1, k1, p1, v2, k2, p2):
+    # out of range only past k = 25: the kmax-5 pairs stay sound, the
+    # closure sweep logs every wider composite as refused, and the collapse
+    # sweep, which catches no refusal, stops at its first
+    v, k, p = _REAL_COMPOSE(v1, k1, p1, v2, k2, p2)
+    return (v, k, p - k) if k > 25 else (v, k, p)
+
+
+def _collapsed_compose(v1, k1, p1, v2, k2, p2):
+    # as _wide_compose, but only after a collapsing left factor and onto a
+    # right factor with p2 = 1, so that every refusal and the crash are recorded
+    v, k, p = _REAL_COMPOSE(v1, k1, p1, v2, k2, p2)
+    if k > 25 and v1 is Kind.COLLAPSING and p2 == 1:
+        return v, k, p - k
+    return v, k, p
+
+
 def _inject(monkeypatch, name, fault):
     """Replace the kernel `name` in every module that binds it."""
     bound = [m for m in _MODULES if name in vars(m)]
@@ -395,7 +422,7 @@ def _digest(failures):
 _MUL_FAULTS = {"dense": _dense_mul, "sparse": _sparse_mul, "idem": _idem_mul,
                "commute": _commute_mul}
 _IMAGE_FAULTS = {"dense": _dense_image, "sparse": _sparse_image, "e2": _e2_image,
-                 "collide": _collide_image}
+                 "collide": _collide_image, "level0": _level0_image}
 _COMPOSE_FAULTS = {"dense": _dense_compose, "unit": _unit_compose}
 
 # (fault, suite, bounds) -> (cases, failures_total, recorded, digest of every
@@ -460,6 +487,16 @@ _PINNED = {
         ("a:2,0 . a:3,2 at (4, 0, 1)", "(27, 2, 1)", "(26, 2, 1)"),
         ("a:3,1 . a:3,2 at (5, 1, 1)", "(51, 14, 1)", "(50, 14, 1)"),
         "16^2 pointwise pairs, symbolic k <= 5"),
+    ("level0", "endo_homomorphism", (("bound", 2), ("kmax", 3))): (
+        2988, 81, 81, "8f7738f4a2bcae5a",
+        ("e=a:3,2 x=(0, 1, 0) y=(1, 0, 0)", "(0, 0, 0)", "(0, 1, 0)"),
+        ("a:3,0 vs a:3,2 at (1, 2, 0)", "same level-0 image", "differs"),
+        "9 endomorphisms on 18 elements"),
+    ("level0", "composition_table", (("bound", 3), ("kmax", 3), ("ksym", 4))): (
+        2884, 40, 40, "53ae0b7c5d5e9182",
+        ("a:3,2 . a:2,0 at (1, 0, 0)", "(6, 2, 0)", "(6, 0, 0)"),
+        ("b:3,1 . a:3,2 at (0, 3, 1)", "(3, 31, 0)", "(3, 30, 0)"),
+        "9^2 pointwise pairs, symbolic k <= 4"),
     ("collide", "endo_injectivity", (("bound", 8), ("kmax", 4))): (
         2592, 315, 100, "5a7151b0b878eff2",
         ("e=a:3,0", "injective", "(0, 1, 1) and (0, 2, 1) map to (0, 3, 1)"),
@@ -553,6 +590,27 @@ class TestFaultInjection:
             ("b:2,1 . a:4,1 at (0, 1, 1)", "(4, 12, 0)", "(5, 13, 0)"),
             "16^2 pointwise pairs, symbolic k <= 5"))
 
+    @pytest.mark.parametrize("fault, ksym, pinned", [
+        (_wide_compose, 8, (
+            0, 2616, 100, "e24f6e12d5dc0c54",
+            ("a:4,0 . a:7,0", "in-range composite", "p must be >= 0"),
+            ("a:4,3 . b:7,1", "in-range composite",
+             "p must be >= 1: at p = 0 both levels would share images"),
+            "stopped by ParameterRangeError")),
+        (_collapsed_compose, 6, (
+            0, 29, 29, "7495178db7d7fbc1",
+            ("b:5,1 . a:6,1", "in-range composite",
+             "p must be >= 1: at p = 0 both levels would share images"),
+            ("bound=6 kmax=5 ksym=6", "the suite runs to completion",
+             "ParameterRangeError: p must be >= 1: at p = 0 both levels would share images"),
+            "stopped by ParameterRangeError"))], ids=["wide", "collapsed"])
+    def test_refused_composites_logged_then_crash(self, monkeypatch, fault, ksym, pinned):
+        # each distinct composite is validated once: the closure sweep must
+        # still log every refused pair in pair order, and the collapse sweep
+        # must still stop at the first refused pair it meets
+        monkeypatch.setattr(_endo, "_compose_raw", fault)
+        _check_pinned(run_suite("composition_table", bound=6, kmax=5, ksym=ksym), pinned)
+
     @pytest.mark.parametrize("suite, inputs, got", [
         ("composition_table", "bound=20 kmax=5 ksym=12", "p must be >= 0"),
         ("idempotents", "kmax=20", "p must be >= 0"),
@@ -598,9 +656,11 @@ class TestFaultInjection:
 
 
 def test_composition_table_builds_one_row_per_distinct_composite(monkeypatch):
-    # at the default bounds: 25 first-factor rows, one row for each of the
-    # 258 distinct composites of the 625 pairs, and one right-factor row per
-    # pair, each over the 882 elements of the bound-20 truncation
+    # at the default bounds: 25 first-factor rows and one row for each of the
+    # 258 distinct composites of the 625 pairs, each over the 882 elements of
+    # the bound-20 truncation; then per pair one right-factor row over the
+    # first factor's 441 images of level 1, and per right factor one row over
+    # each of the 5 distinct level-0 image blocks of the first factors
     calls = [0]
 
     def counted(*args):
@@ -610,7 +670,25 @@ def test_composition_table_builds_one_row_per_distinct_composite(monkeypatch):
     monkeypatch.setattr(_endo, "_raw_image", counted)  # _image_row reads it there
     report = run_suite("composition_table")
     assert report.passed and report.cases == 625 * 882 + 144 ** 2 + 66 ** 2
-    assert calls[0] == (25 + 258 + 625) * 882 == 800856
+    assert calls[0] == (25 + 258) * 882 + (625 + 25 * 5) * 441 == 580356
+
+
+def test_composition_table_composes_only_the_kmax_pairs(monkeypatch):
+    # compose groups the 625 kmax-5 pairs; the ksym-12 closure and collapse
+    # sweeps map _compose_raw over rows, and each of their 5,705 distinct
+    # composites is range-checked once
+    calls = {"compose": 0, "InjEndo": 0}
+
+    def counter(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(_ov, name, counter(name, getattr(_ov, name)))
+    assert run_suite("composition_table").passed
+    assert calls == {"compose": 625, "InjEndo": 5705}
 
 
 @pytest.mark.parametrize("fault", [None, "dense"])
@@ -672,8 +750,20 @@ def test_classification_negative_builds_one_pair_table(monkeypatch):
 
 def test_endo_homomorphism_kernel_calls(monkeypatch):
     # bound 8, kmax 5: one pair table, then per form one image row over the
-    # elements and one over the distinct products, and a product row per x
-    assert _count_kernel_calls(monkeypatch, "endo_homomorphism") == (682344, 18775)
+    # elements and one over the distinct products, and a product row per x,
+    # whose part over the 81 level-0 images is built once per distinct
+    # level-0 block (5, one per k); level-0 agreement reads those blocks
+    assert _count_kernel_calls(monkeypatch, "endo_homomorphism") == (551124, 15535)
+
+
+def test_semigroup_axioms_kernel_calls(monkeypatch):
+    # bound 8: 162 elements, whose products take 450 distinct values.  The
+    # pair table is one row per x; associativity adds the rows and columns of
+    # the 288 products that are not elements, then come the 2,916 aligned
+    # pairs, both sides of the identity and the 81^2 one-ray products
+    n, extra = 162, 450 - 162
+    assert _count_kernel_calls(monkeypatch, "semigroup_axioms", ("_mul_raw", "mul")) == (
+        n * n + 2 * n * extra + 2916 + 2 * n + 81 * 81, 0) == (129357, 0)
 
 
 def test_inverse_axioms_kernel_calls(monkeypatch):
