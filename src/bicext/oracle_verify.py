@@ -20,8 +20,11 @@ tuple in C, and only a row that mismatches is walked case by case to record
 its failures, in the same order and with the same text as a plain loop.
 A row is computed once per suite run and shared only between inputs equal
 by value, never by a closed form standing in for a scan:
-  - associativity takes the rows of the elements themselves from the pair
-    table and computes only those of the other products;
+  - associativity keeps each product as an id, in rows d*z and columns
+    x*d, and takes those of the elements themselves from the pair table;
+    per y, the rows (xy)z over every x are the rows at column y and the
+    rows x(yz) are one transpose of the columns at y's row, so no table is
+    gathered entry by entry;
   - every form sends its level-0 elements to a block of images that forms
     with equal k share, so the products of a level-0 image with such a
     block are built once per distinct block value, and so is a right
@@ -37,7 +40,8 @@ composite once with InjEndo, walking pairs in order only to log a refusal
 or a difference, or to stop where compose would have raised.  The
 homomorphism law, injectivity, cancellativity and absorption each log every
 item of the one counterexample generator of the module owning the law.
-The order table is one product row per t against every idempotent s^-1 s.
+The order table is one product column t e over every t per distinct
+idempotent e = s^-1 s: 18 columns for the 162 elements at bound 8.
 The inverse axioms take x^-1 as the swap (j, i, b) and map _mul_raw over
 the truncation for x x^-1, x^-1 x, (x x^-1) x and the squares; idempotents
 commute when their product table equals its transpose.  An element's text
@@ -58,7 +62,7 @@ import time
 from collections import defaultdict, namedtuple
 from functools import reduce
 from itertools import compress, filterfalse, repeat
-from operator import attrgetter, itemgetter, or_
+from operator import attrgetter, or_
 
 # mul stays bound here though no suite calls it: bench/tracing.py counts its
 # calls module by module
@@ -141,10 +145,13 @@ class VerifyReport(namedtuple("VerifyReport", "suite bounds cases failures failu
 
 
 def _leq_table(elems):
-    """leq[s][t] by leq_natural's rule s == t (s^-1 s), on raw triples: one
-    product row per t against every idempotent s^-1 s, transposed."""
-    idem_cols = _columns([_mul_raw(j, i, b, i, j, b) for i, j, b in elems])
-    return list(zip(*[map(tuple.__eq__, elems, _product_row(t, idem_cols)) for t in elems]))
+    """leq[s][t] by leq_natural's rule s == t (s^-1 s), on raw triples, each
+    row a tuple of bools: one product column t e over every t per distinct
+    idempotent e = s^-1 s, since many s share one."""
+    idems = [_mul_raw(j, i, b, i, j, b) for i, j, b in elems]
+    cols = _columns(elems)
+    column = {e: _product_col(cols, e) for e in dict.fromkeys(idems)}
+    return [tuple(map(s.__eq__, column[e])) for s, e in zip(elems, idems)]
 
 
 # ---------------------------------------------------------------- suites --
@@ -156,31 +163,29 @@ def _suite_semigroup_axioms(log, bound: int):
     cols = _columns(elems)
     label = Elem.__str__  # an Elem's text, of a raw triple, only for a failure
 
-    # associativity over every triple, memoized through the distinct pair
-    # products: left[d][z] is d*z and right[x][d] is x*d, both as ids of
-    # interned triples, so (xy)z == x(yz) over all z is one tuple comparison.
-    # The first n ids are the elements, whose rows are the pair table's:
-    # left[y] is pid[y] and right[x] starts with pid[x]
+    # associativity over every triple, through ids of the interned distinct
+    # products: left[d][z] is d*z and col[d][x] is x*d, and the first n ids
+    # are the elements, whose rows and columns are the pair table's.  Per y,
+    # (xy)z over every x is the left rows at col[y], and x(yz) is one
+    # transpose of the columns at pid[y]
     pid, distinct = _pair_table(elems)
     ids = _interner(distinct)
     intern = ids.__getitem__
     extra = distinct[n:]
     left = pid + [tuple(map(intern, _product_row(d, cols))) for d in extra]
-    ecols = _columns(extra)
-    right = [row + tuple(map(intern, _product_row(x, ecols))) for x, row in zip(elems, pid)]
+    col = list(zip(*pid)) + [tuple(map(intern, _product_col(cols, d))) for d in extra]
+    bad = []  # (x, y) whose rows over z differ
+    for yi, yrow in enumerate(pid):
+        differs = map(tuple.__ne__, map(left.__getitem__, col[yi]),
+                      zip(*map(col.__getitem__, yrow)))
+        bad += zip(compress(range(n), differs), repeat(yi))
     triple = list(ids)
-    yz = [itemgetter(*row) for row in pid]  # yz[y](right[x]) is x(yz) over z
-    for xi in range(n):
-        rx = right[xi]
-        prow = pid[xi]
-        for yi in range(n):
-            lrow = left[prow[yi]]
-            if yz[yi](rx) == lrow:
-                continue
-            for zi, (lv, qi) in enumerate(zip(lrow, pid[yi])):
-                if lv != rx[qi]:
-                    log.add(f"x={elems[xi]} y={elems[yi]} z={elems[zi]}",
-                            "(xy)z == x(yz)", f"{triple[lv]} vs {triple[rx[qi]]}")
+    for xi, yi in sorted(bad):  # (x, y, z) order, as a plain loop records them
+        for zi, (lv, qi) in enumerate(zip(left[pid[xi][yi]], pid[yi])):
+            rv = col[qi][xi]
+            if lv != rv:
+                log.add(f"x={elems[xi]} y={elems[yi]} z={elems[zi]}",
+                        "(xy)z == x(yz)", f"{triple[lv]} vs {triple[rv]}")
 
     # the two product branches agree where both apply (x.j == y.i)
     aligned = [(x, y) for x in elems for y in elems if x[1] == y[0]]
@@ -349,9 +354,10 @@ def _suite_endo_injectivity(log, bound: int, kmax: int):
     return len(endos) * len(elems), f"{len(endos)} endomorphisms on {len(elems)} elements"
 
 
-def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
-    elems = _raw_truncation(bound)
-    endos = _forms(kmax)
+def _composition_soundness(log, elems, endos):
+    """Log every point where a pair's composite differs from applying its
+    two factors in turn; returns the case count.  Its blocks, rows and
+    groups are freed on return, before the closure sweeps start."""
     cols = _columns(elems)
     half = len(elems) // 2  # the level-0 elements come first
     # e1's images of level 1 in column form, one set per e1; its images of
@@ -386,6 +392,12 @@ def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
         for x, o, t in zip(elems, one, two):
             if o != t:
                 log.add(f"{endos[a]} . {endos[b]} at {x}", str(t), str(o))
+    return len(endos) ** 2 * len(elems)
+
+
+def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
+    endos = _forms(kmax)
+    pointwise = _composition_soundness(log, _raw_truncation(bound), endos)
 
     # parameter ranges are closed under composition, k up to ksym: one row
     # of raw composites per left factor, each distinct composite validated
@@ -425,7 +437,7 @@ def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
                 if g != w:
                     log.add(f"{e1} . (k={k2},p={p2})", "same composite for both kinds",
                             "differs")
-    cases = len(endos) ** 2 * len(elems) + len(big) ** 2 + len(coll) ** 2
+    cases = pointwise + len(big) ** 2 + len(coll) ** 2
     return cases, f"{len(endos)}^2 pointwise pairs, symbolic k <= {ksym}"
 
 

@@ -462,6 +462,32 @@ _PINNED = {
         ("(0,2,0)", "reflexive", "not <= itself"),
         ("t=4", "(t+1,t+1,0) <= (t,t,1)", "false"),
         "98 elements ordered"),
+    # recorded from the x-outermost associativity loop and the per-s order
+    # table, which read every product row by row
+    ("idem", "semigroup_axioms", (("bound", 4),)): (
+        126175, 17980, 100, "8b2862555ce5b633",
+        ("x=(0, 1, 0) y=(0, 1, 0) z=(0, 0, 0)", "(xy)z == x(yz)",
+         "(0, 2, 1) vs (0, 2, 0)"),
+        ("x=(0, 1, 0) y=(3, 0, 0) z=(0, 0, 1)", "(xy)z == x(yz)",
+         "(2, 0, 0) vs (2, 0, 1)"),
+        "125000 triples, 1175 auxiliary checks"),
+    ("commute", "semigroup_axioms", (("bound", 4),)): (
+        126175, 1510, 100, "db2052db33c70ac7",
+        ("x=(0, 1, 0) y=(1, 0, 1) z=(0, 0, 0)", "(xy)z == x(yz)",
+         "(0, 0, 0) vs (0, 0, 1)"),
+        ("x=(1, 2, 0) y=(3, 3, 1) z=(2, 2, 0)", "(xy)z == x(yz)",
+         "(2, 3, 1) vs (2, 3, 0)"),
+        "125000 triples, 1175 auxiliary checks"),
+    ("idem", "order", (("bound", 4),)): (
+        7583, 31, 31, "f2ac9fa1c410d379",
+        ("(0,2,0)", "reflexive", "not <= itself"),
+        ("t=3", "(t+1,t+1,0) <= (t,t,1)", "false"),
+        "50 elements ordered"),
+    ("commute", "order", (("bound", 4),)): (
+        7583, 15, 15, "a4580793b7f4dcf6",
+        ("(0,0,0), (0,0,1)", "antisymmetry", "both directions hold"),
+        ("(4,4,0) <= (4,4,1)", "False", "True"),
+        "50 elements ordered"),
     ("dense", "endo_homomorphism", (("bound", 4), ("kmax", 4))): (
         40332, 17338, 100, "01bc73299eee2396",
         ("e=a:1,0 x=(0, 0, 0) y=(0, 0, 0)", "(0, 1, 0)", "(0, 2, 0)"),
@@ -721,6 +747,51 @@ def test_homomorphism_failures_match_a_plain_scan(monkeypatch, fault):
     assert 1 not in lengths.values()  # every failing form yields more than its first
 
 
+class _AssociativityLog(FailureLog):
+    """A FailureLog that keeps only associativity's records."""
+
+    def add(self, inputs, expected, got):
+        if expected == "(xy)z == x(yz)":
+            super().add(inputs, expected, got)
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("fault", [None, *sorted(_MUL_FAULTS)])
+def test_associativity_matches_a_plain_scan(monkeypatch, fault, bound):
+    # the suite reads stored rows and columns, y outermost; its total and
+    # records must be those of a nested (x, y, z) loop through the same kernel
+    if fault:
+        _inject(monkeypatch, "_mul_raw", _MUL_FAULTS[fault])
+    mul_raw = _core._mul_raw
+    elems = Truncation(bound).raw()
+    want = FailureLog()
+    for x in elems:
+        for y in elems:
+            for z in elems:
+                xy_z, x_yz = mul_raw(*mul_raw(*x, *y), *z), mul_raw(*x, *mul_raw(*y, *z))
+                if xy_z != x_yz:
+                    want.add(f"x={x} y={y} z={z}", "(xy)z == x(yz)", f"{xy_z} vs {x_yz}")
+    got = _AssociativityLog()
+    _ov._suite_semigroup_axioms(got, bound)
+    assert (got.total, got.recorded) == (want.total, want.recorded)
+    if fault in ("dense", "idem", "commute"):
+        assert want.total
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("fault", [None, *sorted(_MUL_FAULTS)])
+def test_order_table_matches_a_plain_scan(monkeypatch, fault, bound):
+    # one product column per distinct idempotent s^-1 s must give the table
+    # a per-(s, t) loop of t (s^-1 s) == s gives through the same kernel
+    if fault:
+        _inject(monkeypatch, "_mul_raw", _MUL_FAULTS[fault])
+    mul_raw = _core._mul_raw
+    elems = Truncation(bound).raw()
+    want = [tuple(mul_raw(*t, *mul_raw(j, i, b, i, j, b)) == (i, j, b) for t in elems)
+            for i, j, b in elems]
+    assert _ov._leq_table(elems) == want
+
+
 def _count_kernel_calls(monkeypatch, suite, names=("_mul_raw", "_raw_image")):
     """Calls of each named kernel by run_suite(suite) at its defaults."""
     calls = dict.fromkeys(names, 0)
@@ -764,6 +835,14 @@ def test_semigroup_axioms_kernel_calls(monkeypatch):
     n, extra = 162, 450 - 162
     assert _count_kernel_calls(monkeypatch, "semigroup_axioms", ("_mul_raw", "mul")) == (
         n * n + 2 * n * extra + 2916 + 2 * n + 81 * 81, 0) == (129357, 0)
+
+
+def test_order_kernel_calls(monkeypatch):
+    # bound 8: 162 elements, whose idempotents s^-1 s take 18 distinct
+    # values.  One s^-1 s per s, one product column per distinct idempotent,
+    # then both sides of the 81 cross-level pairs and of the 16 chain links
+    assert _count_kernel_calls(monkeypatch, "order", ("_mul_raw", "mul")) == (
+        162 + 18 * 162 + 2 * 81 + 2 * 2 * 8, 0) == (3272, 0)
 
 
 def test_inverse_axioms_kernel_calls(monkeypatch):
