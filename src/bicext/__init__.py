@@ -3,9 +3,8 @@ the injective endomorphism algebra of the two-ray monoid, Green's relation
 queries, and exhaustive verification suites."""
 
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyClosureError,
-                   FamilyError, InductiveSet, MixedFamilyError,
-                   intersect_shifted, inverse, is_idempotent, leq_natural,
-                   mul, mul_bicyclic)
+                   FamilyError, InductiveSet, MixedFamilyError, inverse,
+                   is_idempotent, leq_natural, mul, mul_bicyclic)
 from .endomorphisms import (GeneratorImages, InjEndo, Kind, ParameterRangeError,
                     UNIT, apply, classify_from_images, collapsing, compose,
                     enumerate_endos, growth_inequalities_hold,
@@ -31,8 +30,7 @@ __all__ = [
     "enumerate_endos", "find_idempotents", "green_bounded_search",
     "green_symbolic", "growth_inequalities_hold",
     "homomorphism_counterexample", "in_collapsing_class",
-    "in_preserving_class", "injectivity_collision", "intersect_shifted",
-    "inverse", "is_endomorphism_on_truncation", "is_idempotent",
-    "leq_natural", "mul", "mul_bicyclic", "preserving",
-    "preserving_class_cancellative", "run_suite",
+    "in_preserving_class", "injectivity_collision", "inverse",
+    "is_endomorphism_on_truncation", "is_idempotent", "leq_natural", "mul",
+    "mul_bicyclic", "preserving", "preserving_class_cancellative", "run_suite",
 ]

@@ -38,7 +38,8 @@ class FamilyError(ValueError):
 
 
 class FamilyClosureError(FamilyError):
-    """A product needed a ray the family does not contain."""
+    """A ray base the family does not contain, asked of Family.index_for_base
+    or Family.elem; a product never needs one (see mul)."""
 
 
 class MixedFamilyError(ValueError):
@@ -77,15 +78,6 @@ class InductiveSet(_record("InductiveSet", "base")):
 
     def __str__(self) -> str:
         return f"[{self.base})"
-
-
-def intersect_shifted(a: InductiveSet, d: int, b: InductiveSet) -> InductiveSet:
-    """(d + a) & b, where d + [x) = [x+d); the shift d may be negative.
-
-    The result is never empty and its base is never negative, because
-    b.base >= 0 bounds the maximum from below.
-    """
-    return InductiveSet(max(a.base + d, b.base))
 
 
 class Family:

@@ -42,9 +42,11 @@ injectivity_collision, growth_inequalities_hold) take any int (k, p), since
 out-of-range forms are what they test, and refuse a non-int parameter, a
 non-Kind kind and a negative bound before any scan.  The first two return
 the first item of the one generator their law has; the suites log them all.
-A suite sweeping the homomorphism law over many forms hands the generator
-one dict of level-0 image blocks, so the products of level-0 images are
-built once per distinct block value; a single scan shares nothing.
+Both generators take the form's image row from their caller, so a suite
+maps each form once for every check.  The homomorphism generator also takes
+a dict of level-0 product rows, keyed by block value and filled only as far
+as any scan has read: a suite hands one dict to every form it sweeps, and a
+single scan passes {}.
 """
 
 from enum import Enum
@@ -243,38 +245,29 @@ def _check_raw(kind, k, p, bound):
     _require_int("bound", bound, 0)
 
 
-def _homomorphism_failures(kind, k, p, elems, pairs, blocks=None):
+def _homomorphism_failures(kind, k, p, elems, pairs, images, blocks):
     # (x, y, f(xy), f(x) f(y)) for each pair of elems the raw form does not
-    # respect, in (x, y) order; pairs is _pair_table(elems).  f(xy) is read
-    # off one image row over the distinct products; each x is one product
-    # row of images, walked only when it mismatches.
-    # blocks, a dict the caller keeps for one sweep over several forms, maps
-    # the block of images of the first half of elems (level 0, for a
-    # truncation, which every form with the same k sends alike) to its
-    # products with itself, one row per x, their equal triples kept once; a
-    # form whose block equals an earlier one's reads those rows.  Its last
-    # key is the block of the form swept last.
+    # respect, in (x, y) order; pairs is _pair_table(elems) and images the
+    # form's image row over elems.  f(xy) is read off one image row over the
+    # distinct products; each x is one product row of images, walked only
+    # when it mismatches.  blocks maps the images of the first half of elems
+    # (level 0, for a truncation, which every form with the same k sends
+    # alike) to their products with each other, one row per x, built when a
+    # scan first reads it: forms sharing a block and a dict build each row
+    # once, and a scan given {} builds no row it does not read.  A row that
+    # matches is kept as f(xy)'s triples, which hold each value once.
     pid, distinct = pairs
-    images = _image_row(kind, k, p, _columns(elems))
     fxy = _image_row(kind, k, p, _columns(distinct))
-    image_cols, half = _columns(images), len(elems) // 2
-    rows = None
-    if blocks is not None:
-        block = images[:half]
-        rows = blocks.pop(block, None)
-        if rows is None:
-            low, pool = _columns(block), {}
-            products = map(_product_row, block, repeat(low))
-            rows = [tuple(map(pool.setdefault, r, r)) for r in products]
-        blocks[block] = rows
-        high = _columns(images[half:])
+    half = len(elems) // 2
+    rows = blocks.setdefault(images[:half], [])
+    high, every = _columns(images[half:]), _columns(images)
     for i, (x, fx, row) in enumerate(zip(elems, images, pid)):
-        if rows is None or i >= half:
-            got = _product_row(fx, image_cols)
-        else:
-            got = rows[i] + _product_row(fx, high)
         want = itemgetter(*row)(fxy)
-        if got != want:
+        got = rows[i] + _product_row(fx, high) if i < len(rows) else _product_row(fx, every)
+        same = got == want
+        if len(rows) == i < half:  # a block row's first read keeps its level-0 part
+            rows.append((want if same else got)[:half])
+        if not same:
             for y, w, g in zip(elems, want, got):
                 if w != g:
                     yield x, y, w, g
@@ -290,7 +283,8 @@ def homomorphism_counterexample(kind, k: int, p: int, bound: int):
     """
     _check_raw(kind, k, p, bound)
     elems = _raw_truncation(bound)
-    for x, y, _, _ in _homomorphism_failures(kind, k, p, elems, _pair_table(elems)):
+    pairs, images = _pair_table(elems), _image_row(kind, k, p, _columns(elems))
+    for x, y, _, _ in _homomorphism_failures(kind, k, p, elems, pairs, images, {}):
         return CANONICAL_FAMILY.elem(*x), CANONICAL_FAMILY.elem(*y)
     return None
 
@@ -300,15 +294,14 @@ def is_endomorphism_on_truncation(kind, k: int, p: int, bound: int) -> bool:
     return homomorphism_counterexample(kind, k, p, bound) is None
 
 
-def _collisions(kind, k, p, elems, cols):
-    # (x, y, image) for each y of elems (in column form cols) whose raw image
-    # an earlier x has, x the first such, in elems order: one image row,
-    # walked only when it holds a repeat
-    row = _image_row(kind, k, p, cols)
-    if len(set(row)) == len(row):
+def _collisions(elems, images):
+    # (x, y, image) for each y of elems whose image in the row images an
+    # earlier x has, x the first such, in elems order; the row is walked only
+    # when it holds a repeat
+    if len(set(images)) == len(images):
         return
     seen = {}
-    for y, im in zip(elems, row):
+    for y, im in zip(elems, images):
         if im in seen:
             yield seen[im], y, im
         else:
@@ -319,7 +312,7 @@ def injectivity_collision(kind, k: int, p: int, bound: int):
     """The first two distinct truncation elements sharing a raw image, or None."""
     _check_raw(kind, k, p, bound)
     elems = _raw_truncation(bound)
-    for x, y, _ in _collisions(kind, k, p, elems, _columns(elems)):
+    for x, y, _ in _collisions(elems, _image_row(kind, k, p, _columns(elems))):
         return CANONICAL_FAMILY.elem(*x), CANONICAL_FAMILY.elem(*y)
     return None
 

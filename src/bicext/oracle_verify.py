@@ -18,30 +18,34 @@ form, and the pointwise composition table) run as row kernels: a whole row
 of cases is computed by map over _mul_raw or _raw_image and compared as one
 tuple in C, and only a row that mismatches is walked case by case to record
 its failures, in the same order and with the same text as a plain loop.
-A row is computed once per suite run and shared only between inputs equal
-by value, never by a closed form standing in for a scan:
-  - associativity keeps each product as an id, in rows d*z and columns
+Every check reads the table its suite built, so a value is computed once
+per suite run, and a row is shared only between inputs equal by value,
+never by a closed form standing in for a scan:
+  - semigroup_axioms keeps each product as an id, in rows d*z and columns
     x*d, and takes those of the elements themselves from the pair table;
     per y, the rows (xy)z over every x are the rows at column y and the
     rows x(yz) are one transpose of the columns at y's row, so no table is
-    gathered entry by entry;
-  - every form sends its level-0 elements to a block of images that forms
-    with equal k share, so the products of a level-0 image with such a
-    block are built once per distinct block value, and so is a right
-    factor's two-step row over a first factor's block; level-0 agreement
-    compares the forms' blocks.
+    gathered entry by entry.  Branch agreement and the identity read the
+    pair table as well;
+  - a form's image row is built once and read by every check of the form:
+    the homomorphism law, injectivity, the identity, rigidity and level-0
+    agreement.  Forms with equal k send the level-0 elements to one block
+    of images, so the products within a block are built once per distinct
+    block value, as far as any scan reads them, and so is a right factor's
+    two-step row over a first factor's block;
+  - the order table is one product column t e over every t per distinct
+    idempotent e = s^-1 s (18 columns for the 162 elements at bound 8),
+    and the cross-level law and the chain read it too.
 Composition soundness is checked once per distinct composite: the pairs
 are grouped by the value compose gives them, that composite's image row is
 built once per group and compared with every pair's two-step row, and the
 mismatching pairs are walked in pair order after the sweep.  The closure
-and collapse sweeps to ksym no longer go through compose or its cache: they
-map _compose_raw over a row per left factor and range-check each distinct
-composite once with InjEndo, walking pairs in order only to log a refusal
-or a difference, or to stop where compose would have raised.  The
-homomorphism law, injectivity, cancellativity and absorption each log every
-item of the one counterexample generator of the module owning the law.
-The order table is one product column t e over every t per distinct
-idempotent e = s^-1 s: 18 columns for the 162 elements at bound 8.
+and collapse sweeps to ksym map _compose_raw over a row per left factor and
+range-check each distinct composite once with InjEndo, walking pairs in
+order only to log a refusal or a difference, or to stop where compose
+would have raised.  The homomorphism law, injectivity, cancellativity and
+absorption each log every item of the one counterexample generator of the
+module owning the law.
 The inverse axioms take x^-1 as the swap (j, i, b) and map _mul_raw over
 the truncation for x x^-1, x^-1 x, (x x^-1) x and the squares; idempotents
 commute when their product table equals its transpose.  An element's text
@@ -64,8 +68,8 @@ from functools import reduce
 from itertools import compress, filterfalse, repeat
 from operator import attrgetter, or_
 
-# mul stays bound here though no suite calls it: bench/tracing.py counts its
-# calls module by module
+# mul and _raw_image stay bound here though no suite calls them:
+# bench/tracing.py counts their calls module by module
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError, _columns,
                    _interner, _mul_raw, _pair_table, _product_col, _product_row,
                    _raw_truncation, _require_int, mul, mul_bicyclic)
@@ -187,21 +191,22 @@ def _suite_semigroup_axioms(log, bound: int):
                 log.add(f"x={elems[xi]} y={elems[yi]} z={elems[zi]}",
                         "(xy)z == x(yz)", f"{triple[lv]} vs {triple[rv]}")
 
-    # the two product branches agree where both apply (x.j == y.i)
-    aligned = [(x, y) for x in elems for y in elems if x[1] == y[0]]
-    for x, y in aligned:
+    # the two product branches agree where both apply (x.j == y.i), and the
+    # product is the pair table's
+    aligned = [(x, y, distinct[d]) for x, row in zip(elems, pid)
+               for y, d in zip(elems, row) if x[1] == y[0]]
+    for x, y, got in aligned:
         b1 = (x[0] - x[1] + y[0], y[1], max(x[2] + x[1] - y[0], y[2]))
         b2 = (x[0], x[1] - y[0] + y[1], max(y[2] + y[0] - x[1], x[2]))
-        got = _mul_raw(*x, *y)
         if not (b1 == b2 == got):
             log.add(f"x={x} y={y}", "both branches equal", f"{b1} vs {b2} vs {got}")
 
-    # (0,0,0) is a two-sided identity
-    e0, fixed = (0, 0, 0), tuple(elems)
-    ex, xe = _product_row(e0, cols), _product_col(cols, e0)
-    if ex != fixed or xe != fixed:
-        for x, a, b in zip(elems, ex, xe):
-            if a != x or b != x:
+    # (0,0,0), the first element, is a two-sided identity: row 0 and column
+    # 0 of the pair table hold the ids 0..n-1 of the elements themselves
+    fixed = tuple(range(n))
+    if pid[0] != fixed or col[0] != fixed:
+        for x, a, b, c in zip(elems, pid[0], col[0], fixed):
+            if a != c or b != c:
                 log.add(f"x={label(x)}", "identity fixes x", "moved")
 
     # over the one-ray family the third coordinate is inert: the product
@@ -284,22 +289,19 @@ def _suite_order(log, bound: int):
             c = extra.bit_length() - 1
             log.add(f"a={label(elems[a])}", "transitive up-set", f"missing {label(elems[c])}")
 
-    # cross-level law on balanced elements, and the descending chain, by
-    # _leq_table's rule s <= t iff t (s^-1 s) == s
-    def leq_raw(s, t):
-        i, j, b = s
-        return _mul_raw(*t, *_mul_raw(j, i, b, i, j, b)) == s
-
+    # cross-level law on balanced elements, and the descending chain, read
+    # off the table: at[x] is x's row and column in leq
+    at = {x: a for a, x in enumerate(elems)}
     for k in range(bound + 1):
         for p in range(bound + 1):
             want = p <= k - 1
-            got = leq_raw((k, k, 0), (p, p, 1))
+            got = leq[at[k, k, 0]][at[p, p, 1]]
             if got != want:
                 log.add(f"({k},{k},0) <= ({p},{p},1)", str(want), str(got))
     for t in range(bound):
-        if not leq_raw((t + 1, t + 1, 1), (t + 1, t + 1, 0)):
+        if not leq[at[t + 1, t + 1, 1]][at[t + 1, t + 1, 0]]:
             log.add(f"t={t}", "(t+1,t+1,1) <= (t+1,t+1,0)", "false")
-        if not leq_raw((t + 1, t + 1, 0), (t, t, 1)):
+        if not leq[at[t + 1, t + 1, 0]][at[t, t, 1]]:
             log.add(f"t={t}", "(t+1,t+1,0) <= (t,t,1)", "false")
     # the table, antisymmetry and transitivity n^2 each, reflexivity n, then
     # the cross-level law per (k, p) and the two chain links per t
@@ -309,34 +311,40 @@ def _suite_order(log, bound: int):
 
 def _suite_endo_homomorphism(log, bound: int, kmax: int):
     elems = _raw_truncation(bound)
-    n = len(elems)
-    pairs = _pair_table(elems)
+    n, half = len(elems), len(elems) // 2
+    pairs, cols = _pair_table(elems), _columns(elems)
     endos = _forms(kmax)
-    blocks, lows = {}, []  # level-0 image blocks shared by value; each form's block
+    blocks, rows = {}, []  # level-0 product rows shared by block value; each form's images
     for e in endos:
-        for x, y, fxy, fxfy in _homomorphism_failures(*e, elems, pairs, blocks):
+        images = _image_row(*e, cols)
+        rows.append(images)
+        for x, y, fxy, fxfy in _homomorphism_failures(*e, elems, pairs, images, blocks):
             log.add(f"e={e} x={x} y={y}", str(fxy), str(fxfy))
-        lows.append(next(reversed(blocks)))
-        if _raw_image(*e, 0, 0, 0) != (0, 0, 0):
-            log.add(f"e={e}", "identity fixed", str(_raw_image(*e, 0, 0, 0)))
+        if images[0] != (0, 0, 0):  # the first element is the identity
+            log.add(f"e={e}", "identity fixed", str(images[0]))
 
-    # forms sharing k agree on every level-0 element, read off the blocks
-    lvl0 = elems[:n // 2]
+    # forms sharing k agree on every level-0 element, the first half of a row
+    lvl0 = elems[:half]
     for k in range(1, kmax + 1):
-        (ref, ref_low), *rest = [(e, low) for e, low in zip(endos, lows) if e.k == k]
-        for e, low in rest:
-            if low != ref_low:
-                for x, a, b in zip(lvl0, ref_low, low):
+        (ref, ref_row), *rest = [(e, row) for e, row in zip(endos, rows) if e.k == k]
+        for e, row in rest:
+            if row[:half] != ref_row[:half]:
+                for x, a, b in zip(lvl0, ref_row, row):
                     if a != b:
                         log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
 
-    # the unit fixes everything; everything else moves a small element
-    small = _raw_truncation(2)
-    for e in endos:
+    # the unit fixes everything; everything else moves an element with
+    # coordinates <= 2, read off the form's row when the truncation holds
+    # them all (bound >= 2) and mapped on their own otherwise
+    fixed, small = tuple(elems), tuple(_raw_truncation(2))
+    near = [elems.index(x) for x in small] if bound >= 2 else None
+    for e, images in zip(endos, rows):
         if e == UNIT:
-            if any(_raw_image(*e, *x) != x for x in elems):
+            if images != fixed:
                 log.add("a:1,0", "fixes the whole truncation", "moves an element")
-        elif all(_raw_image(*e, *x) == x for x in small):
+            continue
+        seen = tuple(map(images.__getitem__, near)) if near else _image_row(*e, _columns(small))
+        if seen == small:
             log.add(f"e={e}", "moves an element with coordinates <= 2", "fixes them all")
     # per form: every pair, the identity and rigidity; per form but the
     # first of its k: every level-0 element
@@ -349,7 +357,7 @@ def _suite_endo_injectivity(log, bound: int, kmax: int):
     cols = _columns(elems)
     endos = _forms(kmax)
     for e in endos:
-        for x, y, im in _collisions(*e, elems, cols):
+        for x, y, im in _collisions(elems, _image_row(*e, cols)):
             log.add(f"e={e}", "injective", f"{x} and {y} map to {im}")
     return len(endos) * len(elems), f"{len(endos)} endomorphisms on {len(elems)} elements"
 
@@ -504,12 +512,14 @@ def _suite_classification_negative(log, kmax: int, bound: int):
     homo = coll = 0
     elems = _raw_truncation(bound)
     pairs, cols = _pair_table(elems), _columns(elems)
+    blocks = {}  # level-0 product rows, shared by the forms with equal k
     forms = [(kind, k, p) for kind in Kind for k in range(1, kmax + 1)
              for p in (k, k + 1, k + 2)]
     for kind, k, p in forms:
-        if next(_homomorphism_failures(kind, k, p, elems, pairs), None):
+        images = _image_row(kind, k, p, cols)
+        if next(_homomorphism_failures(kind, k, p, elems, pairs, images, blocks), None):
             homo += 1
-        elif next(_collisions(kind, k, p, elems, cols), None):
+        elif next(_collisions(elems, images), None):
             coll += 1
         else:
             log.add(f"{kind.value}:{k},{p}",

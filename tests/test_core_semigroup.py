@@ -10,8 +10,8 @@ import pytest
 from bicext.core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyClosureError,
                          FamilyError, InductiveSet, MixedFamilyError, _columns,
                          _mul_raw, _pair_table, _product_col, _product_row,
-                         _raw_truncation, intersect_shifted, inverse, is_idempotent,
-                         leq_natural, mul, mul_bicyclic)
+                         _raw_truncation, inverse, is_idempotent, leq_natural, mul,
+                         mul_bicyclic)
 
 
 def elem(i, j, base):
@@ -72,29 +72,40 @@ class TestInductiveSet:
         with pytest.raises(ValueError, match="ray base must be an integer"):
             InductiveSet(base)
 
-    def test_intersect_shifted(self):
-        # (d + [a)) & [b) = [max(a+d, b))
-        assert intersect_shifted(InductiveSet(0), 2, InductiveSet(1)) == InductiveSet(2)
-        assert intersect_shifted(InductiveSet(1), -2, InductiveSet(0)) == InductiveSet(0)
-        assert intersect_shifted(InductiveSet(1), 3, InductiveSet(0)) == InductiveSet(4)
-        assert intersect_shifted(InductiveSet(0), 0, InductiveSet(0)) == InductiveSet(0)
-        assert intersect_shifted(InductiveSet(0), -1, InductiveSet(1)) == InductiveSet(1)
+    def test_mul_raw_base_is_shift_and_intersect(self):
+        # (d + [a)) & [b) = [max(a+d, b)), with d = j1 - i2 <= 0 in the
+        # first branch and d = i2 - j1 <= 0 on the right ray in the second
+        assert _mul_raw(0, 0, 1, 2, 0, 0)[2] == 0  # (-2 + [1)) & [0)
+        assert _mul_raw(0, 0, 0, 1, 0, 1)[2] == 1  # (-1 + [0)) & [1)
+        assert _mul_raw(0, 0, 3, 1, 0, 0)[2] == 2  # (-1 + [3)) & [0)
+        assert _mul_raw(0, 0, 0, 0, 0, 0)[2] == 0  # [0) & [0)
+        assert _mul_raw(0, 2, 1, 0, 0, 3)[2] == 1  # [1) & (-2 + [3))
+        assert _mul_raw(0, 1, 0, 0, 0, 4)[2] == 3  # [0) & (-1 + [4))
 
     def test_inductivity_characterization(self):
-        # a ray is inductive: (-1 + F) & F = F
+        # a ray is inductive: (-1 + F) & F = F, pointwise
+        span = range(30)
         for base in range(6):
             ray = InductiveSet(base)
-            assert intersect_shifted(ray, -1, ray) == ray
+            assert {n for n in span if n + 1 in ray and n in ray} == {
+                n for n in span if n in ray}
 
-    def test_intersect_shifted_agrees_with_pointwise_sets(self):
+    @pytest.mark.parametrize("branch", ["j1 <= i2", "j1 >= i2"])
+    def test_mul_raw_base_agrees_with_pointwise_sets(self, branch):
+        # the base of x y is the ray (d + [a)) & [b), d <= 0, as a set of
+        # numbers: the first branch shifts x's ray by j1 - i2, and the
+        # second shifts y's ray by i2 - j1 and intersects it with x's
         span = range(30)
         for a in range(4):
-            for d in range(-3, 4):
+            for d in range(-3, 1):
                 for b in range(4):
-                    got = intersect_shifted(InductiveSet(a), d, InductiveSet(b))
+                    if branch == "j1 <= i2":
+                        got = _mul_raw(0, 0, a, -d, 0, b)[2]
+                    else:
+                        got = _mul_raw(0, -d, b, 0, 0, a)[2]
                     want = {n for n in span if n - d in InductiveSet(a)} & set(
                         n for n in span if n in InductiveSet(b))
-                    assert {n for n in span if n in got} == want
+                    assert {n for n in span if n in InductiveSet(got)} == want
 
 
 class TestFamily:

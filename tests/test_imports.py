@@ -1,5 +1,6 @@
-"""No module imports a name it does not use, no cache grows unbounded, and
-no check is an assert statement.
+"""No module imports a name it does not use, no cache grows unbounded, no
+check is an assert statement, and the package exports exactly its pinned
+public names.
 
 There is no linter in the toolchain, so these stdlib-ast passes are the
 check.  A name a module imports must be read in that module, unless the
@@ -146,3 +147,27 @@ f = [functools.cache]
     assert [(name, size and size.value) for name, size, _ in uses] == [
         ("a", None), ("b", 8), ("c", None), ("d", 16), ("e", None)]
     assert stray == [12]
+
+
+#: bicext.__all__, which changes only with a contract change declared in
+#: CHANGES.md
+PUBLIC = (
+    "ALL_INVARIANTS", "CANONICAL_FAMILY", "Elem", "FAILURE_CAP", "Family",
+    "FamilyClosureError", "FamilyError", "GeneratorImages", "GreenQuery",
+    "InductiveSet", "InjEndo", "Kind", "MixedFamilyError",
+    "ParameterRangeError", "RELATIONS", "SUITES", "Truncation", "UNIT",
+    "UnknownSuiteError", "VerifyReport", "WitnessSearchResult", "apply",
+    "classify_from_images", "collapsing", "collapsing_class_ideal", "compose",
+    "enumerate_endos", "find_idempotents", "green_bounded_search",
+    "green_symbolic", "growth_inequalities_hold",
+    "homomorphism_counterexample", "in_collapsing_class",
+    "in_preserving_class", "injectivity_collision", "inverse",
+    "is_endomorphism_on_truncation", "is_idempotent", "leq_natural", "mul",
+    "mul_bicyclic", "preserving", "preserving_class_cancellative", "run_suite",
+)
+
+
+def test_public_names_are_pinned():
+    assert bicext.__all__ == list(PUBLIC)
+    missing = [name for name in PUBLIC if not hasattr(bicext, name)]
+    assert missing == [], "bicext.__all__ names what the package does not bind"

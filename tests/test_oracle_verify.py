@@ -204,6 +204,12 @@ class TestSuitesAtReducedBounds:
     def test_endo_homomorphism(self):
         assert run_suite("endo_homomorphism", bound=4, kmax=3).passed
 
+    @pytest.mark.parametrize("bound", [0, 1])
+    def test_endo_homomorphism_below_bound_2(self, bound):
+        # rigidity looks at the elements with coordinates <= 2, which a
+        # truncation below bound 2 does not hold all of
+        assert run_suite("endo_homomorphism", bound=bound, kmax=3).passed
+
     def test_endo_injectivity(self):
         assert run_suite("endo_injectivity", bound=8, kmax=3).passed
 
@@ -717,27 +723,38 @@ def test_composition_table_composes_only_the_kmax_pairs(monkeypatch):
     assert calls == {"compose": 625, "InjEndo": 5705}
 
 
+def _plain_homomorphism_failures(kind, k, p, elems):
+    """Every (x, y, f(xy), f(x) f(y)) with f(xy) != f(x) f(y), in (x, y)
+    order, as raw triples, from a nested scan through public mul."""
+    elem = CANONICAL_FAMILY.elem
+    trunc = [elem(*x) for x in elems]
+
+    def image(x):
+        return elem(*_endo._raw_image(kind, k, p, x.i, x.j, x.base))
+    return [tuple(t[:3] for t in (x, y, image(mul(x, y)), mul(image(x), image(y))))
+            for x in trunc for y in trunc if image(mul(x, y)) != mul(image(x), image(y))]
+
+
+def _homomorphism_scan(kind, k, p, elems, pairs, blocks):
+    images = _endo._image_row(kind, k, p, _core._columns(elems))
+    return _endo._homomorphism_failures(kind, k, p, elems, pairs, images, blocks)
+
+
 @pytest.mark.parametrize("fault", [None, "dense"])
 def test_homomorphism_failures_match_a_plain_scan(monkeypatch, fault):
     # every mismatching (x, y, f(xy), f(x) f(y)), not only the first, in
     # (x, y) order, against a nested scan through public mul; under a wrong
-    # closed form the scan applies that same form
+    # closed form the scan applies that same form.  Every form runs through
+    # one shared dict of level-0 product rows, as in a suite
     if fault:
         _inject(monkeypatch, "_raw_image", _IMAGE_FAULTS[fault])
     elems = Truncation(3).raw()
-    pairs = _core._pair_table(elems)
-    elem = CANONICAL_FAMILY.elem
-    trunc = [elem(*x) for x in elems]
+    pairs, blocks = _core._pair_table(elems), {}
     forms = [(kind, k, p) for kind in Kind for k in range(1, 5) for p in range(k + 3)]
     lengths = {}
     for kind, k, p in forms:
-        def image(x):
-            return elem(*_endo._raw_image(kind, k, p, x.i, x.j, x.base))
-        want = [(x, y, image(mul(x, y)), mul(image(x), image(y)))
-                for x in trunc for y in trunc if image(mul(x, y)) != mul(image(x), image(y))]
-        got = [tuple(elem(*t) for t in item)
-               for item in _endo._homomorphism_failures(kind, k, p, elems, pairs)]
-        assert got == want, (kind, k, p)
+        got = list(_homomorphism_scan(kind, k, p, elems, pairs, blocks))
+        assert got == _plain_homomorphism_failures(kind, k, p, elems), (kind, k, p)
         lengths[kind.value, k, p] = len(got)
     if fault:
         assert min(lengths.values()) > 1
@@ -745,6 +762,38 @@ def test_homomorphism_failures_match_a_plain_scan(monkeypatch, fault):
         assert {f for f, n in lengths.items() if not n} == {
             (kind.value, k, p) for kind, k, p in forms if p < k + (kind is Kind.COLLAPSING)}
     assert 1 not in lengths.values()  # every failing form yields more than its first
+
+
+@pytest.mark.parametrize("later", [(Kind.PRESERVING, 2, 3), (Kind.COLLAPSING, 2, 1),
+                                   (Kind.PRESERVING, 2, 1)])
+def test_a_scan_completes_rows_an_abandoned_scan_left(later):
+    # a:2,2 fails in its second row; abandoned there, it leaves its level-0
+    # block with two of its rows built.  A later form with the same k reads
+    # those two, builds the rest, and yields exactly what a plain scan yields
+    elems = Truncation(3).raw()
+    pairs, blocks, half = _core._pair_table(elems), {}, len(elems) // 2
+    assert next(_homomorphism_scan(Kind.PRESERVING, 2, 2, elems, pairs, blocks), None)
+    [rows] = blocks.values()
+    assert len(rows) == 2
+    got = list(_homomorphism_scan(*later, elems, pairs, blocks))
+    assert got == _plain_homomorphism_failures(*later, elems)
+    assert len(blocks) == 1 and len(rows) == half
+
+
+@pytest.mark.parametrize("bound, calls", [(4, 2600), (12, 114920)])
+def test_a_single_scan_builds_only_the_rows_it_reads(monkeypatch, bound, calls):
+    # a:2,2 fails in its second row: the pair table's n^2 products, then two
+    # product rows of n, with n = 2 (bound + 1)^2 (50 and 338)
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return _REAL_MUL(*args)
+
+    _inject(monkeypatch, "_mul_raw", counted)
+    n = 2 * (bound + 1) ** 2
+    assert homomorphism_counterexample(Kind.PRESERVING, 2, 2, bound)
+    assert count[0] == n * n + 2 * n == calls
 
 
 class _AssociativityLog(FailureLog):
@@ -811,38 +860,50 @@ def _count_kernel_calls(monkeypatch, suite, names=("_mul_raw", "_raw_image")):
 
 def test_classification_negative_builds_one_pair_table(monkeypatch):
     # bound 6: 98 elements, whose 98^2 products take 266 distinct values.
-    # Each of the 24 forms maps the elements and the distinct products once;
-    # 20 fail in their second product row, and the 4 collapsing p = k forms
-    # are homomorphisms, so all 98 rows run and then one injectivity row
-    n, distinct, rows = 98, 266, 20 * 2 + 4 * 98
+    # Each of the 24 forms maps the elements and the distinct products once,
+    # and the injectivity check reads the same image row.  The 6 forms of
+    # each k share their 49 level-0 product rows over the level-0 block: 20
+    # forms fail in their second row, and the 4 collapsing p = k forms are
+    # homomorphisms, so per k the 49 block rows are built once (49 * 49),
+    # the 5 failing forms add two rows over the level-1 images (49 each),
+    # and the homomorphism adds 49 rows over level 1 and 49 full rows of 98
+    n, half, distinct = 98, 49, 266
+    per_k = half * half + 5 * 2 * half + half * half + half * n
     assert _count_kernel_calls(monkeypatch, "classification_negative") == (
-        n * n + rows * n, 24 * (n + distinct) + 4 * n) == (51940, 9128)
+        n * n + 4 * per_k, 24 * (n + distinct)) == (49980, 8736)
 
 
 def test_endo_homomorphism_kernel_calls(monkeypatch):
-    # bound 8, kmax 5: one pair table, then per form one image row over the
-    # elements and one over the distinct products, and a product row per x,
-    # whose part over the 81 level-0 images is built once per distinct
-    # level-0 block (5, one per k); level-0 agreement reads those blocks
-    assert _count_kernel_calls(monkeypatch, "endo_homomorphism") == (551124, 15535)
+    # bound 8, kmax 5: 162 elements, whose products take 450 distinct values.
+    # One pair table, then per form one image row over the elements and one
+    # over the distinct products, and a product row per x: over the 81
+    # level-1 images for each of the 81 level-0 x, whose part over the
+    # level-0 images is built once per distinct level-0 block (5, one per k),
+    # and over all 162 images for each level-1 x.  The identity, both
+    # rigidity checks and level-0 agreement read the form's image row
+    n, half, forms, blocks = 162, 81, 25, 5
+    rows = forms * (half * half + half * n) + blocks * half * half
+    assert _count_kernel_calls(monkeypatch, "endo_homomorphism") == (
+        n * n + rows, forms * (n + 450)) == (551124, 15300)
 
 
 def test_semigroup_axioms_kernel_calls(monkeypatch):
     # bound 8: 162 elements, whose products take 450 distinct values.  The
     # pair table is one row per x; associativity adds the rows and columns of
-    # the 288 products that are not elements, then come the 2,916 aligned
-    # pairs, both sides of the identity and the 81^2 one-ray products
+    # the 288 products that are not elements, and then come the 81^2
+    # one-ray products.  Branch agreement and the identity read the pair
+    # table, so they multiply nothing
     n, extra = 162, 450 - 162
     assert _count_kernel_calls(monkeypatch, "semigroup_axioms", ("_mul_raw", "mul")) == (
-        n * n + 2 * n * extra + 2916 + 2 * n + 81 * 81, 0) == (129357, 0)
+        n * n + 2 * n * extra + 81 * 81, 0) == (126117, 0)
 
 
 def test_order_kernel_calls(monkeypatch):
     # bound 8: 162 elements, whose idempotents s^-1 s take 18 distinct
-    # values.  One s^-1 s per s, one product column per distinct idempotent,
-    # then both sides of the 81 cross-level pairs and of the 16 chain links
+    # values.  One s^-1 s per s and one product column per distinct
+    # idempotent; the cross-level pairs and the chain links read the table
     assert _count_kernel_calls(monkeypatch, "order", ("_mul_raw", "mul")) == (
-        162 + 18 * 162 + 2 * 81 + 2 * 2 * 8, 0) == (3272, 0)
+        162 + 18 * 162, 0) == (3078, 0)
 
 
 def test_inverse_axioms_kernel_calls(monkeypatch):
