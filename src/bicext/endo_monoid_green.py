@@ -14,7 +14,8 @@ of the endomorphisms module, read only after kmax is validated.  These
 factor tables are built lazily, once per (endomorphism, kmax, side), cached
 under the endomorphism itself (an InjEndo and its raw triple share an entry)
 and kept for the life of the process; R, L, H and D then reduce to table
-lookups, and J scans u and looks the right factor up in the table of u b.
+lookups, and J walks the distinct composites u b of b's L table, each under
+its first u, and looks the right factor up in the table of u b.
 Cancellativity and absorption are each swept by one generator of
 counterexamples over the forms it is handed: the public predicates hand it
 enumerate_endos(kmax), which validates kmax, and take its first item; the
@@ -85,9 +86,11 @@ def _related(x, y, kmax: int, side: str):
 
 
 def _two_sided_factors(a, b, kmax: int):
-    # first pair (u, v) in candidate order with a == u b v
-    for u in _forms(kmax):
-        v = _table(_compose_raw(*u, *b), kmax, "R").get(a)
+    # first pair (u, v) in candidate order with a == u b v.  b's L table
+    # holds each distinct u b once, under its first u in candidate order; a
+    # later u with the same u b could only find the v the first one found
+    for w, u in _table(b, kmax, "L").items():
+        v = _table(w, kmax, "R").get(a)
         if v is not None:
             return u, v
     return None

@@ -16,15 +16,17 @@ calls the kernels; no suite multiplies Elems through mul.
 The three heaviest sweeps (associativity, the homomorphism property of every
 form, and the pointwise composition table) run as row kernels: a whole row
 of cases is computed by map over _mul_raw or _raw_image and compared as one
-tuple in C, and only a row that mismatches is walked case by case to record
-its failures, in the same order and with the same text as a plain loop.
+tuple, or one packed array of ids, in C, and only a row that mismatches is
+walked case by case to record its failures, in the same order and with the
+same text as a plain loop.
 Every check reads the table its suite built, so a value is computed once
 per suite run, and a row is shared only between inputs equal by value,
 never by a closed form standing in for a scan:
   - semigroup_axioms keeps each product as an id, in rows d*z and columns
-    x*d, and takes those of the elements themselves from the pair table;
-    per y, the rows (xy)z over every x are the rows at column y and the
-    rows x(yz) are one transpose of the columns at y's row, so no table is
+    x*d packed as array("I"), and takes those of the elements themselves
+    from the pair table; per y, the columns at y's row are joined into one
+    [z][x] buffer, and each x's row (xy)z, found at column y, is compared
+    with the buffer's stride slice x::n as a memoryview, so no table is
     gathered entry by entry.  Branch agreement and the identity read the
     pair table as well;
   - a form's image row is built once and read by every check of the form:
@@ -63,6 +65,7 @@ suite would fail though the maths holds (classification_negative at bound
 """
 
 import time
+from array import array
 from collections import defaultdict, namedtuple
 from functools import reduce
 from itertools import compress, filterfalse, repeat
@@ -168,24 +171,31 @@ def _suite_semigroup_axioms(log, bound: int):
     label = Elem.__str__  # an Elem's text, of a raw triple, only for a failure
 
     # associativity over every triple, through ids of the interned distinct
-    # products: left[d][z] is d*z and col[d][x] is x*d, and the first n ids
-    # are the elements, whose rows and columns are the pair table's.  Per y,
-    # (xy)z over every x is the left rows at col[y], and x(yz) is one
-    # transpose of the columns at pid[y]
+    # products, packed as array("I") rows (an id past 2**32 - 1 raises
+    # OverflowError, never compares wrongly): left[d][z] is d*z and col[d][x]
+    # is x*d, and the first n ids are the elements, whose rows and columns are
+    # the pair table's.  Per y, (xy)z over every x is the left rows at
+    # col[y]; the columns at y's row, joined into one [z][x] buffer, hold
+    # x(yz) over every z at the stride slice x::n
     pid, distinct = _pair_table(elems)
     ids = _interner(distinct)
     intern = ids.__getitem__
     extra = distinct[n:]
-    left = pid + [tuple(map(intern, _product_row(d, cols))) for d in extra]
-    col = list(zip(*pid)) + [tuple(map(intern, _product_col(cols, d))) for d in extra]
+    left = [array("I", row) for row in pid]  # left[x][y] is x*y for x < n
+    col = [array("I", c) for c in zip(*pid)]
+    del pid
+    left += [array("I", map(intern, _product_row(d, cols))) for d in extra]
+    col += [array("I", map(intern, _product_col(cols, d))) for d in extra]
+    strides = [slice(xi, None, n) for xi in range(n)]
     bad = []  # (x, y) whose rows over z differ
-    for yi, yrow in enumerate(pid):
-        differs = map(tuple.__ne__, map(left.__getitem__, col[yi]),
-                      zip(*map(col.__getitem__, yrow)))
+    for yi in range(n):
+        block = memoryview(b"".join(map(col.__getitem__, left[yi]))).cast("I")
+        differs = map(memoryview.__ne__, map(block.__getitem__, strides),
+                      map(left.__getitem__, col[yi]))
         bad += zip(compress(range(n), differs), repeat(yi))
     triple = list(ids)
     for xi, yi in sorted(bad):  # (x, y, z) order, as a plain loop records them
-        for zi, (lv, qi) in enumerate(zip(left[pid[xi][yi]], pid[yi])):
+        for zi, (lv, qi) in enumerate(zip(left[left[xi][yi]], left[yi])):
             rv = col[qi][xi]
             if lv != rv:
                 log.add(f"x={elems[xi]} y={elems[yi]} z={elems[zi]}",
@@ -193,7 +203,7 @@ def _suite_semigroup_axioms(log, bound: int):
 
     # the two product branches agree where both apply (x.j == y.i), and the
     # product is the pair table's
-    aligned = [(x, y, distinct[d]) for x, row in zip(elems, pid)
+    aligned = [(x, y, distinct[d]) for x, row in zip(elems, left)
                for y, d in zip(elems, row) if x[1] == y[0]]
     for x, y, got in aligned:
         b1 = (x[0] - x[1] + y[0], y[1], max(x[2] + x[1] - y[0], y[2]))
@@ -203,9 +213,9 @@ def _suite_semigroup_axioms(log, bound: int):
 
     # (0,0,0), the first element, is a two-sided identity: row 0 and column
     # 0 of the pair table hold the ids 0..n-1 of the elements themselves
-    fixed = tuple(range(n))
-    if pid[0] != fixed or col[0] != fixed:
-        for x, a, b, c in zip(elems, pid[0], col[0], fixed):
+    fixed = array("I", range(n))
+    if left[0] != fixed or col[0] != fixed:
+        for x, a, b, c in zip(elems, left[0], col[0], fixed):
             if a != c or b != c:
                 log.add(f"x={label(x)}", "identity fixes x", "moved")
 

@@ -214,9 +214,36 @@ class TestSearchAgainstScan:
             built, cold_calls = green._table.cache_info().misses, len(calls)
             assert green_bounded_search(GreenQuery(rel, a, b, 5)) == cold
             assert green._table.cache_info().misses == built
-            if rel != "J":  # J composes u b afresh for each candidate u
-                assert len(calls) == cold_calls
+            assert len(calls) == cold_calls
             calls.clear()
+
+    @pytest.mark.parametrize("far", [None, preserving(9, 4)], ids=["candidates", "far"])
+    def test_repeated_composites_keep_the_first_factor(self, monkeypatch, far):
+        # no two real candidates u share one u b at these bounds, so a:2,1 is
+        # made to act as a:2,0 on the left: the J search then walks b's L
+        # table past the repeat and must still give the plain scan's first
+        # (u, v) under the same kernel
+        real = green._compose_raw
+        first, twin = _raw(preserving(2, 0)), _raw(preserving(2, 1))
+
+        def merged(*args):
+            return real(*(first if args[:3] == twin else args[:3]), *args[3:])
+
+        cands = [_raw(e) for e in enumerate_endos(3)]
+        ends = [_raw(e) for e in enumerate_endos(4)] + ([_raw(far)] if far else [])
+
+        def scan(a, b):
+            return next(((u, v) for u in cands for v in cands
+                         if merged(*merged(*u, *b), *v) == a), None)
+
+        green._table.cache_clear()
+        monkeypatch.setattr(green, "_compose_raw", merged)
+        try:
+            found = {(a, b): green._two_sided_factors(a, b, 3) for a in ends for b in ends}
+        finally:
+            green._table.cache_clear()  # no table built by the merged kernel stays
+        assert found == {(a, b): scan(a, b) for a in ends for b in ends}
+        assert any(f is not None and f[0] == first for f in found.values())
 
     def test_tables_are_keyed_by_the_endomorphism(self):
         assert Kind.__hash__ is object.__hash__

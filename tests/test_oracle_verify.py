@@ -804,7 +804,7 @@ class _AssociativityLog(FailureLog):
             super().add(inputs, expected, got)
 
 
-@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
 @pytest.mark.parametrize("fault", [None, *sorted(_MUL_FAULTS)])
 def test_associativity_matches_a_plain_scan(monkeypatch, fault, bound):
     # the suite reads stored rows and columns, y outermost; its total and
@@ -823,7 +823,7 @@ def test_associativity_matches_a_plain_scan(monkeypatch, fault, bound):
     got = _AssociativityLog()
     _ov._suite_semigroup_axioms(got, bound)
     assert (got.total, got.recorded) == (want.total, want.recorded)
-    if fault in ("dense", "idem", "commute"):
+    if fault in ("dense", "idem", "commute") and bound:  # bound 0 holds no witness
         assert want.total
 
 
