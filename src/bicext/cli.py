@@ -11,7 +11,7 @@ export-cayley works on raw (i, j, base) triples: one product row per
 generator over the truncation, each node label formatted once by
 Elem.__str__, a target clipped when it has no label, and one write.
 
-The argparse tree is built once, at import: building it costs about 25
+The argparse tree is built once, at import: building it costs about 100
 times what a small command does.  It holds only handler functions and
 immutable defaults, each parse returns a fresh namespace, and handlers look
 up core_mul, run_suite and the other layer functions as module globals when
@@ -28,7 +28,14 @@ accepted by its action's type and choices.  Anything else (help, an
 abbreviation, --opt=value, a usage error, argv naming no leaf) is parsed by
 the whole argparse tree, so every help text, usage error and exit code stays
 argparse's.  Median in-process parse of a README call on a shared 2-vCPU
-host, CPython 3.11: 2.3-5.2 us by the table, 11-32 us by the leaf parser.
+host, CPython 3.11: 1.6-5.0 us by the table, 12-43 us by the leaf parser.
+
+Each argument is converted and checked once.  An element whose text the
+regex and the base check passed, and the image of a valid element under a
+valid form, cannot fail Elem's checks, so both are built as the bare tuple,
+as mul builds a product; forms keep InjEndo's range checks, which are what
+refuses a bad "a:k,p".  An export larger than _EXPORT_BUDGET node products
+is refused with exit 2 before its truncation is built.
 """
 
 import argparse
@@ -60,7 +67,9 @@ class ParseError(ValueError):
 # [0-9], not \d: \d also matches non-ASCII decimal digits
 _ELEM_RE = re.compile(r"^\(([0-9]+),([0-9]+),([0-9]+)\)$")
 _ENDO_RE = re.compile(r"^([ab]):([0-9]+),([0-9]+)$")
-_BASE_RE = re.compile(r"-?[0-9]+")  # int() would also take "+1", "0_1" and non-ASCII digits
+# int() would also take "+1", "0_1" and non-ASCII digits; \s is what
+# str.strip() strips, NBSP included, and int() strips less (not \x1c-\x1f)
+_FAMILY_RE = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*")
 
 
 # --------------------------------------------------------- parse / print --
@@ -72,10 +81,14 @@ def parse_element(text: str, family: Family = CANONICAL_FAMILY) -> Elem:
     m = _ELEM_RE.match("".join(text.split()))
     if not m:
         raise ParseError(f'cannot parse element {text!r}; expected "(i,j,base)"')
-    i, j, base = (int(g) for g in m.groups())
+    i, j, base = map(int, m.groups())
     if base > family.m:
         raise ParseError(f"invalid set base {base} for family {family}")
-    return Elem(i, j, base, family)
+    if type(family) is not Family:
+        return Elem(i, j, base, family)  # which refuses it, as it always did
+    # ASCII digits are non-negative ints and base <= m was just checked, so
+    # Elem.__new__ would accept every field: build the tuple, as mul does
+    return tuple.__new__(Elem, (i, j, base, family))
 
 
 def parse_endo(text: str) -> InjEndo:
@@ -83,17 +96,19 @@ def parse_endo(text: str) -> InjEndo:
     if not m:
         raise ParseError(
             f'cannot parse endomorphism {text!r}; expected "a:k,p" or "b:k,p"')
-    kind, k, p = m.group(1), int(m.group(2)), int(m.group(3))
-    return preserving(k, p) if kind == "a" else collapsing(k, p)
+    kind, k, p = m.groups()
+    # the regex proves only the syntax: InjEndo range-checks (k, p)
+    return (preserving if kind == "a" else collapsing)(int(k), int(p))
 
 
 def parse_family(text: str) -> Family:
     """Parse comma-separated ASCII bases; blank text is the empty family,
     which Family refuses as a family error."""
-    parts = [part.strip() for part in text.split(",")] if text.strip() else []
-    if not all(_BASE_RE.fullmatch(part) for part in parts):
+    if not text.strip():
+        return Family.from_bases()
+    if not _FAMILY_RE.fullmatch(text):
         raise ParseError(f"cannot parse family {text!r}; expected comma-separated bases")
-    return Family.from_bases(*map(int, parts))
+    return Family.from_bases(*map(int, map(str.strip, text.split(","))))
 
 
 def _family_from(args) -> Family:
@@ -236,10 +251,21 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
+# node products one export may take: each costs about 3 us and 0.6 KiB of
+# RSS (bound 400, one generator: 321,602 nodes in 1.0 s and 200 MiB), so the
+# largest export allowed takes about a second and 150 MiB
+_EXPORT_BUDGET = 250_000
+
+
 def _cmd_export_cayley(args) -> int:
     _require_int("bound", args.bound, 0)  # the same refusal as verify's truncations
     family = _family_from(args)
     generators = [parse_element(g, family)[:3] for g in args.generators]
+    size = (args.bound + 1) ** 2 * len(family)
+    if size * max(1, len(generators)) > _EXPORT_BUDGET:  # before the truncation is built
+        raise ValueError(f"export of {size} nodes with {len(generators)} generators exceeds "
+                         f"the limit of {_EXPORT_BUDGET} nodes x max(1, generators); "
+                         f"lower --bound")
     nodes = _raw_truncation(args.bound, family)
     # each label is formatted once, by Elem's own __str__ on the raw triple;
     # a target outside the truncation has no label, so its edge is clipped
@@ -430,7 +456,9 @@ def _table_parse(table, tail: list):
         return None
     if placed < len(positionals) or not required <= seen:
         return None
-    return argparse.Namespace(**values)
+    args = argparse.Namespace()
+    vars(args).update(values)  # one fill in C, not Namespace(**values)'s setattr loop
+    return args
 
 
 _TABLES = {words: table for words, leaf in _LEAVES.items()
@@ -439,8 +467,9 @@ _TABLES = {words: table for words, leaf in _LEAVES.items()
 
 def _parse(argv: list):
     # the table of the leaf that the command words name parses what follows
-    # them; whatever it leaves to argparse takes the whole tree's parse
-    for n in (2, 1):
+    # them; whatever it leaves to argparse takes the whole tree's parse.  No
+    # key is a prefix of another, so the one-word keys of most leaves go first
+    for n in (1, 2):
         table = _TABLES.get(tuple(argv[:n]))
         if table is not None:
             args = _table_parse(table, argv[n:])

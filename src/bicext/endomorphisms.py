@@ -112,7 +112,7 @@ class InjEndo(_record("InjEndo", "kind k p")):
         return compose(self, other)
 
     def __str__(self) -> str:
-        return f"{self[0].value}:{self[1]},{self[2]}"
+        return f"{self[0]._value_}:{self[1]},{self[2]}"  # .value is a Python property
 
     __repr__ = __str__
 
@@ -150,11 +150,12 @@ def apply(e: InjEndo, x: Elem) -> Elem:
     is not an InjEndo or an x that is not an Elem is a ParameterRangeError."""
     if not (isinstance(e, InjEndo) and isinstance(x, Elem)):  # a raw triple is unchecked
         raise ParameterRangeError(f"expected an InjEndo and an Elem, got ({e!r}, {x!r})")
-    if x.family is not CANONICAL_FAMILY:
+    if x[3] is not CANONICAL_FAMILY:
         raise FamilyError(
-            f"endomorphisms act on elements over the canonical family, not {x.family}")
-    i, j, b = _raw_image(*e, x.i, x.j, x.base)
-    return CANONICAL_FAMILY.elem(i, j, b)
+            f"endomorphisms act on elements over the canonical family, not {x[3]}")
+    # a valid form sends a valid element to non-negative coordinates and a
+    # base 0 or 1, so the image needs no second check: build the tuple
+    return tuple.__new__(Elem, (*_raw_image(*e, x[0], x[1], x[2]), CANONICAL_FAMILY))
 
 
 def _compose_raw(v1, k1, p1, v2, k2, p2):

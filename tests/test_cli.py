@@ -23,8 +23,8 @@ from bicext.cli import (EXIT_FAMILY, EXIT_IO, EXIT_OK, EXIT_RANGE,
                         report_document)
 import bicext.core_semigroup as _core
 import bicext.endomorphisms as _endo
-from bicext.core_semigroup import (CANONICAL_FAMILY, Family, FamilyClosureError, FamilyError,
-                                   MixedFamilyError, _mul_raw, mul)
+from bicext.core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyClosureError,
+                                   FamilyError, MixedFamilyError, _mul_raw, mul)
 from bicext.endomorphisms import ParameterRangeError, collapsing, enumerate_endos, preserving
 from bicext.oracle_verify import VerifyReport, run_suite
 
@@ -64,6 +64,29 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_element("(1,2,7)")
 
+    def test_parsed_element_is_the_validated_elem(self):
+        # parse_element builds the Elem without Elem's own checks once its
+        # regex and base check pass: it must accept exactly what they accept
+        for m in range(4):
+            family = Family.from_bases(*range(m + 1))
+            for i in range(4):
+                for j in range(4):
+                    for b in range(m + 2):
+                        text = f"({i},{j},{b})"
+                        if b <= m:
+                            x = parse_element(text, family)
+                            assert type(x) is Elem and x == Elem(i, j, b, family), text
+                            continue
+                        with pytest.raises(ParseError) as info:
+                            parse_element(text, family)
+                        assert str(info.value) == f"invalid set base {b} for family {family}"
+
+    def test_a_family_that_is_not_a_family_is_still_refused(self):
+        class Lookalike:
+            m = 1
+        with pytest.raises(FamilyError, match="family must be a Family, got Lookalike"):
+            parse_element("(1,2,0)", Lookalike())
+
     def test_endo_round_trip(self):
         for e in enumerate_endos(4):
             assert parse_endo(str(e)) == e
@@ -100,6 +123,18 @@ class TestParsing:
     def test_empty_family_is_a_family_error(self):
         for text in ("", " "):
             with pytest.raises(FamilyError):
+                parse_family(text)
+
+    def test_family_whitespace_is_what_strip_removes(self):
+        # NBSP and the separators \x1c-\x1f are whitespace to str.strip and
+        # to the family regex; int() alone would refuse the separators
+        for text in ("\xa00,\xa01\xa0", "\t0 ,\n1", "\x1c0,1\x1f", "0\u2003,\u30001"):
+            assert parse_family(text) is CANONICAL_FAMILY, repr(text)
+        for text in ("\xa0", "\x1c", "\u3000 "):
+            with pytest.raises(FamilyError, match="at least one ray"):
+                parse_family(text)
+        for text in ("0,1,", ",0,1", "0 1", "0,\u200b1"):  # a zero-width space is no space
+            with pytest.raises(ParseError, match="cannot parse family"):
                 parse_family(text)
 
 
@@ -196,7 +231,12 @@ class TestExitCodes:
                                  capsys=capsys)
         assert (code, out, err) == (EXIT_FAMILY, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("family", ["0,+1", "0,0_1"])
+    @pytest.mark.parametrize("family", [" 0, 1 ", "\xa00,\xa01", "0 ,\xa01\xa0"])
+    def test_family_spaces_around_a_base_parse(self, family, capsys):
+        assert run_cli("mul", "(1,2,1)", "(0,1,1)", "--family", family, capsys=capsys) == (
+            EXIT_OK, "(1,3,1)\n", "")
+
+    @pytest.mark.parametrize("family", ["0,+1", "0,0_1", "0,\u0661", "0,,1", "0,1,"])
     def test_family_int_would_read_exits_2(self, family, capsys):
         code, out, err = run_cli("mul", "(1,2,1)", "(0,1,1)", "--family", family,
                                  capsys=capsys)
@@ -442,6 +482,32 @@ class TestExportCayley:
                     EXIT_OK, "", "")
                 assert target.read_bytes() == want.encode()
 
+    def test_ruinous_export_is_refused_before_any_work(self, monkeypatch, tmp_path, capsys):
+        def refused(*args):
+            raise AssertionError("the truncation was built")
+        monkeypatch.setattr(cli, "_raw_truncation", refused)
+        target = tmp_path / "out.dot"
+        code, out, err = run_cli("export-cayley", "--bound", "3000", "--generators", "(0,1,0)",
+                                 "--output", str(target), capsys=capsys)
+        assert (code, out, err) == (
+            EXIT_SYNTAX, "", "error: export of 18012002 nodes with 1 generators exceeds the "
+            "limit of 250000 nodes x max(1, generators); lower --bound\n")
+        assert not target.exists()
+
+    # bound 2: 18 nodes over the canonical family, 27 over {[0),[1),[2)}
+    @pytest.mark.parametrize("bases, generators, refused", [
+        ("0,1", 0, False), ("0,1", 1, False), ("0,1", 2, False), ("0,1", 3, True),
+        ("0,1,2", 0, False), ("0,1,2", 1, False), ("0,1,2", 2, True)])
+    def test_export_budget_counts_nodes_times_generators(self, monkeypatch, capsys,
+                                                         bases, generators, refused):
+        monkeypatch.setattr(cli, "_EXPORT_BUDGET", 36)
+        code, out, err = run_cli("export-cayley", "--bound", "2", "--family", bases,
+                                 "--generators", *["(0,1,0)"] * generators, capsys=capsys)
+        if refused:
+            assert (code, out) == (EXIT_SYNTAX, "") and "exceeds the limit of 36" in err
+        else:
+            assert (code, err) == (EXIT_OK, "") and out.startswith("digraph cayley {")
+
     def test_one_kernel_call_per_node_and_generator(self, monkeypatch, capsys):
         # bound 3 over {[0),[1),[2)}: 48 nodes, two generators, no Elem product
         calls = []
@@ -654,6 +720,27 @@ class TestRouting:
     def test_every_leaf_is_tabled(self):
         assert len(cli._LEAVES) == 7
         assert cli._TABLES.keys() == cli._LEAVES.keys()
+
+    def test_no_command_words_are_a_prefix_of_others(self):
+        # _parse tries one command word before two
+        assert not {words[:1] for words in cli._TABLES if len(words) > 1} & cli._TABLES.keys()
+
+    def test_each_table_parse_gets_a_fresh_namespace(self):
+        table = cli._TABLES[("export-cayley",)]
+        defaults = dict(table[3])
+        tail = ["--bound", "1", "--generators", "(0,1,0)", "(1,0,0)"]
+        first, second = cli._table_parse(table, tail), cli._table_parse(table, tail)
+        assert type(first) is type(second) is argparse.Namespace and first is not second
+        assert first == second and first.generators is not second.generators
+        first.generators.append("(1,1,1)")
+        first.bound, first.extra = 7, True
+        assert (second.bound, second.generators) == (1, ["(0,1,0)", "(1,0,0)"])
+        assert not hasattr(second, "extra") and table[3] == defaults
+        # a parse that takes every default does not hand back the defaults either
+        bare = cli._table_parse(table, [])
+        assert vars(bare) == defaults and vars(bare) is not table[3]
+        bare.bound, bare.generators = 9, ["(0,0,0)"]
+        assert table[3] == defaults and cli._table_parse(table, []).bound == 2
 
     @pytest.mark.parametrize("add", [
         lambda p: p.add_argument("--flag", action="store_true"),

@@ -7,12 +7,13 @@ import pickle
 import pytest
 
 import bicext.endomorphisms as _endo
-from bicext.core_semigroup import CANONICAL_FAMILY, Family, FamilyError, mul
+from bicext.core_semigroup import CANONICAL_FAMILY, Elem, Family, FamilyError, mul
 from bicext.endomorphisms import (GeneratorImages, InjEndo, Kind, ParameterRangeError, UNIT,
                           _compose_raw, _raw_image, apply, classify_from_images, collapsing,
                           compose, enumerate_endos, growth_inequalities_hold,
                           homomorphism_counterexample, injectivity_collision,
                           is_endomorphism_on_truncation, preserving)
+from bicext.oracle_verify import Truncation
 
 
 def elem(i, j, base):
@@ -115,6 +116,10 @@ class TestInjEndoContract:
         assert str(UNIT) == "a:1,0"
         assert repr(collapsing(3, 2)) == "b:3,2"
 
+    def test_str_is_the_kind_tag_then_k_and_p(self):
+        for e in enumerate_endos(4):
+            assert str(e) == f"{e.kind.value}:{e.k},{e.p}"
+
     def test_compose_builds_an_injendo(self):
         assert isinstance(compose(preserving(2, 1), collapsing(3, 1)), InjEndo)
         assert isinstance(preserving(2, 1) * UNIT, InjEndo)
@@ -167,6 +172,15 @@ class TestApply:
 
     def test_callable_form(self):
         assert preserving(2, 1)(elem(1, 0, 1)) == elem(3, 1, 1)
+
+    def test_image_is_the_validated_elem(self):
+        # apply builds its image without a second check: every image of a
+        # valid form is what the checked constructor gives for it
+        for e in enumerate_endos(5):
+            for x in Truncation(4):
+                image = apply(e, x)
+                assert type(image) is Elem
+                assert image == CANONICAL_FAMILY.elem(*_raw_image(*e, *x[:3])), (e, x)
 
     def test_rejects_other_families(self):
         single = Family.from_bases(0)
