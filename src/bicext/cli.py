@@ -263,7 +263,9 @@ def _cmd_export_cayley(args) -> int:
     generators = [parse_element(g, family)[:3] for g in args.generators]
     size = (args.bound + 1) ** 2 * len(family)
     if size * max(1, len(generators)) > _EXPORT_BUDGET:  # before the truncation is built
-        raise ValueError(f"export of {size} nodes with {len(generators)} generators exceeds "
+        # a count of 4,300 digits or more is past what str(int) converts
+        count = size if size < 10 ** 12 else "more than 10**12"
+        raise ValueError(f"export of {count} nodes with {len(generators)} generators exceeds "
                          f"the limit of {_EXPORT_BUDGET} nodes x max(1, generators); "
                          f"lower --bound")
     nodes = _raw_truncation(args.bound, family)
@@ -467,9 +469,8 @@ _TABLES = {words: table for words, leaf in _LEAVES.items()
 
 def _parse(argv: list):
     # the table of the leaf that the command words name parses what follows
-    # them; whatever it leaves to argparse takes the whole tree's parse.  No
-    # key is a prefix of another, so the one-word keys of most leaves go first
-    for n in (1, 2):
+    # them; whatever it leaves to argparse takes the whole tree's parse
+    for n in (2, 1):
         table = _TABLES.get(tuple(argv[:n]))
         if table is not None:
             args = _table_parse(table, argv[n:])
