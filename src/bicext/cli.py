@@ -35,13 +35,23 @@ regex and the base check passed, and the image of a valid element under a
 valid form, cannot fail Elem's checks, so both are built as the bare tuple,
 as mul builds a product; forms keep InjEndo's range checks, which are what
 refuses a bad "a:k,p".  An export larger than _EXPORT_BUDGET node products
-is refused with exit 2 before its truncation is built.
+is refused with exit 2 before its truncation is built, and so is a numeral
+of more than _DIGITS_MAX digits in an element or endomorphism, before it is
+converted: every printed result then stays under the 4,300 digits str(int)
+converts.
+
+verify --format json writes its report list with _json, a small indent-2
+writer whose leaves go through json's C string encoder and int and float
+repr.  On CPython 3.11, json.dumps(..., indent=2) takes the pure-Python
+encoder (the C one is used only without an indent) and walks the document
+in nested generators, about twice the cost of the writer; the bytes are
+the same, json.dumps(docs, indent=2) and a newline.
 """
 
 import argparse
-import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError,
                    MixedFamilyError, _columns, _product_col, _raw_truncation,
@@ -64,9 +74,14 @@ class ParseError(ValueError):
     """Malformed element, endomorphism, or family text."""
 
 
-# [0-9], not \d: \d also matches non-ASCII decimal digits
-_ELEM_RE = re.compile(r"^\(([0-9]+),([0-9]+),([0-9]+)\)$")
-_ENDO_RE = re.compile(r"^([ab]):([0-9]+),([0-9]+)$")
+# [0-9], not \d: \d also matches non-ASCII decimal digits.  A numeral has at
+# most _DIGITS_MAX digits: every printed result then has at most
+# 2 * _DIGITS_MAX + 1, under the 4,300 that str(int) converts
+_DIGITS_MAX = 2000
+_NUMERAL = f"([0-9]{{1,{_DIGITS_MAX}}})"
+_ELEM_RE = re.compile(rf"^\({_NUMERAL},{_NUMERAL},{_NUMERAL}\)$")
+_ENDO_RE = re.compile(rf"^([ab]):{_NUMERAL},{_NUMERAL}$")
+_LONG_RE = re.compile(f"[0-9]{{{_DIGITS_MAX + 1}}}")
 # int() would also take "+1", "0_1" and non-ASCII digits; \s is what
 # str.strip() strips, NBSP included, and int() strips less (not \x1c-\x1f)
 _FAMILY_RE = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*")
@@ -75,12 +90,19 @@ _FAMILY_RE = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*")
 # --------------------------------------------------------- parse / print --
 
 
+def _refusal(what: str, text: str, form: str) -> str:
+    # an over-long numeral is named, not echoed: the text is thousands of digits
+    if _LONG_RE.search("".join(text.split())):
+        return f"cannot parse {what}: a numeral is longer than {_DIGITS_MAX} digits"
+    return f"cannot parse {what} {text!r}; expected {form}"
+
+
 def parse_element(text: str, family: Family = CANONICAL_FAMILY) -> Elem:
     """Parse "(i,j,base)", whitespace-insensitive; the regex admits no signs
     so negative coordinates are rejected as syntax."""
     m = _ELEM_RE.match("".join(text.split()))
     if not m:
-        raise ParseError(f'cannot parse element {text!r}; expected "(i,j,base)"')
+        raise ParseError(_refusal("element", text, '"(i,j,base)"'))
     i, j, base = map(int, m.groups())
     if base > family.m:
         raise ParseError(f"invalid set base {base} for family {family}")
@@ -94,8 +116,7 @@ def parse_element(text: str, family: Family = CANONICAL_FAMILY) -> Elem:
 def parse_endo(text: str) -> InjEndo:
     m = _ENDO_RE.match("".join(text.split()))
     if not m:
-        raise ParseError(
-            f'cannot parse endomorphism {text!r}; expected "a:k,p" or "b:k,p"')
+        raise ParseError(_refusal("endomorphism", text, '"a:k,p" or "b:k,p"'))
     kind, k, p = m.groups()
     # the regex proves only the syntax: InjEndo range-checks (k, p)
     return (preserving if kind == "a" else collapsing)(int(k), int(p))
@@ -218,6 +239,33 @@ def report_document(report: VerifyReport) -> dict:
     }
 
 
+def _json(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2), nested at pad, of the value types
+    report_document returns: dicts with str keys, lists, str, int, finite
+    float and bool."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict or kind is list:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        if kind is dict:
+            items = [_quote(key) + ": " + _json(item, inner) for key, item in value.items()]
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        items = [_json(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _print_text_report(report: VerifyReport):
     verdict = "pass" if report.passed else "FAIL"
     bounds = " ".join(f"{k}={v}" for k, v in report.bounds.items())
@@ -244,7 +292,7 @@ def _cmd_verify(args) -> int:
             for name in names]
     reports = [run_suite(name, **bounds) for name, bounds in plan]
     if args.format == "json":
-        print(json.dumps([report_document(r) for r in reports], indent=2))
+        sys.stdout.write(_json([report_document(r) for r in reports]) + "\n")
     else:
         for report in reports:
             _print_text_report(report)

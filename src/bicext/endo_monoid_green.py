@@ -71,8 +71,11 @@ def _table(x, kmax: int, side: str) -> dict:
     # composite -> first candidate e with x e (side "R") or e x (side "L")
     # equal to it; built once by composing x with every candidate
     table = {}
+    xv, xk, xp = x
     for e in _forms(kmax):
-        table.setdefault(_compose_raw(*x, *e) if side == "R" else _compose_raw(*e, *x), e)
+        ev, ek, ep = e
+        table.setdefault(_compose_raw(xv, xk, xp, ev, ek, ep) if side == "R"
+                         else _compose_raw(ev, ek, ep, xv, xk, xp), e)
     return table
 
 

@@ -20,8 +20,13 @@ so collapsing endomorphisms absorb products from either side.
 
 An InjEndo is the validated tuple (kind, k, p), as an Elem is a tuple, and
 GeneratorImages the validated tuple (k, level, p): an InjEndo compares and
-hashes as that tuple in C (Kind hashes by identity) and unpacks straight
-into _raw_image and _compose_raw, so compose reads no attribute.
+hashes as that tuple in C (Kind hashes by identity), so compose reads no
+attribute.  A kernel call unpacks its operands into names first and passes
+them positionally, as _compose_raw(v1, k1, p1, v2, k2, p2): a call such as
+_compose_raw(*e1, *e2), with two starred operands or one beside other
+arguments, builds a list and then a tuple of the arguments on every call,
+about a quarter of compose's time.  One starred tuple and nothing else, as
+in _form(*triple), is passed on as it is.
 
 A process builds each small table of validated forms once: _forms(kmax) is
 the one tuple of the kmax**2 forms, the last 16 tables with kmax <= 32 are
@@ -150,12 +155,14 @@ def apply(e: InjEndo, x: Elem) -> Elem:
     is not an InjEndo or an x that is not an Elem is a ParameterRangeError."""
     if not (isinstance(e, InjEndo) and isinstance(x, Elem)):  # a raw triple is unchecked
         raise ParameterRangeError(f"expected an InjEndo and an Elem, got ({e!r}, {x!r})")
-    if x[3] is not CANONICAL_FAMILY:
+    kind, k, p = e
+    i, j, b, family = x
+    if family is not CANONICAL_FAMILY:
         raise FamilyError(
-            f"endomorphisms act on elements over the canonical family, not {x[3]}")
+            f"endomorphisms act on elements over the canonical family, not {family}")
     # a valid form sends a valid element to non-negative coordinates and a
     # base 0 or 1, so the image needs no second check: build the tuple
-    return tuple.__new__(Elem, (*_raw_image(*e, x[0], x[1], x[2]), CANONICAL_FAMILY))
+    return tuple.__new__(Elem, _raw_image(kind, k, p, i, j, b) + (CANONICAL_FAMILY,))
 
 
 def _compose_raw(v1, k1, p1, v2, k2, p2):
@@ -180,7 +187,9 @@ def compose(e1: InjEndo, e2: InjEndo) -> InjEndo:
     """compose(e1, e2) applies e1 first; the result is range-checked on build."""
     if not (isinstance(e1, InjEndo) and isinstance(e2, InjEndo)):
         raise ParameterRangeError(f"expected two InjEndo, got ({e1!r}, {e2!r})")
-    return _form(*_compose_raw(*e1, *e2))
+    v1, k1, p1 = e1
+    v2, k2, p2 = e2
+    return _form(*_compose_raw(v1, k1, p1, v2, k2, p2))
 
 
 class GeneratorImages(_record("GeneratorImages", "k level p")):
@@ -340,11 +349,15 @@ def growth_inequalities_hold(kind, k: int, p: int, s: int, t_max: int) -> bool:
 
 def _growth_holds(kind, k, p, s, t_max):
     # growth_inequalities_hold on arguments it accepts, as a validated form
-    # and tmax are
-    slack = 1 if kind is _PRESERVING else 0
-    for t in range(t_max + 1):
-        if p + s * (t + 1) < k * (t + 1):
+    # and tmax are.  The two inequalities at t read v <= u <= top with
+    # v = p + slack + s t, u = k (t+1) and top = p + s (t+1), three running
+    # sums stepped by s, k and s
+    v = p + (1 if kind is _PRESERVING else 0)
+    u, top = k, p + s
+    for _ in range(t_max + 1):
+        if not v <= u <= top:
             return False
-        if k * (t + 1) - slack < p + s * t:
-            return False
+        v += s
+        u += k
+        top += s
     return True

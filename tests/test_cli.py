@@ -27,6 +27,7 @@ from bicext.core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyClosure
                                    FamilyError, MixedFamilyError, _mul_raw, mul)
 from bicext.endomorphisms import ParameterRangeError, collapsing, enumerate_endos, preserving
 from bicext.oracle_verify import VerifyReport, run_suite
+from test_oracle_verify import _minus_compose
 
 DATA = Path(__file__).parent / "data"
 # help texts, usage errors and one --opt=value call, recorded in process
@@ -243,6 +244,32 @@ class TestExitCodes:
         assert (code, out, err) == (EXIT_SYNTAX, "", f"error: cannot parse family "
                                     f"{family!r}; expected comma-separated bases\n")
 
+    @pytest.mark.parametrize("argv, what", [
+        (("endo", "compose", f"a:{'9' * 3000},1", f"a:{'9' * 3000},1"), "endomorphism"),
+        (("mul", f"(1,{'9' * 5000},0)", "(0,1,0)"), "element"),
+        (("mul", "(0,1,0)", f"(1,{'9' * 1000} {'9' * 1001},0)"), "element"),
+        (("endo", "apply", "a:2,1", f"({'9' * 2001},0,1)"), "element"),
+        (("green", "-r", "R", "a:2,1", f"a:{'1' + '0' * 2000},1"), "endomorphism")],
+        ids=["compose", "mul", "mul-spaced", "apply", "green"])
+    def test_over_long_numeral_exits_2_before_any_work(self, argv, what, monkeypatch,
+                                                       capsys):
+        # past 2,000 digits a printed result could pass the 4,300 digits
+        # str(int) converts; the numeral is refused, not echoed
+        for name in ("core_mul", "apply", "compose", "green_symbolic"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("ran"))
+        assert run_cli(*argv, capsys=capsys) == (
+            EXIT_SYNTAX, "", f"error: cannot parse {what}: a numeral is longer than "
+                             f"2000 digits\n")
+
+    def test_2000_digit_numerals_are_exact(self, capsys):
+        n = 10 ** 2000 - 1  # 2,000 nines, the longest numeral accepted
+        assert run_cli("mul", f"({n},1,0)", f"({n},{n},0)", capsys=capsys) == (
+            EXIT_OK, f"({2 * n - 1},{n},0)\n", "")
+        assert run_cli("endo", "apply", f"b:{n},{n - 1}", f"({n},{n},1)", capsys=capsys) == (
+            EXIT_OK, f"({n - 1 + n * n},{n - 1 + n * n},0)\n", "")
+        assert run_cli("endo", "compose", f"a:{n},{n - 1}", f"a:{n},{n - 1}",
+                       capsys=capsys) == (EXIT_OK, f"a:{n * n},{n * n - 1}\n", "")
+
     def test_green_refuses_non_canonical_family(self, capsys):
         code, _, err = run_cli("green", "-r", "R", "a:2,1", "a:2,1",
                                "--family", "0", capsys=capsys)
@@ -362,6 +389,19 @@ class TestVerifyCommand:
         doc = report_document(report)
         jsonschema.validate([doc], REPORT_SCHEMA)
         assert doc["cases"] == 16 and doc["pass"] is True and doc["failures"] == []
+
+    @pytest.mark.parametrize("fault", [None, "minus_compose"])
+    def test_json_is_json_dumps_indent_2(self, fault, monkeypatch, capsys):
+        # the report writer is byte-identical to json.dumps(docs, indent=2)
+        # and a newline, on a passing run and on one with failures and crashes
+        if fault:
+            monkeypatch.setattr(_endo, "_compose_raw", _minus_compose)
+        code, out, _ = run_cli("verify", "--suite", "all", "--format", "json",
+                               capsys=capsys)
+        docs = json.loads(out)
+        assert code == (EXIT_VERIFY if fault else EXIT_OK)
+        assert any(doc["failures"] for doc in docs) == bool(fault)
+        assert out == json.dumps(docs, indent=2) + "\n"
 
     def test_warm_caches_repeat_the_cold_report(self, capsys):
         # the benchmark's ten single-suite calls and a small full run, each

@@ -492,6 +492,29 @@ class TestGrowthInequalities:
         assert growth_inequalities_hold(Kind.PRESERVING, 2, 1, 3, 0)
         assert not growth_inequalities_hold(Kind.PRESERVING, 2, 1, 3, 50)
 
+    @staticmethod
+    def _plain(kind, k, p, s, t_max):
+        # the docstring's two inequalities, per t, as written there
+        for t in range(t_max + 1):
+            if p + s * (t + 1) < k * (t + 1):
+                return False
+            if kind is Kind.PRESERVING and k * (t + 1) - 1 < p + s * t:
+                return False
+            if kind is Kind.COLLAPSING and k * (t + 1) < p + s * t:
+                return False
+        return True
+
+    def test_running_sums_match_the_plain_inequalities(self):
+        # out-of-range p too: the scan takes any int p
+        for kind in (Kind.PRESERVING, Kind.COLLAPSING):
+            for k in range(1, 9):
+                for p in range(-2, k + 3):
+                    for s in range(1, k + 5):
+                        for t_max in (0, 1, 2, 7, 50, 60):
+                            want = self._plain(kind, k, p, s, t_max)
+                            assert _endo._growth_holds(kind, k, p, s, t_max) == want
+                            assert growth_inequalities_hold(kind, k, p, s, t_max) == want
+
     def test_frozen_horizon_cases(self):
         for kind in (Kind.PRESERVING, Kind.COLLAPSING):
             assert growth_inequalities_hold(kind, 3, 1, 3, 50)

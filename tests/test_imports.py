@@ -1,6 +1,6 @@
 """No module imports a name it does not use, no cache grows unbounded, no
-check is an assert statement, and the package exports exactly its pinned
-public names.
+check is an assert statement, no raw kernel call passes a starred argument,
+and the package exports exactly its pinned public names.
 
 There is no linter in the toolchain, so these stdlib-ast passes are the
 check.  A name a module imports must be read in that module, unless the
@@ -64,6 +64,32 @@ def test_no_assert_statement(module):
 def test_the_assert_guard_sees_nested_asserts():
     src = "assert a\ndef f():\n    if b:\n        assert c, 'x'\nraise AssertionError('y')\n"
     assert _asserts(ast.parse(src)) == [1, 4]
+
+
+#: the raw kernels, called once per product on per-call paths
+RAW_KERNELS = ("_mul_raw", "_raw_image", "_compose_raw")
+
+
+def _starred_kernel_calls(tree):
+    # lines of calls to a raw kernel that pass a starred argument, which
+    # builds a list on every call; map(kernel, *cols) calls map, not the kernel
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in RAW_KERNELS
+            and any(isinstance(arg, ast.Starred) for arg in node.args)]
+
+
+@pytest.mark.parametrize("module", _MODULES + ["__init__"])
+def test_no_starred_kernel_call(module):
+    lines = _starred_kernel_calls(ast.parse((_SRC / f"{module}.py").read_text()))
+    assert lines == [], f"bicext.{module} passes starred arguments to a raw kernel"
+
+
+def test_the_starred_call_guard_sees_each_form():
+    src = ("_compose_raw(*a, *b)\n_raw_image(*e, x)\n_mul_raw(i, j, b, *y)\n"
+           "map(_mul_raw, *cols)\n_mul_raw(i, j, b, i, j, b)\nf(*a)\n"
+           "g = lambda: _raw_image(*e)\n")
+    assert _starred_kernel_calls(ast.parse(src)) == [1, 2, 3, 7]
 
 
 #: (module, cached name) -> why the cache may stay unbounded

@@ -1,10 +1,15 @@
 """Property tests with hypothesis, at parameters beyond the exhaustive
 sweeps of the other test modules (coordinates up to 20, multipliers up to
 12).  They use only the public mul, inverse, apply and compose, so they
-check the product formula apart from the suites' row kernels."""
+check the product formula apart from the suites' row kernels.  The last
+checks the verify JSON writer against json.dumps on documents of the
+report schema's shape."""
 
-from hypothesis import given, settings, strategies as st
+import json
 
+from hypothesis import example, given, settings, strategies as st
+
+from bicext.cli import _json
 from bicext.core_semigroup import CANONICAL_FAMILY, Family, inverse, mul
 from bicext.endo_monoid_green import GreenQuery, RELATIONS, green_bounded_search
 from bicext.endomorphisms import InjEndo, Kind, apply, collapsing, compose, preserving
@@ -88,3 +93,25 @@ def test_compose_is_closed(e1, e2, e3, x):
                       else Kind.PRESERVING)
     assert apply(c, x) == apply(e2, apply(e1, x))
     assert compose(c, e3) == compose(e1, compose(e2, e3))
+
+
+# any text: quotes, backslashes, control characters, non-ASCII and non-BMP
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+_FAILURE = st.fixed_dictionaries({"inputs": _TEXT, "expected": _TEXT, "got": _TEXT})
+_MS = st.one_of(st.floats(0, allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, 1e-7, 1e22, 5e-324, 1.7976931348623157e308, 270.1]))
+_REPORT = st.fixed_dictionaries({
+    "suite": _TEXT,
+    "bounds": st.dictionaries(_TEXT, st.integers(-10**30, 10**30), max_size=4),
+    "cases": st.integers(0, 10**30),
+    "failures": st.lists(_FAILURE, max_size=3),
+    "elapsed_ms": _MS,
+    "pass": st.booleans(),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_REPORT, max_size=4))
+@example([])
+def test_json_writer_is_json_dumps_indent_2(docs):
+    assert _json(docs) == json.dumps(docs, indent=2)
