@@ -17,9 +17,11 @@ immutable defaults, each parse returns a fresh namespace, and handlers look
 up core_mul, run_suite and the other layer functions as module globals when
 they run, so patching one still takes.
 
-At import each leaf parser ("mul", "endo apply", ...) is also compiled
-into a parse table: its positionals in order, its exact option strings, and
-each action's type, choices, default and required flag.  main parses argv
+Each command is declared once, in _COMMANDS: its command words, its help,
+its handler and the add_argument calls of its parser.  build_parser makes
+those calls and builds each leaf's parse table from the actions they
+return: its positionals in order, its exact option strings, its required
+options, and each action's type, choices and default.  main parses argv
 with the table of the leaf that its first one or two command words name,
 and the table answers only where it reads argv as that leaf's parser does:
 every "-" token an exact option string, no option value starting with "-",
@@ -27,18 +29,19 @@ the exact positional count, every required option given, and every value
 accepted by its action's type and choices.  Anything else (help, an
 abbreviation, --opt=value, a usage error, argv naming no leaf) is parsed by
 the whole argparse tree, so every help text, usage error and exit code stays
-argparse's.  Median in-process parse of a README call on a shared 2-vCPU
-host, CPython 3.11: 1.6-5.0 us by the table, 12-43 us by the leaf parser.
+argparse's.  A table models only plain stores of one value or of "*"
+values, which is all _COMMANDS declares.
 
 Each argument is converted and checked once.  An element whose text the
 regex and the base check passed, and the image of a valid element under a
 valid form, cannot fail Elem's checks, so both are built as the bare tuple,
 as mul builds a product; forms keep InjEndo's range checks, which are what
 refuses a bad "a:k,p".  An export larger than _EXPORT_BUDGET node products
-is refused with exit 2 before its truncation is built, and so is a numeral
-of more than _DIGITS_MAX digits in an element or endomorphism, before it is
-converted: every printed result then stays under the 4,300 digits str(int)
-converts.
+is refused with exit 2 before its truncation is built, a green search that
+may build more than _GREEN_BUDGET factor-table entries before its first
+table, and a numeral of more than _DIGITS_MAX digits in an element,
+endomorphism or family before it is converted: every printed result then
+stays under the 4,300 digits str(int) converts.
 
 verify --format json writes its report list with _json, a small indent-2
 writer whose leaves go through json's C string encoder and int and float
@@ -78,13 +81,14 @@ class ParseError(ValueError):
 # most _DIGITS_MAX digits: every printed result then has at most
 # 2 * _DIGITS_MAX + 1, under the 4,300 that str(int) converts
 _DIGITS_MAX = 2000
-_NUMERAL = f"([0-9]{{1,{_DIGITS_MAX}}})"
+_DIGITS = f"[0-9]{{1,{_DIGITS_MAX}}}"
+_NUMERAL = f"({_DIGITS})"
 _ELEM_RE = re.compile(rf"^\({_NUMERAL},{_NUMERAL},{_NUMERAL}\)$")
 _ENDO_RE = re.compile(rf"^([ab]):{_NUMERAL},{_NUMERAL}$")
 _LONG_RE = re.compile(f"[0-9]{{{_DIGITS_MAX + 1}}}")
 # int() would also take "+1", "0_1" and non-ASCII digits; \s is what
 # str.strip() strips, NBSP included, and int() strips less (not \x1c-\x1f)
-_FAMILY_RE = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*")
+_FAMILY_RE = re.compile(rf"\s*-?{_DIGITS}\s*(?:,\s*-?{_DIGITS}\s*)*")
 
 
 # --------------------------------------------------------- parse / print --
@@ -128,7 +132,7 @@ def parse_family(text: str) -> Family:
     if not text.strip():
         return Family.from_bases()
     if not _FAMILY_RE.fullmatch(text):
-        raise ParseError(f"cannot parse family {text!r}; expected comma-separated bases")
+        raise ParseError(_refusal("family", text, "comma-separated bases"))
     return Family.from_bases(*map(int, map(str.strip, text.split(","))))
 
 
@@ -176,6 +180,18 @@ def _cmd_endo_classify(args) -> int:
     return EXIT_OK
 
 
+def _named(count: int):
+    # a count of 4,300 digits or more is past what str(int) converts
+    return count if count < 10 ** 12 else "more than 10**12"
+
+
+# factor-table entries one green search may build: each costs up to about
+# 1.4 us and 160 B of RSS (J at kmax 40: 2,561,600 entries in 3.5 s and
+# 313 MiB; R at kmax 600: 720,000 in 0.65 s and 109 MiB), so the largest
+# search allowed takes about 1.4 s and 160 MiB
+_GREEN_BUDGET = 1_000_000
+
+
 def _cmd_green(args) -> int:
     _require_canonical(_family_from(args))
     q = GreenQuery(args.relation, parse_endo(args.first), parse_endo(args.second),
@@ -183,6 +199,13 @@ def _cmd_green(args) -> int:
     if args.mode == "symbolic":
         print(f"related: {'true' if green_symbolic(q) else 'false'}")
         return EXIT_OK
+    # counted before any table is built: R and L build two tables of kmax**2
+    # entries, H four, and D and J up to kmax**2 + kmax**4
+    k2 = q.kmax * q.kmax
+    entries = k2 + k2 * k2 if q.relation in "DJ" else k2 * (4 if q.relation == "H" else 2)
+    if entries > _GREEN_BUDGET:
+        raise ValueError(f"a search for {q.relation} may build {_named(entries)} table "
+                         f"entries, past the limit of {_GREEN_BUDGET}; lower --kmax")
     res = green_bounded_search(q)
     if res.related:
         wits = ", ".join(map(str, res.witnesses))
@@ -311,10 +334,8 @@ def _cmd_export_cayley(args) -> int:
     generators = [parse_element(g, family)[:3] for g in args.generators]
     size = (args.bound + 1) ** 2 * len(family)
     if size * max(1, len(generators)) > _EXPORT_BUDGET:  # before the truncation is built
-        # a count of 4,300 digits or more is past what str(int) converts
-        count = size if size < 10 ** 12 else "more than 10**12"
-        raise ValueError(f"export of {count} nodes with {len(generators)} generators exceeds "
-                         f"the limit of {_EXPORT_BUDGET} nodes x max(1, generators); "
+        raise ValueError(f"export of {_named(size)} nodes with {len(generators)} generators "
+                         f"exceeds the limit of {_EXPORT_BUDGET} nodes x max(1, generators); "
                          f"lower --bound")
     nodes = _raw_truncation(args.bound, family)
     # each label is formatted once, by Elem's own __str__ on the raw triple;
@@ -345,119 +366,97 @@ def _cmd_export_cayley(args) -> int:
 # ------------------------------------------------------------ dispatch --
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The argparse tree, and each leaf parser under the command words that
-    reach it."""
+def _arg(*flags, **kwargs):
+    """One add_argument call, made when build_parser builds the command."""
+    return flags, kwargs
+
+
+_ELEMENT = 'element "(i,j,base)"'
+_ENDO = 'endomorphism "a:k,p" or "b:k,p"'
+_ANY_FAMILY = _arg("--family", help="comma-separated ray bases, default 0,1")
+_CANONICAL = _arg("--family", help="must be the canonical family 0,1")
+
+# each command once, in help order: its command words, its help, and for a
+# leaf its handler and the add_argument calls of its parser; a command with
+# no handler only groups the commands under it
+_COMMANDS = (
+    (("mul",), "multiply two elements", _cmd_mul,
+     (_arg("x", help=_ELEMENT), _arg("y", help=_ELEMENT), _ANY_FAMILY)),
+    (("endo",), "endomorphism arithmetic", None, ()),
+    (("endo", "apply"), "apply an endomorphism to an element", _cmd_endo_apply,
+     (_arg("endo", help=_ENDO), _arg("element", help=_ELEMENT), _CANONICAL)),
+    (("endo", "compose"), "compose two endomorphisms, left first", _cmd_endo_compose,
+     (_arg("first"), _arg("second"))),
+    (("endo", "classify"), "identify the endomorphism with the given generator images",
+     _cmd_endo_classify,
+     (_arg("--k", type=int, required=True,
+           help="multiplier read off the level-0 generator image"),
+      _arg("--level", type=int, required=True,
+           help="ray level (0 or 1) of the level-1 generator image"),
+      _arg("--p", type=int, required=True, help="offset of the level-1 generator image"),
+      _CANONICAL)),
+    (("green",), "Green's relation queries", _cmd_green,
+     (_arg("-r", "--relation", choices=RELATIONS, required=True),
+      _arg("first", help=_ENDO), _arg("second", help=_ENDO),
+      _arg("--mode", choices=("symbolic", "search"), default="symbolic"),
+      _arg("--kmax", type=int, default=8,
+           help="bound on candidate factor multipliers in search mode"),
+      _CANONICAL)),
+    (("verify",), "run verification suites", _cmd_verify,
+     (_arg("--suite", default="all", help="suite name or 'all' (default all)"),
+      _arg("--bound", type=int, help="truncation bound, for suites that take one"),
+      _arg("--kmax", type=int,
+           help="endomorphism multiplier bound, for suites that take one"),
+      _arg("--ksym", type=int, help="symbolic multiplier bound, for suites that take one"),
+      _arg("--tmax", type=int, help="growth horizon, for suites that take one"),
+      _arg("--format", choices=("text", "json"), default="text"))),
+    (("export-cayley",), "export a right-multiplication graph fragment", _cmd_export_cayley,
+     (_arg("--bound", type=int, default=2),
+      _arg("--generators", nargs="*", default=(),
+           help='elements "(i,j,base)" acting by right multiplication'),
+      _arg("--format", choices=("dot", "csv"), default="dot"),
+      _arg("--output", default="-", help="output path, - for stdout"),
+      _ANY_FAMILY)),
+)
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
+    """The argparse tree of _COMMANDS; each leaf parser under the command
+    words that reach it; and the parse table of each leaf, built from the
+    actions its add_argument calls return: its positionals in order, its
+    options by exact option string, its required options, and the namespace
+    defaults, the handler last."""
     parser = argparse.ArgumentParser(
         prog="bicext",
         description="Exact arithmetic for the two-ray bicyclic extension "
                     "monoid, its injective endomorphisms, and the "
                     "verification suites behind them.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mul = sub.add_parser("mul", help="multiply two elements")
-    p_mul.add_argument("x", help='element "(i,j,base)"')
-    p_mul.add_argument("y", help='element "(i,j,base)"')
-    p_mul.add_argument("--family", help="comma-separated ray bases, default 0,1")
-    p_mul.set_defaults(handler=_cmd_mul)
-
-    p_endo = sub.add_parser("endo", help="endomorphism arithmetic")
-    endo_sub = p_endo.add_subparsers(dest="endo_command", required=True)
-
-    p_apply = endo_sub.add_parser("apply", help="apply an endomorphism to an element")
-    p_apply.add_argument("endo", help='endomorphism "a:k,p" or "b:k,p"')
-    p_apply.add_argument("element", help='element "(i,j,base)"')
-    p_apply.add_argument("--family", help="must be the canonical family 0,1")
-    p_apply.set_defaults(handler=_cmd_endo_apply)
-
-    p_compose = endo_sub.add_parser("compose", help="compose two endomorphisms, left first")
-    p_compose.add_argument("first")
-    p_compose.add_argument("second")
-    p_compose.set_defaults(handler=_cmd_endo_compose)
-
-    p_classify = endo_sub.add_parser(
-        "classify", help="identify the endomorphism with the given generator images")
-    p_classify.add_argument("--k", type=int, required=True,
-                            help="multiplier read off the level-0 generator image")
-    p_classify.add_argument("--level", type=int, required=True,
-                            help="ray level (0 or 1) of the level-1 generator image")
-    p_classify.add_argument("--p", type=int, required=True,
-                            help="offset of the level-1 generator image")
-    p_classify.add_argument("--family", help="must be the canonical family 0,1")
-    p_classify.set_defaults(handler=_cmd_endo_classify)
-
-    p_green = sub.add_parser("green", help="Green's relation queries")
-    p_green.add_argument("-r", "--relation", choices=RELATIONS, required=True)
-    p_green.add_argument("first", help='endomorphism "a:k,p" or "b:k,p"')
-    p_green.add_argument("second", help='endomorphism "a:k,p" or "b:k,p"')
-    p_green.add_argument("--mode", choices=("symbolic", "search"), default="symbolic")
-    p_green.add_argument("--kmax", type=int, default=8,
-                         help="bound on candidate factor multipliers in search mode")
-    p_green.add_argument("--family", help="must be the canonical family 0,1")
-    p_green.set_defaults(handler=_cmd_green)
-
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("--suite", default="all",
-                          help="suite name or 'all' (default all)")
-    p_verify.add_argument("--bound", type=int,
-                          help="truncation bound, for suites that take one")
-    p_verify.add_argument("--kmax", type=int,
-                          help="endomorphism multiplier bound, for suites that take one")
-    p_verify.add_argument("--ksym", type=int,
-                          help="symbolic multiplier bound, for suites that take one")
-    p_verify.add_argument("--tmax", type=int,
-                          help="growth horizon, for suites that take one")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_export = sub.add_parser("export-cayley",
-                              help="export a right-multiplication graph fragment")
-    p_export.add_argument("--bound", type=int, default=2)
-    p_export.add_argument("--generators", nargs="*", default=(),
-                          help='elements "(i,j,base)" acting by right multiplication')
-    p_export.add_argument("--format", choices=("dot", "csv"), default="dot")
-    p_export.add_argument("--output", default="-", help="output path, - for stdout")
-    p_export.add_argument("--family", help="comma-separated ray bases, default 0,1")
-    p_export.set_defaults(handler=_cmd_export_cayley)
-
-    leaves = {("mul",): p_mul, ("endo", "apply"): p_apply, ("endo", "compose"): p_compose,
-              ("endo", "classify"): p_classify, ("green",): p_green,
-              ("verify",): p_verify, ("export-cayley",): p_export}
-    return parser, leaves
+    parsers, subs, leaves, tables = {(): parser}, {}, {}, {}
+    for words, about, handler, arguments in _COMMANDS:
+        group = words[:-1]  # dest "command" at the top, "endo_command" under endo
+        if group not in subs:
+            subs[group] = parsers[group].add_subparsers(dest="_".join(group + ("command",)),
+                                                        required=True)
+        leaf = parsers[words] = subs[group].add_parser(words[-1], help=about)
+        if handler is None:
+            continue
+        actions = [leaf.add_argument(*flags, **kwargs) for flags, kwargs in arguments]
+        leaf.set_defaults(handler=handler)
+        leaves[words] = leaf
+        tables[words] = (tuple(a for a in actions if not a.option_strings),
+                         {flag: a for a in actions for flag in a.option_strings},
+                         frozenset(a for a in actions if a.option_strings and a.required),
+                         {**{a.dest: a.default for a in actions}, "handler": handler})
+    return parser, leaves, tables
 
 
-_PARSER, _LEAVES = build_parser()
+_PARSER, _LEAVES, _TABLES = build_parser()
 
 # exit code of the first matching class; ParseError and UnknownSuiteError
 # are plain ValueErrors, and ValueError comes before OSError so that
 # io.UnsupportedOperation, which is both, exits 2
 _EXIT_CODES = ((ParameterRangeError, EXIT_RANGE), ((FamilyError, MixedFamilyError), EXIT_FAMILY),
                (ValueError, EXIT_SYNTAX), (OSError, EXIT_IO))
-
-
-def _compile(leaf: argparse.ArgumentParser):
-    """The parse table of a leaf parser: its positionals in order, its
-    options by exact option string, its required options and the namespace
-    defaults; or None when the leaf holds what the table does not model."""
-    positionals, options, defaults = [], {}, {}
-    for action in leaf._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue  # -h and --help stay out of options, so argparse answers them
-        # argparse converts a str default through type after the parse
-        if (type(action) is not argparse._StoreAction or action.nargs not in (None, "*")
-                or isinstance(action.default, str) and action.type is not None):
-            return None
-        if action.option_strings:
-            options.update(dict.fromkeys(action.option_strings, action))
-        else:
-            positionals.append(action)
-        defaults[action.dest] = action.default
-    if positionals and any(action.nargs == "*" for action in leaf._actions):
-        return None  # a '*' action would take positionals argparse places elsewhere
-    for dest, value in leaf._defaults.items():
-        defaults.setdefault(dest, value)
-    required = frozenset(action for action in options.values() if action.required)
-    return tuple(positionals), options, required, defaults
 
 
 def _value(action, text: str):
@@ -509,10 +508,6 @@ def _table_parse(table, tail: list):
     args = argparse.Namespace()
     vars(args).update(values)  # one fill in C, not Namespace(**values)'s setattr loop
     return args
-
-
-_TABLES = {words: table for words, leaf in _LEAVES.items()
-           if (table := _compile(leaf)) is not None}
 
 
 def _parse(argv: list):

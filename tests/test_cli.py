@@ -22,6 +22,7 @@ from bicext.cli import (EXIT_FAMILY, EXIT_IO, EXIT_OK, EXIT_RANGE,
                         main, parse_element, parse_endo, parse_family,
                         report_document)
 import bicext.core_semigroup as _core
+import bicext.endo_monoid_green as _green
 import bicext.endomorphisms as _endo
 from bicext.core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyClosureError,
                                    FamilyError, MixedFamilyError, _mul_raw, mul)
@@ -269,6 +270,63 @@ class TestExitCodes:
             EXIT_OK, f"({n - 1 + n * n},{n - 1 + n * n},0)\n", "")
         assert run_cli("endo", "compose", f"a:{n},{n - 1}", f"a:{n},{n - 1}",
                        capsys=capsys) == (EXIT_OK, f"a:{n * n},{n * n - 1}\n", "")
+
+    @pytest.mark.parametrize("family", [f"0,{'9' * 5000}", f"0,{'9' * 2001}",
+                                        f"0,-{'1' * 2001}", f"0, {'9' * 1000} {'9' * 1001}"],
+                             ids=["5000-digits", "2001-digits", "negative", "spaced"])
+    def test_over_long_family_numeral_exits_2_before_any_work(self, family, monkeypatch,
+                                                              capsys):
+        monkeypatch.setattr(Family, "from_bases",
+                            staticmethod(lambda *bases: pytest.fail("ran")))
+        assert run_cli("mul", "(1,2,0)", "(1,2,0)", "--family", family, capsys=capsys) == (
+            EXIT_SYNTAX, "", "error: cannot parse family: a numeral is longer than "
+                             "2000 digits\n")
+
+    def test_a_2000_digit_family_base_reaches_the_family_check(self, monkeypatch, capsys):
+        n = 10 ** 2000 - 1
+        seen, checked = [], Family.from_bases
+
+        def from_bases(*bases):
+            seen.append(bases)
+            return checked(*bases)
+        monkeypatch.setattr(Family, "from_bases", staticmethod(from_bases))
+        code, out, err = run_cli("mul", "(1,2,0)", "(1,2,0)", "--family", f"0,{n}",
+                                 capsys=capsys)
+        assert (code, out, seen) == (EXIT_FAMILY, "", [(0, n)])
+        assert err.startswith("error: not shift-closed")
+
+    # with the budget at 20: R and L at kmax 3 build 2 * 9 = 18 entries, H at
+    # kmax 2 4 * 4 = 16, D and J at kmax 2 4 + 16 = 20; one more kmax is over
+    @pytest.mark.parametrize("relation, kmax, refused", [
+        ("R", 3, False), ("R", 4, True), ("L", 3, False), ("L", 4, True), ("H", 2, False),
+        ("H", 3, True), ("D", 2, False), ("D", 3, True), ("J", 2, False), ("J", 3, True)])
+    def test_green_search_budget_counts_table_entries(self, monkeypatch, capsys, relation,
+                                                      kmax, refused):
+        monkeypatch.setattr(cli, "_GREEN_BUDGET", 20)
+        code, out, err = run_cli("green", "-r", relation, "a:2,1", "a:2,1", "--mode", "search",
+                                 "--kmax", str(kmax), capsys=capsys)
+        if refused:
+            assert (code, out) == (EXIT_SYNTAX, "") and "past the limit of 20;" in err
+        else:
+            assert (code, err) == (EXIT_OK, "") and out.startswith("related: true")
+
+    # J: 999**4 + 999**2 < 10**12 <= 1000**4 + 1000**2
+    @pytest.mark.parametrize("relation, kmax, count", [
+        ("R", "708", "1002528"), ("L", "800", "1280000"), ("H", "501", "1004004"),
+        ("D", "32", "1049600"), ("J", "32", "1049600"), ("J", "999", "996006994002"),
+        ("J", "1000", "more than 10**12"),
+        pytest.param("D", "9" * 4300, "more than 10**12", id="D-4300-digits")])
+    def test_ruinous_green_search_is_refused_before_any_table(self, monkeypatch, capsys,
+                                                              relation, kmax, count):
+        monkeypatch.setattr(_green, "_forms", lambda kmax: pytest.fail("a table was built"))
+        assert run_cli("green", "-r", relation, "a:3,1", "a:2,1", "--mode", "search",
+                       "--kmax", kmax, capsys=capsys) == (
+            EXIT_SYNTAX, "", f"error: a search for {relation} may build {count} table "
+                             "entries, past the limit of 1000000; lower --kmax\n")
+
+    def test_symbolic_mode_builds_no_table_and_is_never_refused(self, capsys):
+        assert run_cli("green", "-r", "J", "a:2,1", "a:2,1", "--kmax", "9" * 4300,
+                       capsys=capsys) == (EXIT_OK, "related: true\n", "")
 
     def test_green_refuses_non_canonical_family(self, capsys):
         code, _, err = run_cli("green", "-r", "R", "a:2,1", "a:2,1",
@@ -749,11 +807,30 @@ def _readme_calls():
             for line in block.splitlines() if line.startswith("bicext ")]
 
 
+def _unmodelled(arguments):
+    """(first flag, problem) for each add_argument call in a command's
+    declaration that its parse table does not model: the table stores one
+    value, or with nargs "*" every value up to the next "-" token, and
+    argparse would convert a str default through type after the parse."""
+    has_positional = any(flags[0][:1] != "-" for flags, _ in arguments)
+    problems = []
+    for flags, kwargs in arguments:
+        if "action" in kwargs:
+            problems.append((flags[0], "action"))
+        elif kwargs.get("nargs") not in (None, "*"):
+            problems.append((flags[0], "nargs"))
+        elif kwargs.get("nargs") == "*" and has_positional:
+            problems.append((flags[0], "'*' beside positionals"))
+        elif isinstance(kwargs.get("default"), str) and kwargs.get("type") is not None:
+            problems.append((flags[0], "str default with a type"))
+    return problems
+
+
 class TestRouting:
-    """main parses argv by the table compiled from the leaf parser that its
-    command words name; the parse of the whole tree, taken when cli._TABLES
-    is empty, must give the same exit code, output and written file on
-    every argv."""
+    """main parses argv by the table built from the declaration of the leaf
+    that its command words name; the parse of the whole tree, taken when
+    cli._TABLES is empty, must give the same exit code, output and written
+    file on every argv."""
 
     def test_every_leaf_is_routed(self):
         def leaves(parser, words=()):
@@ -786,23 +863,27 @@ class TestRouting:
         bare.bound, bare.generators = 9, ["(0,0,0)"]
         assert table[3] == defaults and cli._table_parse(table, []).bound == 2
 
-    @pytest.mark.parametrize("add", [
-        lambda p: p.add_argument("--flag", action="store_true"),
-        lambda p: p.add_argument("--maybe", nargs="?"),
-        lambda p: p.add_argument("--many", action="append"),
-        lambda p: p.add_argument("--two", nargs=2),
-        lambda p: p.add_argument("--n", type=int, default="3"),
-        lambda p: p.add_argument("--items", nargs="*"),
-        lambda p: p.add_argument("rest", nargs="*")],
+    @pytest.mark.parametrize("arguments", [arguments for *_, arguments in cli._COMMANDS],
+                             ids=[" ".join(words) for words, *_ in cli._COMMANDS])
+    def test_every_declared_argument_is_one_the_table_models(self, arguments):
+        assert _unmodelled(arguments) == []
+
+    @pytest.mark.parametrize("add, problem", [
+        (cli._arg("--flag", action="store_true"), "action"),
+        (cli._arg("--maybe", nargs="?"), "nargs"),
+        (cli._arg("--many", action="append"), "action"),
+        (cli._arg("--two", nargs=2), "nargs"),
+        (cli._arg("--n", type=int, default="3"), "str default with a type"),
+        (cli._arg("--items", nargs="*"), "'*' beside positionals"),
+        (cli._arg("rest", nargs="*"), "'*' beside positionals")],
         ids=["store_true", "nargs ?", "append", "nargs 2", "str default with a type",
              "* option with a positional", "* positional"])
-    def test_a_leaf_the_table_does_not_model_gets_no_table(self, add):
-        leaf = argparse.ArgumentParser()
-        leaf.add_argument("x")
-        leaf.add_argument("--family", default="0,1")
-        assert cli._compile(leaf) is not None
-        add(leaf)
-        assert cli._compile(leaf) is None
+    def test_the_declaration_check_refuses_what_the_table_does_not_model(self, add, problem):
+        plain = (cli._arg("x"), cli._arg("--family", default="0,1"),
+                 cli._arg("--n", type=int, default=3), cli._arg("--m", choices=("a", "b")))
+        assert _unmodelled(plain) == []
+        assert _unmodelled((cli._arg("--items", nargs="*", default=()),)) == []
+        assert _unmodelled((*plain, add)) == [(add[0][0], problem)]
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

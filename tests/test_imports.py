@@ -1,6 +1,7 @@
 """No module imports a name it does not use, no cache grows unbounded, no
 check is an assert statement, no raw kernel call passes a starred argument,
-and the package exports exactly its pinned public names.
+no module reads argparse's private attributes, and the package exports
+exactly its pinned public names.
 
 There is no linter in the toolchain, so these stdlib-ast passes are the
 check.  A name a module imports must be read in that module, unless the
@@ -90,6 +91,39 @@ def test_the_starred_call_guard_sees_each_form():
            "map(_mul_raw, *cols)\n_mul_raw(i, j, b, i, j, b)\nf(*a)\n"
            "g = lambda: _raw_image(*e)\n")
     assert _starred_kernel_calls(ast.parse(src)) == [1, 2, 3, 7]
+
+
+#: argparse attributes every parser has but argparse does not document
+ARGPARSE_PRIVATE = ("_actions", "_defaults")
+
+
+def _argparse_internals(tree):
+    # lines that read argparse's private state: an attribute in
+    # ARGPARSE_PRIVATE of anything, or a name argparse._*, imported from
+    # argparse or read off the module under any alias
+    modules = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "argparse"}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and (
+            node.attr in ARGPARSE_PRIVATE or node.attr[:1] == "_"
+            and isinstance(node.value, ast.Name) and node.value.id in modules)
+        or isinstance(node, ast.ImportFrom) and node.module == "argparse"
+        and any(a.name[:1] == "_" for a in node.names))
+
+
+@pytest.mark.parametrize("module", _MODULES + ["__init__"])
+def test_no_argparse_internals(module):
+    lines = _argparse_internals(ast.parse((_SRC / f"{module}.py").read_text()))
+    assert lines == [], f"bicext.{module} reads argparse's private attributes"
+
+
+def test_the_argparse_guard_sees_each_form():
+    src = ("import argparse\nimport argparse as ap\nparser._actions\nleaf._defaults.items()\n"
+           "argparse._HelpAction\nap._StoreAction\nfrom argparse import _SubParsersAction\n"
+           "argparse.Namespace\nleaf.set_defaults(x=1)\nother._private\n"
+           "from argparse import ArgumentParser\n")
+    assert _argparse_internals(ast.parse(src)) == [3, 4, 5, 6, 7]
 
 
 #: (module, cached name) -> why the cache may stay unbounded
