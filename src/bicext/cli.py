@@ -30,7 +30,10 @@ accepted by its action's type and choices.  Anything else (help, an
 abbreviation, --opt=value, a usage error, argv naming no leaf) is parsed by
 the whole argparse tree, so every help text, usage error and exit code stays
 argparse's.  A table models only plain stores of one value or of "*"
-values, which is all _COMMANDS declares.
+values, which is all _COMMANDS declares.  Each parser of the tree formats
+its usage once per terminal width, on its first usage error at that width,
+and reuses that text on every later one; a one-shot process formats it
+once, as before.
 
 Each argument is converted and checked once.  An element whose text the
 regex and the base check passed, and the image of a valid element under a
@@ -39,9 +42,10 @@ as mul builds a product; forms keep InjEndo's range checks, which are what
 refuses a bad "a:k,p".  An export larger than _EXPORT_BUDGET node products
 is refused with exit 2 before its truncation is built, a green search that
 may build more than _GREEN_BUDGET factor-table entries before its first
-table, and a numeral of more than _DIGITS_MAX digits in an element,
-endomorphism or family before it is converted: every printed result then
-stays under the 4,300 digits str(int) converts.
+table (D: before any table past its four screening ones), and a numeral of
+more than _DIGITS_MAX digits in an element, endomorphism or family before
+it is converted: every printed result then stays under the 4,300 digits
+str(int) converts.
 
 verify --format json writes its report list with _json, a small indent-2
 writer whose leaves go through json's C string encoder and int and float
@@ -53,6 +57,7 @@ the same, json.dumps(docs, indent=2) and a newline.
 
 import argparse
 import re
+import shutil
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -62,7 +67,8 @@ from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError,
 from .core_semigroup import mul as core_mul
 from .endomorphisms import (GeneratorImages, InjEndo, ParameterRangeError, apply,
                     classify_from_images, collapsing, compose, preserving)
-from .endo_monoid_green import GreenQuery, RELATIONS, green_bounded_search, green_symbolic
+from .endo_monoid_green import (GreenQuery, RELATIONS, _d_candidates, green_bounded_search,
+                                green_symbolic)
 from .oracle_verify import SUITES, UnknownSuiteError, VerifyReport, run_suite, suite_bounds
 
 EXIT_OK = 0
@@ -200,9 +206,19 @@ def _cmd_green(args) -> int:
         print(f"related: {'true' if green_symbolic(q) else 'false'}")
         return EXIT_OK
     # counted before any table is built: R and L build two tables of kmax**2
-    # entries, H four, and D and J up to kmax**2 + kmax**4
+    # entries, H four, and J up to kmax**2 + kmax**4.  D builds four
+    # screening tables, then at most an L and an R table per distinct
+    # candidate that either order's screening keeps, counted before any of
+    # those is built
     k2 = q.kmax * q.kmax
-    entries = k2 + k2 * k2 if q.relation in "DJ" else k2 * (4 if q.relation == "H" else 2)
+    if q.relation == "D":
+        entries = 4 * k2
+        if entries <= _GREEN_BUDGET:
+            kept = {c for order in ("LR", "RL")
+                    for c in _d_candidates(q.left, q.right, q.kmax, *order)}
+            entries += 2 * k2 * len(kept)
+    else:
+        entries = k2 + k2 * k2 if q.relation == "J" else k2 * (4 if q.relation == "H" else 2)
     if entries > _GREEN_BUDGET:
         raise ValueError(f"a search for {q.relation} may build {_named(entries)} table "
                          f"entries, past the limit of {_GREEN_BUDGET}; lower --kmax")
@@ -420,13 +436,27 @@ _COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that formats its usage once per terminal width, on
+    its first usage error there, and prints that text on every later one."""
+
+    def format_usage(self) -> str:
+        # the text depends only on the parser, which nothing changes after
+        # build_parser, and on the width, which HelpFormatter reads the same way
+        texts = self.__dict__.setdefault("_usage_texts", {})
+        width = shutil.get_terminal_size().columns
+        if width not in texts:
+            texts[width] = super().format_usage()
+        return texts[width]
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
     """The argparse tree of _COMMANDS; each leaf parser under the command
     words that reach it; and the parse table of each leaf, built from the
     actions its add_argument calls return: its positionals in order, its
     options by exact option string, its required options, and the namespace
     defaults, the handler last."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # add_subparsers makes every parser under it a _Parser too
         prog="bicext",
         description="Exact arithmetic for the two-ray bicyclic extension "
                     "monoid, its injective endomorphisms, and the "

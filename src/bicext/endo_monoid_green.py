@@ -99,16 +99,20 @@ def _two_sided_factors(a, b, kmax: int):
     return None
 
 
+def _d_candidates(a, b, kmax: int, first: str, second: str) -> list:
+    # the c that _d_search tries, in order: of both endpoints and every
+    # candidate, those that are composites in a's `first` table and in b's
+    # `second` table, as a c with a ~ c and c ~ b is.  Only those two tables
+    # are built here; each c kept may then build its own two
+    near_a, near_b = _table(a, kmax, first), _table(b, kmax, second)
+    return [c for c in (a, b, *_forms(kmax)) if c in near_a and c in near_b]
+
+
 def _d_search(a, b, kmax: int, first: str, second: str):
     # D as a relational composition: the first c with a ~ c by side `first`
     # and c ~ b by side `second`.  c ranges over both endpoints and every
     # candidate; the endpoint case is the one that can actually fire here.
-    # Such a c is a composite in a's `first` table and b's `second` table,
-    # so those two screen c before any table of c's own is built.
-    near_a, near_b = _table(a, kmax, first), _table(b, kmax, second)
-    for c in (a, b, *_forms(kmax)):
-        if c not in near_a or c not in near_b:
-            continue
+    for c in _d_candidates(a, b, kmax, first, second):
         w1 = _related(a, c, kmax, first)
         w2 = _related(c, b, kmax, second) if w1 is not None else None
         if w2 is not None:

@@ -296,10 +296,12 @@ class TestExitCodes:
         assert err.startswith("error: not shift-closed")
 
     # with the budget at 20: R and L at kmax 3 build 2 * 9 = 18 entries, H at
-    # kmax 2 4 * 4 = 16, D and J at kmax 2 4 + 16 = 20; one more kmax is over
+    # kmax 2 4 * 4 = 16, J at kmax 2 4 + 16 = 20; one more kmax is over.  D
+    # from a:2,1 to itself keeps one distinct candidate: at kmax 1 it counts
+    # 4 * 1 screening entries + 2 * 1 = 6, at kmax 2 16 + 2 * 4 = 24
     @pytest.mark.parametrize("relation, kmax, refused", [
         ("R", 3, False), ("R", 4, True), ("L", 3, False), ("L", 4, True), ("H", 2, False),
-        ("H", 3, True), ("D", 2, False), ("D", 3, True), ("J", 2, False), ("J", 3, True)])
+        ("H", 3, True), ("D", 1, False), ("D", 2, True), ("J", 2, False), ("J", 3, True)])
     def test_green_search_budget_counts_table_entries(self, monkeypatch, capsys, relation,
                                                       kmax, refused):
         monkeypatch.setattr(cli, "_GREEN_BUDGET", 20)
@@ -313,7 +315,7 @@ class TestExitCodes:
     # J: 999**4 + 999**2 < 10**12 <= 1000**4 + 1000**2
     @pytest.mark.parametrize("relation, kmax, count", [
         ("R", "708", "1002528"), ("L", "800", "1280000"), ("H", "501", "1004004"),
-        ("D", "32", "1049600"), ("J", "32", "1049600"), ("J", "999", "996006994002"),
+        ("D", "501", "1004004"), ("J", "32", "1049600"), ("J", "999", "996006994002"),
         ("J", "1000", "more than 10**12"),
         pytest.param("D", "9" * 4300, "more than 10**12", id="D-4300-digits")])
     def test_ruinous_green_search_is_refused_before_any_table(self, monkeypatch, capsys,
@@ -323,6 +325,61 @@ class TestExitCodes:
                        "--kmax", kmax, capsys=capsys) == (
             EXIT_SYNTAX, "", f"error: a search for {relation} may build {count} table "
                              "entries, past the limit of 1000000; lower --kmax\n")
+
+    def test_d_search_the_old_count_refused_runs(self, capsys):
+        # which kmax**2 + kmax**4 counted at 1,049,600 entries
+        assert run_cli("green", "-r", "D", "a:3,1", "a:2,1", "--mode", "search", "--kmax",
+                       "32", capsys=capsys) == (EXIT_OK, "related: false (bound 32)\n", "")
+
+    # D at kmax 32 from a:3,1 to a:2,1: four screening tables of 1,024 entries,
+    # then 25 candidates pass each order, 46 distinct, each with its own two tables
+    @pytest.mark.parametrize("budget, refused", [(98_304, False), (98_303, True)])
+    def test_d_budget_counts_screened_candidates_before_their_tables(self, monkeypatch,
+                                                                     capsys, budget, refused):
+        monkeypatch.setattr(cli, "_GREEN_BUDGET", budget)
+        table, built = _green._table, []
+
+        def recorded(x, kmax, side):
+            built.append((str(x), side))
+            return table(x, kmax, side)
+        monkeypatch.setattr(_green, "_table", recorded)
+        code, out, err = run_cli("green", "-r", "D", "a:3,1", "a:2,1", "--mode", "search",
+                                 "--kmax", "32", capsys=capsys)
+        screening = {("a:3,1", "L"), ("a:2,1", "R"), ("a:3,1", "R"), ("a:2,1", "L")}
+        if refused:
+            assert (code, out, err) == (EXIT_SYNTAX, "", (
+                "error: a search for D may build 98304 table entries, past the limit of "
+                "98303; lower --kmax\n"))
+            assert set(built) == screening
+        else:
+            assert (code, out, err) == (EXIT_OK, "related: false (bound 32)\n", "")
+            assert set(built) > screening
+
+    # from the unit to itself every form passes D's screening: kmax 26 counts
+    # 4 * 676 + 2 * 676 * 676 = 916,656 entries, kmax 27 1,065,798, which
+    # kmax**2 + kmax**4 = 532,170 admitted
+    @pytest.mark.parametrize("kmax, refused", [("26", False), ("27", True)])
+    def test_d_counts_every_candidate_its_screening_keeps(self, capsys, kmax, refused):
+        got = run_cli("green", "-r", "D", "a:1,0", "a:1,0", "--mode", "search", "--kmax", kmax,
+                      capsys=capsys)
+        assert got == ((EXIT_SYNTAX, "", "error: a search for D may build 1065798 table "
+                                         "entries, past the limit of 1000000; lower --kmax\n")
+                       if refused else (EXIT_OK, "related: true (bound 26); witnesses: a:1,0\n",
+                                        ""))
+
+    def test_d_past_the_budget_on_its_screening_tables_builds_none(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_GREEN_BUDGET", 4 * 32 * 32 - 1)
+        monkeypatch.setattr(_green, "_forms", lambda kmax: pytest.fail("a table was built"))
+        assert run_cli("green", "-r", "D", "a:3,1", "a:2,1", "--mode", "search", "--kmax", "32",
+                       capsys=capsys) == (
+            EXIT_SYNTAX, "", "error: a search for D may build 4096 table entries, past the "
+                             "limit of 4095; lower --kmax\n")
+
+    def test_d_search_walks_only_the_candidates_it_counts(self, monkeypatch):
+        q = _green.GreenQuery("D", preserving(2, 1), preserving(2, 1), 1)
+        assert _green.green_bounded_search(q).related
+        monkeypatch.setattr(_green, "_d_candidates", lambda *args: [])
+        assert not _green.green_bounded_search(q).related
 
     def test_symbolic_mode_builds_no_table_and_is_never_refused(self, capsys):
         assert run_cli("green", "-r", "J", "a:2,1", "a:2,1", "--kmax", "9" * 4300,
@@ -640,6 +697,27 @@ def run_fresh(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def _fresh_parse(argv):
+    """(exit code, stdout, stderr) of argv's parse by a newly built tree."""
+    parser, _, _ = cli.build_parser()
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exited:
+        parser.parse_args(argv)
+    return exited.value.code, out.getvalue(), err.getvalue()
+
+
+# one usage error per parser of the tree, by the prog its usage names: the
+# top parser, endo, then each leaf
+USAGE_ERRORS = {
+    "bicext": ["nosuch"], "bicext endo": ["endo"], "bicext mul": ["mul", "(1,2,0)"],
+    "bicext endo apply": ["endo", "apply", "a:2,1"],
+    "bicext endo compose": ["endo", "compose", "a:2,1"],
+    "bicext endo classify": ["endo", "classify", "--k", "2"],
+    "bicext green": ["green", "-r", "Y", "a:1,0", "a:1,0"],
+    "bicext verify": ["verify", "--format", "xml"],
+    "bicext export-cayley": ["export-cayley", "--format", "png"]}
+
+
 class TestSharedParser:
     CALLS = (["mul", "(1,2,0)", "(1,3,1)"], ["endo", "compose", "a:2,1", "a:3,2"],
              ["green", "-r", "D", "a:2,1", "a:3,1"], ["mul", "(1,2,0)"],
@@ -684,6 +762,34 @@ class TestSharedParser:
         assert got[3] == (EXIT_SYNTAX, "", "error: invalid set base 2 for family {[0),[1)}\n")
         assert got[4][0] == EXIT_SYNTAX and got[5] == (EXIT_OK, "(1,4,0)\n", "")
         assert got[6] == got[7] and got[6][0] == EXIT_OK
+
+    @pytest.mark.parametrize("prog, argv", USAGE_ERRORS.items(), ids=list(USAGE_ERRORS))
+    def test_kept_usage_text_matches_a_fresh_tree_at_each_width(self, prog, argv,
+                                                                 monkeypatch, capsys):
+        formatted = []
+        add_usage = argparse.HelpFormatter.add_usage
+
+        def counted(formatter, *args, **kwargs):
+            formatted.append(args)
+            return add_usage(formatter, *args, **kwargs)
+        monkeypatch.setattr(argparse.HelpFormatter, "add_usage", counted)
+        usages = []
+        for columns in ("80", "80", "40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            formatted.clear()
+            got = run_cli(*argv, capsys=capsys)
+            usages.append(len(formatted))
+            assert got == _fresh_parse(argv) and got[0] == EXIT_SYNTAX
+            assert got[2].startswith(f"usage: {prog} ")
+        assert usages[1] == 0, "the second error at COLUMNS=80 formatted its usage again"
+
+    def test_the_usage_text_depends_on_the_width(self, monkeypatch, capsys):
+        # so the widths above show that a text kept at one is not reused at another
+        texts = set()
+        for columns in ("80", "40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            texts.add(run_cli(*USAGE_ERRORS["bicext green"], capsys=capsys)[2])
+        assert len(texts) == 3
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                         reason="recorded with CPython 3.11, whose argparse sets the layout")
@@ -834,6 +940,9 @@ class TestRouting:
 
     def test_every_leaf_is_routed(self):
         def leaves(parser, words=()):
+            # every parser reached keeps its usage text: none is a plain
+            # ArgumentParser from parser_class= or built by hand
+            assert type(parser) is cli._Parser, words
             subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
             if not subs:
                 yield words, parser
