@@ -40,12 +40,12 @@ regex and the base check passed, and the image of a valid element under a
 valid form, cannot fail Elem's checks, so both are built as the bare tuple,
 as mul builds a product; forms keep InjEndo's range checks, which are what
 refuses a bad "a:k,p".  An export larger than _EXPORT_BUDGET node products
-is refused with exit 2 before its truncation is built, a green search that
-may build more than _GREEN_BUDGET factor-table entries before its first
-table (D: before any table past its four screening ones), and a numeral of
+is refused with exit 2 before its truncation is built, and a numeral of
 more than _DIGITS_MAX digits in an element, endomorphism or family before
 it is converted: every printed result then stays under the 4,300 digits
-str(int) converts.
+str(int) converts.  A green search is refused with exit 2 by the search
+itself, before the first table that would take it past its budget; the
+CLI knows nothing of its cost.
 
 verify --format json writes its report list with _json, a small indent-2
 writer whose leaves go through json's C string encoder and int and float
@@ -67,8 +67,7 @@ from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError,
 from .core_semigroup import mul as core_mul
 from .endomorphisms import (GeneratorImages, InjEndo, ParameterRangeError, apply,
                     classify_from_images, collapsing, compose, preserving)
-from .endo_monoid_green import (GreenQuery, RELATIONS, _d_candidates, green_bounded_search,
-                                green_symbolic)
+from .endo_monoid_green import GreenQuery, RELATIONS, green_bounded_search, green_symbolic
 from .oracle_verify import SUITES, UnknownSuiteError, VerifyReport, run_suite, suite_bounds
 
 EXIT_OK = 0
@@ -191,13 +190,6 @@ def _named(count: int):
     return count if count < 10 ** 12 else "more than 10**12"
 
 
-# factor-table entries one green search may build: each costs up to about
-# 1.4 us and 160 B of RSS (J at kmax 40: 2,561,600 entries in 3.5 s and
-# 313 MiB; R at kmax 600: 720,000 in 0.65 s and 109 MiB), so the largest
-# search allowed takes about 1.4 s and 160 MiB
-_GREEN_BUDGET = 1_000_000
-
-
 def _cmd_green(args) -> int:
     _require_canonical(_family_from(args))
     q = GreenQuery(args.relation, parse_endo(args.first), parse_endo(args.second),
@@ -205,23 +197,6 @@ def _cmd_green(args) -> int:
     if args.mode == "symbolic":
         print(f"related: {'true' if green_symbolic(q) else 'false'}")
         return EXIT_OK
-    # counted before any table is built: R and L build two tables of kmax**2
-    # entries, H four, and J up to kmax**2 + kmax**4.  D builds four
-    # screening tables, then at most an L and an R table per distinct
-    # candidate that either order's screening keeps, counted before any of
-    # those is built
-    k2 = q.kmax * q.kmax
-    if q.relation == "D":
-        entries = 4 * k2
-        if entries <= _GREEN_BUDGET:
-            kept = {c for order in ("LR", "RL")
-                    for c in _d_candidates(q.left, q.right, q.kmax, *order)}
-            entries += 2 * k2 * len(kept)
-    else:
-        entries = k2 + k2 * k2 if q.relation == "J" else k2 * (4 if q.relation == "H" else 2)
-    if entries > _GREEN_BUDGET:
-        raise ValueError(f"a search for {q.relation} may build {_named(entries)} table "
-                         f"entries, past the limit of {_GREEN_BUDGET}; lower --kmax")
     res = green_bounded_search(q)
     if res.related:
         wits = ", ".join(map(str, res.witnesses))

@@ -11,11 +11,14 @@ The search composes an endomorphism x with every candidate e once and
 records, per composite x e (side "R") or e x (side "L"), the first e in
 candidate order that gives it.  The candidates are the shared table of forms
 of the endomorphisms module, read only after kmax is validated.  These
-factor tables are built lazily, once per (endomorphism, kmax, side), cached
-under the endomorphism itself (an InjEndo and its raw triple share an entry)
-and kept for the life of the process; R, L, H and D then reduce to table
-lookups, and J walks the distinct composites u b of b's L table, each under
-its first u, and looks the right factor up in the table of u b.
+factor tables live in a _Tables store, one per search or one per
+green_agreement sweep, built lazily once per (endomorphism, side) under the
+endomorphism itself (an InjEndo and its raw triple share an entry); R, L, H
+and D then reduce to table lookups, and J walks the distinct composites u b
+of b's L table, each under its first u, and looks the right factor up in
+the table of u b.  The store alone knows what a search costs: kmax**2
+entries for its form table and kmax**2 per factor table, each charged
+before that work, so a refused search has done at most one budget's work.
 Cancellativity and absorption are each swept by one generator of
 counterexamples over the forms it is handed: the public predicates hand it
 enumerate_endos(kmax), which validates kmax, and take its first item; the
@@ -25,7 +28,6 @@ one.
 """
 
 from collections import namedtuple
-from functools import cache
 
 from .core_semigroup import _record, _require_int
 from .endomorphisms import (InjEndo, ParameterRangeError, _COLLAPSING, _PRESERVING,
@@ -66,85 +68,105 @@ def green_symbolic(q: GreenQuery) -> bool:
     return q.left == q.right
 
 
-@cache  # a table depends on its key alone, so every caller shares it
-def _table(x, kmax: int, side: str) -> dict:
-    # composite -> first candidate e with x e (side "R") or e x (side "L")
-    # equal to it; built once by composing x with every candidate
-    table = {}
-    xv, xk, xp = x
-    for e in _forms(kmax):
-        ev, ek, ep = e
-        table.setdefault(_compose_raw(xv, xk, xp, ev, ek, ep) if side == "R"
-                         else _compose_raw(ev, ek, ep, xv, xk, xp), e)
-    return table
+# entries one green_bounded_search call may charge, each up to about 1.4 us
+# and 150 B of RSS (R at kmax 707 from a:3,1 to a:2,1: 0.9-1.4 s, 148 MiB)
+_GREEN_BUDGET = 1_000_000
 
 
-def _related(x, y, kmax: int, side: str):
+class _Tables(dict):
+    """(x, side) -> factor table at kmax, built on its first lookup, so a hit
+    is a plain dict lookup.  spent counts kmax**2 for the form table and for
+    each table built; past budget (None: none) a charge is a ValueError."""
+
+    def __init__(self, kmax: int, budget=None):
+        self.kmax, self.budget, self.spent = kmax, budget, 0
+        self._charge()  # before the form table is read
+        self.forms = _forms(kmax)
+
+    def _charge(self):
+        self.spent += self.kmax * self.kmax
+        if self.budget is not None and self.spent > self.budget:
+            # kmax and the count are not echoed: either may be thousands of digits
+            raise ValueError(f"a Green search may build at most {self.budget} "
+                             "factor-table entries; lower kmax")
+
+    def __missing__(self, key):
+        self._charge()
+        (xv, xk, xp), side = key
+        table = {}
+        for e in self.forms:
+            ev, ek, ep = e
+            table.setdefault(_compose_raw(xv, xk, xp, ev, ek, ep) if side == "R"
+                             else _compose_raw(ev, ek, ep, xv, xk, xp), e)
+        self[key] = table
+        return table
+
+
+def _related(tables, x, y, side: str):
     # witnesses (e1, e2) with x == y e1 and y == x e2 (side "R"; e1 y and
     # e2 x for side "L"), or None.  The unit is the first candidate, so x == y
     # needs no special case.
-    e1 = _table(y, kmax, side).get(x)
-    e2 = _table(x, kmax, side).get(y) if e1 is not None else None
+    e1 = tables[y, side].get(x)
+    e2 = tables[x, side].get(y) if e1 is not None else None
     return None if e2 is None else (e1, e2)
 
 
-def _two_sided_factors(a, b, kmax: int):
+def _two_sided_factors(tables, a, b):
     # first pair (u, v) in candidate order with a == u b v.  b's L table
     # holds each distinct u b once, under its first u in candidate order; a
     # later u with the same u b could only find the v the first one found
-    for w, u in _table(b, kmax, "L").items():
-        v = _table(w, kmax, "R").get(a)
+    for w, u in tables[b, "L"].items():
+        v = tables[w, "R"].get(a)
         if v is not None:
             return u, v
     return None
 
 
-def _d_candidates(a, b, kmax: int, first: str, second: str) -> list:
-    # the c that _d_search tries, in order: of both endpoints and every
-    # candidate, those that are composites in a's `first` table and in b's
-    # `second` table, as a c with a ~ c and c ~ b is.  Only those two tables
-    # are built here; each c kept may then build its own two
-    near_a, near_b = _table(a, kmax, first), _table(b, kmax, second)
-    return [c for c in (a, b, *_forms(kmax)) if c in near_a and c in near_b]
-
-
-def _d_search(a, b, kmax: int, first: str, second: str):
-    # D as a relational composition: the first c with a ~ c by side `first`
-    # and c ~ b by side `second`.  c ranges over both endpoints and every
-    # candidate; the endpoint case is the one that can actually fire here.
-    for c in _d_candidates(a, b, kmax, first, second):
-        w1 = _related(a, c, kmax, first)
-        w2 = _related(c, b, kmax, second) if w1 is not None else None
-        if w2 is not None:
-            return (*w1, *w2)
+def _d_search(tables, a, b, first: str, second: str):
+    # D as a relational composition: the first c, of both endpoints and every
+    # candidate, with a ~ c by side `first` and c ~ b by side `second`.  Such
+    # a c is a composite in a's `first` and b's `second` table, so no other c
+    # is tried; the endpoint case is the one that can actually fire here.
+    near_a, near_b = tables[a, first], tables[b, second]
+    for c in (a, b, *tables.forms):
+        if c in near_a and c in near_b:
+            w1 = _related(tables, a, c, first)
+            w2 = _related(tables, c, b, second) if w1 is not None else None
+            if w2 is not None:
+                return (*w1, *w2)
     return None
 
 
-def green_bounded_search(q: GreenQuery) -> WitnessSearchResult:
+def green_bounded_search(q: GreenQuery, tables=None) -> WitnessSearchResult:
     """Brute-force divisibility search with factor k bounded by q.kmax.
 
     Products are compared structurally and may exceed the bound.  For D both
     composition orders are computed, and an AssertionError is raised if they
     disagree, also under python -O.  A q that is not a GreenQuery is a
-    ParameterRangeError.
+    ParameterRangeError.  The factor tables live in tables, a _Tables store
+    at q.kmax, or else in a new one with _GREEN_BUDGET.
     """
     if not isinstance(q, GreenQuery):
         raise ParameterRangeError(f"expected a GreenQuery, got {q!r}")
     kmax, rel, a, b = q.kmax, q.relation, q.left, q.right
+    if tables is None:
+        tables = _Tables(kmax, _GREEN_BUDGET)
+    elif tables.kmax != kmax:
+        raise ParameterRangeError("the tables' kmax must equal q.kmax")
     if rel in ("R", "L"):
-        wits = _related(a, b, kmax, rel)
+        wits = _related(tables, a, b, rel)
     elif rel == "H":
-        fr = _related(a, b, kmax, "R")
-        fl = _related(a, b, kmax, "L") if fr is not None else None
+        fr = _related(tables, a, b, "R")
+        fl = _related(tables, a, b, "L") if fr is not None else None
         wits = (*fr, *fl) if fl is not None else None
     elif rel == "D":
-        wits = _d_search(a, b, kmax, "L", "R")
-        rl = _d_search(a, b, kmax, "R", "L")
+        wits = _d_search(tables, a, b, "L", "R")
+        rl = _d_search(tables, a, b, "R", "L")
         if (wits is None) != (rl is None):
             raise AssertionError("the two D compositions disagree")
     else:  # J
-        f1 = _two_sided_factors(a, b, kmax)
-        f2 = _two_sided_factors(b, a, kmax) if f1 is not None else None
+        f1 = _two_sided_factors(tables, a, b)
+        f2 = _two_sided_factors(tables, b, a) if f1 is not None else None
         wits = (*f1, *f2) if f2 is not None else None
     if wits is None:
         return WitnessSearchResult(False, (), kmax)

@@ -79,7 +79,7 @@ from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError, _colum
 from .endomorphisms import (InjEndo, Kind, ParameterRangeError, UNIT, _collisions,
                     _compose_row, _forms, _growth_holds, _homomorphism_failures,
                     _image_row, _raw_image, compose, preserving)
-from .endo_monoid_green import (GreenQuery, RELATIONS, _absorption_failures,
+from .endo_monoid_green import (GreenQuery, RELATIONS, _Tables, _absorption_failures,
                     _cancellation_failures, find_idempotents, green_bounded_search,
                     green_symbolic, in_collapsing_class, in_preserving_class)
 
@@ -493,13 +493,14 @@ def _suite_ideal(log, kmax: int):
 def _suite_green_agreement(log, kmax: int):
     search_bound = kmax + 2  # factors may need more room than the pair sweep
     endos = _forms(kmax)
+    tables = _Tables(search_bound)  # the sweep's factor tables, freed when it returns
     for a in endos:
         for b in endos:
             results = {}
             for rel in RELATIONS:
                 q = GreenQuery(rel, a, b, search_bound)
                 sym = green_symbolic(q)
-                got = green_bounded_search(q)
+                got = green_bounded_search(q, tables)
                 results[rel] = got.related
                 if got.related != sym:
                     log.add(f"{rel}({a}, {b})", str(sym), str(got.related))

@@ -295,91 +295,79 @@ class TestExitCodes:
         assert (code, out, seen) == (EXIT_FAMILY, "", [(0, n)])
         assert err.startswith("error: not shift-closed")
 
-    # with the budget at 20: R and L at kmax 3 build 2 * 9 = 18 entries, H at
-    # kmax 2 4 * 4 = 16, J at kmax 2 4 + 16 = 20; one more kmax is over.  D
-    # from a:2,1 to itself keeps one distinct candidate: at kmax 1 it counts
-    # 4 * 1 screening entries + 2 * 1 = 6, at kmax 2 16 + 2 * 4 = 24
+    _REFUSED = ("error: a Green search may build at most {} factor-table entries; "
+                "lower kmax\n")
+
+    # with the budget at 20: a search from a:2,1 to itself charges kmax**2 for
+    # the form table and kmax**2 per factor table it builds; R and L build
+    # one (x's own), H, D and J two, so R and L pass at kmax 3 (18 entries)
+    # and H, D and J at kmax 2 (12); one more kmax is over
     @pytest.mark.parametrize("relation, kmax, refused", [
         ("R", 3, False), ("R", 4, True), ("L", 3, False), ("L", 4, True), ("H", 2, False),
-        ("H", 3, True), ("D", 1, False), ("D", 2, True), ("J", 2, False), ("J", 3, True)])
+        ("H", 3, True), ("D", 2, False), ("D", 3, True), ("J", 2, False), ("J", 3, True)])
     def test_green_search_budget_counts_table_entries(self, monkeypatch, capsys, relation,
                                                       kmax, refused):
-        monkeypatch.setattr(cli, "_GREEN_BUDGET", 20)
+        monkeypatch.setattr(_green, "_GREEN_BUDGET", 20)
         code, out, err = run_cli("green", "-r", relation, "a:2,1", "a:2,1", "--mode", "search",
                                  "--kmax", str(kmax), capsys=capsys)
         if refused:
-            assert (code, out) == (EXIT_SYNTAX, "") and "past the limit of 20;" in err
+            assert (code, out, err) == (EXIT_SYNTAX, "", self._REFUSED.format(20))
         else:
             assert (code, err) == (EXIT_OK, "") and out.startswith("related: true")
 
-    # J: 999**4 + 999**2 < 10**12 <= 1000**4 + 1000**2
-    @pytest.mark.parametrize("relation, kmax, count", [
-        ("R", "708", "1002528"), ("L", "800", "1280000"), ("H", "501", "1004004"),
-        ("D", "501", "1004004"), ("J", "32", "1049600"), ("J", "999", "996006994002"),
-        ("J", "1000", "more than 10**12"),
-        pytest.param("D", "9" * 4300, "more than 10**12", id="D-4300-digits")])
+    # past kmax 1000 the form table alone is over the budget; a 4,300-digit
+    # kmax squares to 8,600 digits, which the message must not convert
+    @pytest.mark.parametrize("relation", _green.RELATIONS)
+    @pytest.mark.parametrize("kmax", ["1001", "9" * 4300], ids=["1001", "4300-digits"])
     def test_ruinous_green_search_is_refused_before_any_table(self, monkeypatch, capsys,
-                                                              relation, kmax, count):
+                                                              relation, kmax):
         monkeypatch.setattr(_green, "_forms", lambda kmax: pytest.fail("a table was built"))
         assert run_cli("green", "-r", relation, "a:3,1", "a:2,1", "--mode", "search",
                        "--kmax", kmax, capsys=capsys) == (
-            EXIT_SYNTAX, "", f"error: a search for {relation} may build {count} table "
-                             "entries, past the limit of 1000000; lower --kmax\n")
+            EXIT_SYNTAX, "", self._REFUSED.format(1000000))
 
     def test_d_search_the_old_count_refused_runs(self, capsys):
         # which kmax**2 + kmax**4 counted at 1,049,600 entries
         assert run_cli("green", "-r", "D", "a:3,1", "a:2,1", "--mode", "search", "--kmax",
                        "32", capsys=capsys) == (EXIT_OK, "related: false (bound 32)\n", "")
 
-    # D at kmax 32 from a:3,1 to a:2,1: four screening tables of 1,024 entries,
-    # then 25 candidates pass each order, 46 distinct, each with its own two tables
-    @pytest.mark.parametrize("budget, refused", [(98_304, False), (98_303, True)])
-    def test_d_budget_counts_screened_candidates_before_their_tables(self, monkeypatch,
-                                                                     capsys, budget, refused):
-        monkeypatch.setattr(cli, "_GREEN_BUDGET", budget)
-        table, built = _green._table, []
-
-        def recorded(x, kmax, side):
-            built.append((str(x), side))
-            return table(x, kmax, side)
-        monkeypatch.setattr(_green, "_table", recorded)
+    # D at kmax 32 from a:3,1 to a:2,1 builds 54 tables of 1,024 entries,
+    # which with its form table is 56,320 entries
+    @pytest.mark.parametrize("budget, refused", [(56_320, False), (56_319, True)])
+    def test_d_budget_is_the_exact_charge(self, monkeypatch, capsys, budget, refused):
+        monkeypatch.setattr(_green, "_GREEN_BUDGET", budget)
         code, out, err = run_cli("green", "-r", "D", "a:3,1", "a:2,1", "--mode", "search",
                                  "--kmax", "32", capsys=capsys)
-        screening = {("a:3,1", "L"), ("a:2,1", "R"), ("a:3,1", "R"), ("a:2,1", "L")}
-        if refused:
-            assert (code, out, err) == (EXIT_SYNTAX, "", (
-                "error: a search for D may build 98304 table entries, past the limit of "
-                "98303; lower --kmax\n"))
-            assert set(built) == screening
-        else:
-            assert (code, out, err) == (EXIT_OK, "related: false (bound 32)\n", "")
-            assert set(built) > screening
+        assert (code, out, err) == ((EXIT_SYNTAX, "", self._REFUSED.format(budget)) if refused
+                                    else (EXIT_OK, "related: false (bound 32)\n", ""))
 
-    # from the unit to itself every form passes D's screening: kmax 26 counts
-    # 4 * 676 + 2 * 676 * 676 = 916,656 entries, kmax 27 1,065,798, which
-    # kmax**2 + kmax**4 = 532,170 admitted
-    @pytest.mark.parametrize("kmax, refused", [("26", False), ("27", True)])
-    def test_d_counts_every_candidate_its_screening_keeps(self, capsys, kmax, refused):
-        got = run_cli("green", "-r", "D", "a:1,0", "a:1,0", "--mode", "search", "--kmax", kmax,
-                      capsys=capsys)
-        assert got == ((EXIT_SYNTAX, "", "error: a search for D may build 1065798 table "
-                                         "entries, past the limit of 1000000; lower --kmax\n")
-                       if refused else (EXIT_OK, "related: true (bound 26); witnesses: a:1,0\n",
-                                        ""))
-
-    def test_d_past_the_budget_on_its_screening_tables_builds_none(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_GREEN_BUDGET", 4 * 32 * 32 - 1)
-        monkeypatch.setattr(_green, "_forms", lambda kmax: pytest.fail("a table was built"))
-        assert run_cli("green", "-r", "D", "a:3,1", "a:2,1", "--mode", "search", "--kmax", "32",
+    # from the unit to itself D finds its witness at the first candidate
+    # (c = a) after two tables: 3 * 27**2 = 2,187 entries, where a count of
+    # every candidate D's screening keeps refused kmax 27 at 1,065,798
+    def test_d_pays_only_for_the_tables_it_builds(self, capsys):
+        assert run_cli("green", "-r", "D", "a:1,0", "a:1,0", "--mode", "search", "--kmax", "27",
                        capsys=capsys) == (
-            EXIT_SYNTAX, "", "error: a search for D may build 4096 table entries, past the "
-                             "limit of 4095; lower --kmax\n")
+            EXIT_OK, "related: true (bound 27); witnesses: a:1,0\n", "")
 
-    def test_d_search_walks_only_the_candidates_it_counts(self, monkeypatch):
-        q = _green.GreenQuery("D", preserving(2, 1), preserving(2, 1), 1)
-        assert _green.green_bounded_search(q).related
-        monkeypatch.setattr(_green, "_d_candidates", lambda *args: [])
-        assert not _green.green_bounded_search(q).related
+    # R from a:2,0 to a:1,0 builds both tables: 3 * 578**2 = 1,002,252 entries
+    # with the form table, which a count of 2 * kmax**2 admitted; refused
+    # before the first table past the budget composes anything
+    def test_r_is_charged_for_its_form_table(self, monkeypatch, capsys):
+        compose_raw, calls = _green._compose_raw, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return compose_raw(*args)
+        monkeypatch.setattr(_green, "_compose_raw", counted)
+        assert run_cli("green", "-r", "R", "a:2,0", "a:1,0", "--mode", "search", "--kmax",
+                       "578", capsys=capsys) == (EXIT_SYNTAX, "", self._REFUSED.format(1000000))
+        assert calls == [578 * 578]
+
+    def test_past_the_budget_on_its_first_table_composes_nothing(self, monkeypatch, capsys):
+        monkeypatch.setattr(_green, "_GREEN_BUDGET", 2 * 32 * 32 - 1)
+        monkeypatch.setattr(_green, "_compose_raw", lambda *args: pytest.fail("composed"))
+        assert run_cli("green", "-r", "D", "a:3,1", "a:2,1", "--mode", "search", "--kmax", "32",
+                       capsys=capsys) == (EXIT_SYNTAX, "", self._REFUSED.format(2047))
 
     def test_symbolic_mode_builds_no_table_and_is_never_refused(self, capsys):
         assert run_cli("green", "-r", "J", "a:2,1", "a:2,1", "--kmax", "9" * 4300,

@@ -91,7 +91,7 @@ class TestBoundedSearch:
     def test_disagreeing_d_compositions_raise(self, monkeypatch, found):
         # one composition order finds a middle element, the other none; the
         # check is an explicit raise, so python -O keeps it
-        def one_sided(a, b, kmax, first, second):
+        def one_sided(tables, a, b, first, second):
             return (UNIT,) * 4 if first == found else None
 
         monkeypatch.setattr(green, "_d_search", one_sided)
@@ -173,10 +173,11 @@ class TestSearchAgainstScan:
                 for rel in RELATIONS:
                     assert green_bounded_search(GreenQuery(rel, a, b, kmax)) == \
                         _scan(rel, a, b, kmax), (rel, str(a), str(b))
+                tables = green._Tables(kmax)
                 for side in ("R", "L"):
-                    assert green._table(_raw(b), kmax, side).get(_raw(a)) \
+                    assert tables[_raw(b), side].get(_raw(a)) \
                         == _scan_factor(a, b, cands, side)
-                assert green._two_sided_factors(_raw(a), _raw(b), kmax) == \
+                assert green._two_sided_factors(tables, _raw(a), _raw(b)) == \
                     _scan_two_sided(a, b, cands)
 
     def test_endpoint_outside_candidates(self):
@@ -189,32 +190,37 @@ class TestSearchAgainstScan:
                         _scan(rel, a, b, 3)
 
     def test_factors_are_first_in_candidate_order(self):
-        cands = enumerate_endos(8)
+        cands, tables = enumerate_endos(8), green._Tables(8)
         a, b = preserving(6, 5), preserving(2, 1)
-        assert green._table(_raw(b), 8, "R")[_raw(a)] == preserving(3, 2)
+        assert tables[_raw(b), "R"][_raw(a)] == preserving(3, 2)
         # b:2,1 e = b:4,2 for a:2,0, a:2,1 and b:2,1 alike; the first is chosen
         a, b = collapsing(4, 2), collapsing(2, 1)
         hits = [e for e in cands if compose(b, e) == a]
         assert hits == [preserving(2, 0), preserving(2, 1), collapsing(2, 1)]
-        assert green._table(_raw(b), 8, "R")[_raw(a)] == hits[0]
+        assert tables[_raw(b), "R"][_raw(a)] == hits[0]
         pairs = [(u, v) for u in cands for v in cands if compose(compose(u, b), v) == a]
         assert len(pairs) > 1
-        assert green._two_sided_factors(_raw(a), _raw(b), 8) == pairs[0]
+        assert green._two_sided_factors(tables, _raw(a), _raw(b)) == pairs[0]
 
-    def test_warm_tables_repeat_the_cold_result(self, monkeypatch):
-        green._table.cache_clear()
+    def test_each_table_is_built_once_per_store(self, monkeypatch):
+        # every table composes x with each of the kmax**2 candidates once, and
+        # a search over a store that holds its tables composes nothing
         calls = []
         compose_raw = green._compose_raw
         monkeypatch.setattr(green, "_compose_raw",
                             lambda *args: calls.append(args) or compose_raw(*args))
         a, b = collapsing(4, 1), collapsing(4, 3)
         for rel in RELATIONS:
-            cold = green_bounded_search(GreenQuery(rel, a, b, 5))
-            assert green._table.cache_info().currsize
-            built, cold_calls = green._table.cache_info().misses, len(calls)
+            tables = green._Tables(5)
+            cold = green_bounded_search(GreenQuery(rel, a, b, 5), tables)
+            built, cold_calls = dict(tables), len(calls)
+            assert cold_calls == 25 * len(built) and tables.spent == 25 * (len(built) + 1)
+            assert green_bounded_search(GreenQuery(rel, a, b, 5), tables) == cold
+            assert len(calls) == cold_calls and tables.keys() == built.keys()
+            assert all(tables[key] is built[key] for key in built)
+            # a call handed no store makes a new one, which builds every table again
             assert green_bounded_search(GreenQuery(rel, a, b, 5)) == cold
-            assert green._table.cache_info().misses == built
-            assert len(calls) == cold_calls
+            assert len(calls) == 2 * cold_calls
             calls.clear()
 
     @pytest.mark.parametrize("far", [None, preserving(9, 4)], ids=["candidates", "far"])
@@ -236,23 +242,18 @@ class TestSearchAgainstScan:
             return next(((u, v) for u in cands for v in cands
                          if merged(*merged(*u, *b), *v) == a), None)
 
-        green._table.cache_clear()
         monkeypatch.setattr(green, "_compose_raw", merged)
-        try:
-            found = {(a, b): green._two_sided_factors(a, b, 3) for a in ends for b in ends}
-        finally:
-            green._table.cache_clear()  # no table built by the merged kernel stays
+        tables = green._Tables(3)  # every table here is built by the merged kernel
+        found = {(a, b): green._two_sided_factors(tables, a, b) for a in ends for b in ends}
         assert found == {(a, b): scan(a, b) for a in ends for b in ends}
         assert any(f is not None and f[0] == first for f in found.values())
 
     def test_tables_are_keyed_by_the_endomorphism(self):
         assert Kind.__hash__ is object.__hash__
         assert hash(UNIT) == hash((Kind.PRESERVING, 1, 0))
-        e = collapsing(4, 3)
-        table = green._table(e, 5, "L")
-        hits = green._table.cache_info().hits
-        assert green._table(_raw(e), 5, "L") is table
-        assert green._table.cache_info().hits == hits + 1
+        e, tables = collapsing(4, 3), green._Tables(5)
+        table = tables[e, "L"]
+        assert tables[_raw(e), "L"] is table and len(tables) == 1 and tables.spent == 2 * 25
 
     def test_never_consults_the_closed_form(self, monkeypatch):
         def refuse(q):
@@ -262,6 +263,59 @@ class TestSearchAgainstScan:
             assert green_bounded_search(GreenQuery(rel, UNIT, UNIT, 3)).related
             assert not green_bounded_search(
                 GreenQuery(rel, preserving(2, 1), collapsing(2, 1), 3)).related
+
+
+class TestBudget:
+    """A store charges kmax**2 for its form table and for each factor table,
+    each before that work, and refuses the first charge past its budget."""
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_the_charge_is_exact(self, monkeypatch, kmax):
+        calls = []
+        compose_raw = green._compose_raw
+        monkeypatch.setattr(green, "_compose_raw",
+                            lambda *args: calls.append(args) or compose_raw(*args))
+        ends = enumerate_endos(kmax) + [preserving(9, 4)]
+        for a in ends:
+            for b in ends:
+                for rel in RELATIONS:
+                    q = GreenQuery(rel, a, b, kmax)
+                    free = green._Tables(kmax)
+                    want = green_bounded_search(q, free)
+                    assert free.spent == kmax * kmax * (len(free) + 1)
+                    assert green_bounded_search(q, green._Tables(kmax, free.spent)) == want
+                    calls.clear()
+                    with pytest.raises(ValueError, match="at most"):
+                        green_bounded_search(q, green._Tables(kmax, free.spent - 1))
+                    # the refused store built every table but the last
+                    assert len(calls) == free.spent - 2 * kmax * kmax
+
+    def test_j_charges_each_table_it_builds(self):
+        # b's L table, then the R table of each distinct u b it walks: 19
+        # tables of 16 entries, where a kmax**2 + kmax**4 count said 272
+        tables = green._Tables(4)
+        q = GreenQuery("J", preserving(2, 0), preserving(1, 0), 4)
+        assert not green_bounded_search(q, tables).related
+        assert (tables.spent, len(tables)) == (16 + 304, 19)
+
+    def test_a_search_gets_the_library_budget(self, monkeypatch):
+        q = GreenQuery("R", preserving(2, 0), preserving(1, 0), 3)
+        monkeypatch.setattr(green, "_GREEN_BUDGET", 27)
+        assert not green_bounded_search(q).related
+        monkeypatch.setattr(green, "_GREEN_BUDGET", 26)
+        with pytest.raises(ValueError, match="^a Green search may build at most 26 "
+                                             "factor-table entries; lower kmax$"):
+            green_bounded_search(q)
+
+    def test_a_shared_store_must_match_the_query(self):
+        with pytest.raises(ParameterRangeError, match="kmax must equal q.kmax"):
+            green_bounded_search(GreenQuery("R", UNIT, UNIT, 3), green._Tables(4))
+
+    def test_a_store_past_its_budget_reads_no_form_table(self, monkeypatch):
+        monkeypatch.setattr(green, "_forms", lambda kmax: pytest.fail("the forms were read"))
+        for kmax in (1001, int("9" * 4300)):
+            with pytest.raises(ValueError, match="at most 1000000 factor-table entries"):
+                green_bounded_search(GreenQuery("J", UNIT, UNIT, kmax))
 
 
 class TestSharedFormTable:
@@ -292,11 +346,11 @@ class TestSharedFormTable:
         assert first == second and first is not second
         first.reverse()
         first[1:] = [collapsing(3, 2)]
-        green._table.cache_clear()  # the search rebuilds from the table
+        tables = green._Tables(3)  # a new store reads the table again
         assert enumerate_endos(3) == second
         # b e == a for e = a:2,0, a:2,1 and b:2,1; the search keeps the first
-        assert green._table(b, 3, "R")[a] == preserving(2, 0)
-        assert green._two_sided_factors(a, b, 3) == (UNIT, preserving(2, 0))
+        assert tables[b, "R"][a] == preserving(2, 0)
+        assert green._two_sided_factors(tables, a, b) == (UNIT, preserving(2, 0))
 
 
 class TestClassStructure:

@@ -1,7 +1,8 @@
 """No module imports a name it does not use, no cache grows unbounded, no
-check is an assert statement, no raw kernel call passes a starred argument,
-no module reads argparse's private attributes, and the package exports
-exactly its pinned public names.
+Green factor table outlives its search, no check is an assert statement, no
+raw kernel call passes a starred argument, no module reads argparse's
+private attributes, cli imports no private name of the Green search, and
+the package exports exactly its pinned public names.
 
 There is no linter in the toolchain, so these stdlib-ast passes are the
 check.  A name a module imports must be read in that module, unless the
@@ -13,12 +14,17 @@ strips assert statements, so a check in the package raises explicitly.
 """
 
 import ast
+import gc
+import weakref
 from operator import itemgetter
 from pathlib import Path
 
 import pytest
 
 import bicext
+import bicext.endo_monoid_green as green
+from bicext.endomorphisms import collapsing, preserving
+from bicext.oracle_verify import run_suite
 from test_trace_names import KERNELS
 
 _SRC = Path(bicext.__file__).parent
@@ -126,11 +132,33 @@ def test_the_argparse_guard_sees_each_form():
     assert _argparse_internals(ast.parse(src)) == [3, 4, 5, 6, 7]
 
 
+def _private_imports(tree, module):
+    # (line, name) of each underscore name imported from bicext.<module>
+    return [(node.lineno, a.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").rpartition(".")[2] == module
+            for a in node.names if a.name[:1] == "_"]
+
+
+def test_cli_imports_nothing_private_from_the_green_search():
+    # what a search may cost is the search's to know: a private name of
+    # endo_monoid_green in cli would be a second copy of that knowledge
+    tree = ast.parse((_SRC / "cli.py").read_text())
+    assert _private_imports(tree, "endo_monoid_green") == []
+
+
+def test_the_private_import_guard_sees_each_form():
+    src = ("from .endo_monoid_green import GreenQuery, _d_search\n"
+           "from .endo_monoid_green import (\n    RELATIONS, _Tables as T)\n"
+           "from .endomorphisms import _forms\nimport endo_monoid_green\n"
+           "from bicext.endo_monoid_green import _GREEN_BUDGET\n")
+    assert _private_imports(ast.parse(src), "endo_monoid_green") == [
+        (1, "_d_search"), (2, "_Tables"), (6, "_GREEN_BUDGET")]
+
+
 #: (module, cached name) -> why the cache may stay unbounded
 UNBOUNDED = {
     ("core_semigroup", "_family"): "one entry per validated top base m, each a bare int",
-    ("endo_monoid_green", "_table"): "grows as kmax^4 under J; tracked by the FOUND line "
-                                     "on J tables in CHANGES.md and ROADMAP item 7",
 }
 
 
@@ -187,6 +215,24 @@ def test_every_cache_is_bounded_or_listed(module):
     assert unbounded == listed, f"bicext.{module}: unbounded caches, and those listed"
     for name, size, line in uses:
         assert size is None or size.value > 0, f"bicext.{module}:{line} {name}"
+
+
+@pytest.mark.parametrize("search", [
+    lambda: green.green_bounded_search(
+        green.GreenQuery("J", preserving(3, 1), collapsing(3, 2), 5)),
+    lambda: run_suite("green_agreement", kmax=4)], ids=["green_bounded_search", "sweep"])
+def test_no_factor_table_outlives_its_search(monkeypatch, search):
+    # each store is made for one search or one sweep, and nothing else holds
+    # it or its tables once that returns
+    stores, init = [], green._Tables.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        stores.append(weakref.ref(self))
+    monkeypatch.setattr(green._Tables, "__init__", recorded)
+    search()
+    gc.collect()
+    assert len(stores) == 1 and stores[0]() is None
 
 
 def test_the_guard_sees_each_form():
