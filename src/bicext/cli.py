@@ -59,11 +59,11 @@ import argparse
 import re
 import shutil
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError,
-                   MixedFamilyError, _columns, _product_col, _raw_truncation,
-                   _require_int)
+                   MixedFamilyError, _products, _raw_truncation, _require_int)
 from .core_semigroup import mul as core_mul
 from .endomorphisms import (GeneratorImages, InjEndo, ParameterRangeError, apply,
                     classify_from_images, collapsing, compose, preserving)
@@ -332,8 +332,7 @@ def _cmd_export_cayley(args) -> int:
     # each label is formatted once, by Elem's own __str__ on the raw triple;
     # a target outside the truncation has no label, so its edge is clipped
     label = dict(zip(nodes, map(Elem.__str__, nodes)))
-    cols = _columns(nodes)
-    rows = [_product_col(cols, g) for g in generators]  # x * g for every node x
+    rows = [_products(nodes, repeat(g)) for g in generators]  # x * g for every node x
     names = list(map(Elem.__str__, generators))
     edges = [(label[x], g, label[t]) for x, targets in zip(nodes, zip(*rows))
              for g, t in zip(names, targets) if t in label]

@@ -22,9 +22,14 @@ from it, and an element's ray index Elem.f equals its base Elem.base.
 Values are validated tuples, here and in the other modules: namedtuple
 subclasses that check their fields in __new__ and act as the plain tuple.
 
-_mul_raw is the one place the formula is written, and a verify run calls it
-about a million times, so it picks the larger base by a conditional
-expression: a call to builtin max costs more than the rest of the kernel.
+_products is the one place the formula is written.  It multiplies two
+sequences of raw (i, j, base) triples position by position in one list
+comprehension, so a whole row of products costs one Python call, not one
+per product: a call costs more than the arithmetic, and a product in a row
+takes about 130 ns.  A verify run computes about a million products, so the
+kernel picks the larger base by a conditional expression, since a call to
+builtin max costs more than the rest of the kernel.  _mul_raw, one product
+of two triples, is its one-element row.
 """
 
 from collections import defaultdict, namedtuple
@@ -190,32 +195,18 @@ class Elem(_ElemFields):
     __repr__ = tuple.__repr__
 
 
+def _products(xs, ys):
+    """x * y for each raw triple x of xs and the y at the same position of
+    ys, as a tuple; _products(repeat(x), ys) is x's row over ys and
+    _products(xs, repeat(y)) the column of y.  Why no max: module docstring."""
+    return tuple([(i1 - j1 + i2, j2, b if (b := b1 + j1 - i2) > b2 else b2) if j1 <= i2
+                  else (i1, j1 - i2 + j2, b if (b := b2 + i2 - j1) > b1 else b1)
+                  for (i1, j1, b1), (i2, j2, b2) in zip(xs, ys)])
+
+
 def _mul_raw(i1, j1, b1, i2, j2, b2):
-    # Single source of the product formula on (i, j, ray base) triples;
-    # hot verification loops call this directly (why no max: module docstring).
-    if j1 <= i2:
-        b = b1 + j1 - i2
-        return i1 - j1 + i2, j2, b if b > b2 else b2
-    b = b2 + i2 - j1
-    return i1, j1 - i2 + j2, b if b > b1 else b1
-
-
-def _columns(triples):
-    """Column form (I, J, B) of a list of raw triples, for the row kernels.
-    An empty list gives three empty columns, so a map over them stops."""
-    return list(zip(*triples)) or [(), (), ()]
-
-
-def _product_row(x, cols):
-    """x * y for every y of a column set, as one map over _mul_raw run in C."""
-    i, j, b = x
-    return tuple(map(_mul_raw, repeat(i), repeat(j), repeat(b), *cols))
-
-
-def _product_col(cols, y):
-    """x * y for every x of a column set: _product_row's right-hand twin."""
-    i, j, b = y
-    return tuple(map(_mul_raw, *cols, repeat(i), repeat(j), repeat(b)))
+    # one product on (i, j, ray base) triples, the one-element row of _products
+    return _products(((i1, j1, b1),), ((i2, j2, b2),))[0]
 
 
 def _interner(triples):
@@ -231,10 +222,9 @@ def _pair_table(elems):
     distinct[pid[x][y]] == x * y on raw triples.  distinct starts with the
     distinct elems in order, and each row of products is interned as it is
     built, so no row of triples outlives its own map."""
-    cols = _columns(elems)
     ids = _interner(dict.fromkeys(elems))
     intern = ids.__getitem__
-    return [tuple(map(intern, _product_row(x, cols))) for x in elems], list(ids)
+    return [tuple(map(intern, _products(repeat(x), elems))) for x in elems], list(ids)
 
 
 def mul(x: Elem, y: Elem) -> Elem:

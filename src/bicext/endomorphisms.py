@@ -38,9 +38,13 @@ triple it accepted, in a bounded typed cache; a refused triple raises every
 time.  Most of the reuse is across calls, so a one-shot command line
 process gains only the reuse within its one run (BENCH_form_table.json).
 The verification sweeps over many compositions do not go through compose:
-_compose_row maps _compose_raw over a row of right factors, as _image_row
-maps _raw_image, and the caller range-checks each distinct composite once.
-Both live here, so a replaced kernel reaches them too.
+_compose_row maps _compose_raw over a row of right factors, and the caller
+range-checks each distinct composite once.  The image closed form is written
+once, in _image_row: one list comprehension over a sequence of raw triples
+that tests the kind once per row, so a row of images costs one Python call,
+not one per image, and an image in a row takes about 100 ns.  _raw_image,
+one image, is its one-element row.  Both row kernels live here, so a
+replaced kernel reaches every sweep.
 
 The raw-parameter oracles (homomorphism_counterexample,
 injectivity_collision, growth_inequalities_hold) take any int (k, p), since
@@ -60,9 +64,8 @@ from itertools import repeat
 from operator import itemgetter
 
 # _mul_raw stays bound here: bench/tracing.py wraps the kernels module by module
-from .core_semigroup import (CANONICAL_FAMILY, Elem, FamilyError, _columns, _mul_raw,
-                             _pair_table, _product_row, _raw_truncation, _record,
-                             _require_int)
+from .core_semigroup import (CANONICAL_FAMILY, Elem, FamilyError, _mul_raw, _pair_table,
+                             _products, _raw_truncation, _record, _require_int)
 
 
 class ParameterRangeError(ValueError):
@@ -136,18 +139,17 @@ def collapsing(k: int, p: int) -> InjEndo:
 UNIT = preserving(1, 0)
 
 
+def _image_row(kind, k, p, xs):
+    """Images of the raw triples xs under the closed form (kind, k, p),
+    applied blindly, as a tuple; callers own (k, p) range validation."""
+    level = 1 if kind is _PRESERVING else 0
+    return tuple([(k * i, k * j, 0) if b == 0 else (p + k * i, p + k * j, level)
+                  for i, j, b in xs])
+
+
 def _raw_image(kind, k, p, i, j, b):
-    # Closed form applied blindly; callers own (k, p) range validation.
-    if b == 0:
-        return k * i, k * j, 0
-    if kind is _PRESERVING:
-        return p + k * i, p + k * j, 1
-    return p + k * i, p + k * j, 0
-
-
-def _image_row(kind, k, p, cols):
-    """Images of every triple of a column set, as one map over _raw_image run in C."""
-    return tuple(map(_raw_image, repeat(kind), repeat(k), repeat(p), *cols))
+    # one image of an (i, j, ray base) triple, the one-element row of _image_row
+    return _image_row(kind, k, p, ((i, j, b),))[0]
 
 
 def apply(e: InjEndo, x: Elem) -> Elem:
@@ -267,13 +269,14 @@ def _homomorphism_failures(kind, k, p, elems, pairs, images, blocks):
     # once, and a scan given {} builds no row it does not read.  A row that
     # matches is kept as f(xy)'s triples, which hold each value once.
     pid, distinct = pairs
-    fxy = _image_row(kind, k, p, _columns(distinct))
+    fxy = _image_row(kind, k, p, distinct)
     half = len(elems) // 2
     rows = blocks.setdefault(images[:half], [])
-    high, every = _columns(images[half:]), _columns(images)
+    high = images[half:]
     for i, (x, fx, row) in enumerate(zip(elems, images, pid)):
         want = itemgetter(*row)(fxy)
-        got = rows[i] + _product_row(fx, high) if i < len(rows) else _product_row(fx, every)
+        got = (rows[i] + _products(repeat(fx), high) if i < len(rows)
+               else _products(repeat(fx), images))
         same = got == want
         if len(rows) == i < half:  # a block row's first read keeps its level-0 part
             rows.append((want if same else got)[:half])
@@ -293,7 +296,7 @@ def homomorphism_counterexample(kind, k: int, p: int, bound: int):
     """
     _check_raw(kind, k, p, bound)
     elems = _raw_truncation(bound)
-    pairs, images = _pair_table(elems), _image_row(kind, k, p, _columns(elems))
+    pairs, images = _pair_table(elems), _image_row(kind, k, p, elems)
     for x, y, _, _ in _homomorphism_failures(kind, k, p, elems, pairs, images, {}):
         return CANONICAL_FAMILY.elem(*x), CANONICAL_FAMILY.elem(*y)
     return None
@@ -322,7 +325,7 @@ def injectivity_collision(kind, k: int, p: int, bound: int):
     """The first two distinct truncation elements sharing a raw image, or None."""
     _check_raw(kind, k, p, bound)
     elems = _raw_truncation(bound)
-    for x, y, _ in _collisions(elems, _image_row(kind, k, p, _columns(elems))):
+    for x, y, _ in _collisions(elems, _image_row(kind, k, p, elems)):
         return CANONICAL_FAMILY.elem(*x), CANONICAL_FAMILY.elem(*y)
     return None
 

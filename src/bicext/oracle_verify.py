@@ -15,10 +15,11 @@ calls the kernels; no suite multiplies Elems through mul.
 
 The three heaviest sweeps (associativity, the homomorphism property of every
 form, and the pointwise composition table) run as row kernels: a whole row
-of cases is computed by map over _mul_raw or _raw_image and compared as one
-tuple, or one packed array of ids, in C, and only a row that mismatches is
-walked case by case to record its failures, in the same order and with the
-same text as a plain loop.
+of cases is computed by one call of _products or _image_row, each a list
+comprehension over raw triples holding its module's one copy of the
+formula, and compared as one tuple, or one packed array of ids, in C.  Only
+a row that mismatches is walked case by case to record its failures, in the
+same order and with the same text as a plain loop.
 Every check reads the table its suite built, so a value is computed once
 per suite run, and a row is shared only between inputs equal by value,
 never by a closed form standing in for a scan:
@@ -48,12 +49,12 @@ order only to log a refusal or a difference, or to stop where compose
 would have raised.  The homomorphism law, injectivity, cancellativity and
 absorption each log every item of the one counterexample generator of the
 module owning the law.
-The inverse axioms take x^-1 as the swap (j, i, b) and map _mul_raw over
-the truncation for x x^-1, x^-1 x, (x x^-1) x and the squares; idempotents
-commute when their product table equals its transpose.  An element's text
-is formatted only for a failure it records.
-The kernels run about a million times per verify run, so they read no
-builtin max and no Enum class attribute: either costs more than the sums.
+The inverse axioms take x^-1 as the swap (j, i, b) and compute x x^-1,
+x^-1 x, (x x^-1) x and the squares as _products rows over the truncation;
+idempotents commute when their product table equals its transpose.  An
+element's text is formatted only for a failure it records.
+The row kernels compute about a million values per verify run, so they read
+no builtin max and no Enum class attribute: either costs more than the sums.
 
 Failures, reports and registry entries are named tuples.  An exception that
 escapes a suite after its bounds are accepted fails its report with no
@@ -71,11 +72,11 @@ from functools import reduce
 from itertools import compress, filterfalse, repeat
 from operator import attrgetter, or_
 
-# mul and _raw_image stay bound here though no suite calls them:
+# mul, _mul_raw and _raw_image stay bound here though no suite calls them:
 # bench/tracing.py counts their calls module by module
-from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError, _columns,
-                   _interner, _mul_raw, _pair_table, _product_col, _product_row,
-                   _raw_truncation, _require_int, mul, mul_bicyclic)
+from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError, _interner,
+                   _mul_raw, _pair_table, _products, _raw_truncation, _require_int,
+                   mul, mul_bicyclic)
 from .endomorphisms import (InjEndo, Kind, ParameterRangeError, UNIT, _collisions,
                     _compose_row, _forms, _growth_holds, _homomorphism_failures,
                     _image_row, _raw_image, compose, preserving)
@@ -155,9 +156,8 @@ def _leq_table(elems):
     """leq[s][t] by leq_natural's rule s == t (s^-1 s), on raw triples, each
     row a tuple of bools: one product column t e over every t per distinct
     idempotent e = s^-1 s, since many s share one."""
-    idems = [_mul_raw(j, i, b, i, j, b) for i, j, b in elems]
-    cols = _columns(elems)
-    column = {e: _product_col(cols, e) for e in dict.fromkeys(idems)}
+    idems = _products([(j, i, b) for i, j, b in elems], elems)
+    column = {e: _products(elems, repeat(e)) for e in dict.fromkeys(idems)}
     return [tuple(map(s.__eq__, column[e])) for s, e in zip(elems, idems)]
 
 
@@ -167,7 +167,6 @@ def _leq_table(elems):
 def _suite_semigroup_axioms(log, bound: int):
     elems = _raw_truncation(bound)
     n = len(elems)
-    cols = _columns(elems)
     label = Elem.__str__  # an Elem's text, of a raw triple, only for a failure
 
     # associativity over every triple, through ids of the interned distinct
@@ -184,8 +183,8 @@ def _suite_semigroup_axioms(log, bound: int):
     left = [array("I", row) for row in pid]  # left[x][y] is x*y for x < n
     col = [array("I", c) for c in zip(*pid)]
     del pid
-    left += [array("I", map(intern, _product_row(d, cols))) for d in extra]
-    col += [array("I", map(intern, _product_col(cols, d))) for d in extra]
+    left += [array("I", map(intern, _products(repeat(d), elems))) for d in extra]
+    col += [array("I", map(intern, _products(elems, repeat(d)))) for d in extra]
     strides = [slice(xi, None, n) for xi in range(n)]
     bad = []  # (x, y) whose rows over z differ
     for yi in range(n):
@@ -222,10 +221,10 @@ def _suite_semigroup_axioms(log, bound: int):
     # over the one-ray family the third coordinate is inert: the product
     # projects onto the plain bicyclic product
     single = _raw_truncation(bound, Family.from_bases(0))
-    scols, pairs = _columns(single), [x[:2] for x in single]
+    pairs = [x[:2] for x in single]
     for x in single:
         want = [(*w, 0) for w in map(mul_bicyclic, repeat(x[:2]), pairs)]
-        got = _product_row(x, scols)
+        got = _products(repeat(x), single)
         if want != list(got):
             for y, w, g in zip(single, want, got):
                 if g != w:
@@ -237,16 +236,16 @@ def _suite_semigroup_axioms(log, bound: int):
 
 
 def _suite_inverse_axioms(log, bound: int):
-    elems = _raw_truncation(bound)
+    elems = tuple(_raw_truncation(bound))  # a tuple, as the product rows are
     n = len(elems)
-    inv = [(j, i, b) for i, j, b in elems]  # x^-1, as in _leq_table
-    twice = [(j, i, b) for i, j, b in inv]  # (x^-1)^-1
-    cols, icols = _columns(elems), _columns(inv)
-    right = list(map(_mul_raw, *cols, *icols))  # x x^-1
-    left = list(map(_mul_raw, *icols, *cols))  # x^-1 x
-    back = list(map(_mul_raw, *_columns(right), *cols))  # (x x^-1) x
+    inv = tuple([(j, i, b) for i, j, b in elems])  # x^-1, as in _leq_table
+    twice = tuple([(j, i, b) for i, j, b in inv])  # (x^-1)^-1
+    right = _products(elems, inv)  # x x^-1
+    left = _products(inv, elems)  # x^-1 x
+    back = _products(right, elems)  # (x x^-1) x
     # one row of squares: x x, then (x x^-1)^2, then (x^-1 x)^2
-    squares = list(map(_mul_raw, *_columns(elems + right + left) * 2))
+    three = elems + right + left
+    squares = _products(three, three)
     square, right2, left2 = squares[:n], squares[n:2 * n], squares[2 * n:]
     label = Elem.__str__  # an Elem's text, of a raw triple, only for a failure
     if (back, twice, right2, left2) != (elems, elems, right, left):
@@ -264,8 +263,7 @@ def _suite_inverse_axioms(log, bound: int):
             if got != (x[0] == x[1]):
                 log.add(f"x={label(x)}", "idempotent iff i == j", str(got))
     idems = [x for x in elems if x[0] == x[1]]
-    ecols = _columns(idems)
-    table = [_product_row(e, ecols) for e in idems]  # table[e][f] is e f
+    table = [_products(repeat(e), idems) for e in idems]  # table[e][f] is e f
     if table != list(zip(*table)):
         for e, row, col in zip(idems, table, zip(*table)):
             for f2, ef, fe in zip(idems, row, col):
@@ -322,11 +320,11 @@ def _suite_order(log, bound: int):
 def _suite_endo_homomorphism(log, bound: int, kmax: int):
     elems = _raw_truncation(bound)
     n, half = len(elems), len(elems) // 2
-    pairs, cols = _pair_table(elems), _columns(elems)
+    pairs = _pair_table(elems)
     endos = _forms(kmax)
     blocks, rows = {}, []  # level-0 product rows shared by block value; each form's images
     for e in endos:
-        images = _image_row(*e, cols)
+        images = _image_row(*e, elems)
         rows.append(images)
         for x, y, fxy, fxfy in _homomorphism_failures(*e, elems, pairs, images, blocks):
             log.add(f"e={e} x={x} y={y}", str(fxy), str(fxfy))
@@ -353,7 +351,7 @@ def _suite_endo_homomorphism(log, bound: int, kmax: int):
             if images != fixed:
                 log.add("a:1,0", "fixes the whole truncation", "moves an element")
             continue
-        seen = tuple(map(images.__getitem__, near)) if near else _image_row(*e, _columns(small))
+        seen = tuple(map(images.__getitem__, near)) if near else _image_row(*e, small)
         if seen == small:
             log.add(f"e={e}", "moves an element with coordinates <= 2", "fixes them all")
     # per form: every pair, the identity and rigidity; per form but the
@@ -364,10 +362,9 @@ def _suite_endo_homomorphism(log, bound: int, kmax: int):
 
 def _suite_endo_injectivity(log, bound: int, kmax: int):
     elems = _raw_truncation(bound)
-    cols = _columns(elems)
     endos = _forms(kmax)
     for e in endos:
-        for x, y, im in _collisions(elems, _image_row(*e, cols)):
+        for x, y, im in _collisions(elems, _image_row(*e, elems)):
             log.add(f"e={e}", "injective", f"{x} and {y} map to {im}")
     return len(endos) * len(elems), f"{len(endos)} endomorphisms on {len(elems)} elements"
 
@@ -376,23 +373,21 @@ def _composition_soundness(log, elems, endos):
     """Log every point where a pair's composite differs from applying its
     two factors in turn; returns the case count.  Its blocks, rows and
     groups are freed on return, before the closure sweeps start."""
-    cols = _columns(elems)
     half = len(elems) // 2  # the level-0 elements come first
-    # e1's images of level 1 in column form, one set per e1; its images of
-    # level 0 form a block that first factors share by value (forms with
-    # equal k send level 0 alike), so e2's row over a block is built once
-    # per distinct block, and rows equal by value are kept once.  The pairs
-    # are grouped by their computed composite, whose image row is built
-    # once per group rather than once per pair
+    # e1's images of level 1, one row per e1; its images of level 0 form a
+    # block that first factors share by value (forms with equal k send level
+    # 0 alike), so e2's row over a block is built once per distinct block,
+    # and rows equal by value are kept once.  The pairs are grouped by their
+    # computed composite, whose image row is built once per group rather
+    # than once per pair
     blocks, block_of, highs = {}, [], []
     for e1 in endos:
-        images = _image_row(*e1, cols)
+        images = _image_row(*e1, elems)
         block_of.append(blocks.setdefault(images[:half], len(blocks)))
-        highs.append(_columns(images[half:]))
+        highs.append(images[half:])
     kept, lows = {}, []  # lows[block][b] is e2's row over that block
     for block in blocks:
-        bcols = _columns(block)
-        lows.append([kept.setdefault(r, r) for r in (_image_row(*e2, bcols) for e2 in endos)])
+        lows.append([kept.setdefault(r, r) for r in (_image_row(*e2, block) for e2 in endos)])
 
     def two_step(a, b):  # e1 then e2, over every element
         return lows[block_of[a]][b] + _image_row(*endos[b], highs[a])
@@ -403,10 +398,10 @@ def _composition_soundness(log, elems, endos):
             groups[compose(e1, e2)].append((a, b))
     bad = []
     for c, pairs in groups.items():
-        one = _image_row(*c, cols)
+        one = _image_row(*c, elems)
         bad += [(a, b, c) for a, b in pairs if two_step(a, b) != one]
     for a, b, c in sorted(bad):  # pair order, as a per-pair loop records them
-        one, two = _image_row(*c, cols), two_step(a, b)
+        one, two = _image_row(*c, elems), two_step(a, b)
         for x, o, t in zip(elems, one, two):
             if o != t:
                 log.add(f"{endos[a]} . {endos[b]} at {x}", str(t), str(o))
@@ -432,7 +427,7 @@ def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
                 refusals[t] = str(exc)
         return any(map(refusals.__getitem__, row))
 
-    bcols = _columns(big)
+    bcols = list(zip(*big))  # _compose_row's column form
     for e1 in big:
         row = _compose_row(*e1, bcols)
         if refused(row):
@@ -443,8 +438,8 @@ def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
     # a collapsing left factor erases the right factor's kind; a refused
     # composite stops the suite at the first pair holding one, as compose would
     coll = list(filter(in_collapsing_class, big))
-    ccols = _columns(coll)
-    pcols = _columns([preserving(k2, p2) for _, k2, p2 in coll])
+    ccols = list(zip(*coll))
+    pcols = list(zip(*[preserving(k2, p2) for _, k2, p2 in coll]))
     for e1 in coll:
         got, want = _compose_row(*e1, pcols), _compose_row(*e1, ccols)
         if refused(got + want) or got != want:
@@ -522,12 +517,12 @@ def _suite_green_agreement(log, kmax: int):
 def _suite_classification_negative(log, kmax: int, bound: int):
     homo = coll = 0
     elems = _raw_truncation(bound)
-    pairs, cols = _pair_table(elems), _columns(elems)
+    pairs = _pair_table(elems)
     blocks = {}  # level-0 product rows, shared by the forms with equal k
     forms = [(kind, k, p) for kind in Kind for k in range(1, kmax + 1)
              for p in (k, k + 1, k + 2)]
     for kind, k, p in forms:
-        images = _image_row(kind, k, p, cols)
+        images = _image_row(kind, k, p, elems)
         if next(_homomorphism_failures(kind, k, p, elems, pairs, images, blocks), None):
             homo += 1
         elif next(_collisions(elems, images), None):

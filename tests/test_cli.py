@@ -25,7 +25,7 @@ import bicext.core_semigroup as _core
 import bicext.endo_monoid_green as _green
 import bicext.endomorphisms as _endo
 from bicext.core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyClosureError,
-                                   FamilyError, MixedFamilyError, _mul_raw, mul)
+                                   FamilyError, MixedFamilyError, _products, mul)
 from bicext.endomorphisms import ParameterRangeError, collapsing, enumerate_endos, preserving
 from bicext.oracle_verify import VerifyReport, run_suite
 from test_oracle_verify import _minus_compose
@@ -660,22 +660,25 @@ class TestExportCayley:
             assert (code, err) == (EXIT_OK, "") and out.startswith("digraph cayley {")
 
     def test_one_kernel_call_per_node_and_generator(self, monkeypatch, capsys):
-        # bound 3 over {[0),[1),[2)}: 48 nodes, two generators, no Elem product
-        calls = []
+        # bound 3 over {[0),[1),[2)}: 48 nodes, two generators, no Elem
+        # product: the products computed are the values of the rows returned
+        products = [0]
 
-        def counted(*args):
-            calls.append(args)
-            return _mul_raw(*args)
+        def counted(xs, ys):
+            row = _products(xs, ys)
+            products[0] += len(row)
+            return row
 
         def refused(*args):
             raise AssertionError("an Elem product")
-        monkeypatch.setattr(_core, "_mul_raw", counted)
+        for module in (_core, cli):
+            monkeypatch.setattr(module, "_products", counted)
         monkeypatch.setattr(_core, "mul", refused)
         monkeypatch.setattr(cli, "core_mul", refused)
         code, out, _ = run_cli("export-cayley", "--bound", "3", "--family", "0,1,2",
                                "--generators", "(0,1,0)", "(1,0,2)", capsys=capsys)
         assert code == EXIT_OK and " -> " in out
-        assert len(calls) == 48 * 2
+        assert products[0] == 48 * 2
 
 
 def run_fresh(argv):

@@ -1,7 +1,8 @@
 """No module imports a name it does not use, no cache grows unbounded, no
 Green factor table outlives its search, no check is an assert statement, no
 raw kernel call passes a starred argument, no module reads argparse's
-private attributes, cli imports no private name of the Green search, and
+private attributes, cli imports no private name of the Green search, no
+module maps a scalar kernel over a row or keeps a column form for one, and
 the package exports exactly its pinned public names.
 
 There is no linter in the toolchain, so these stdlib-ast passes are the
@@ -130,6 +131,44 @@ def test_the_argparse_guard_sees_each_form():
            "argparse.Namespace\nleaf.set_defaults(x=1)\nother._private\n"
            "from argparse import ArgumentParser\n")
     assert _argparse_internals(ast.parse(src)) == [3, 4, 5, 6, 7]
+
+
+#: scalar kernels that are one-element rows of the row kernels holding
+#: their formulas: a map over one pays a Python call per value
+SCALAR_KERNELS = ("_mul_raw", "_raw_image")
+
+
+def _per_value_paths(tree):
+    # lines that map or starmap a scalar kernel, by name or as an attribute,
+    # or that define, assign or import _columns, the column form such a map
+    # takes
+    def kernel(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name in SCALAR_KERNELS
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("map", "starmap") and node.args and kernel(node.args[0])
+        or isinstance(node, ast.FunctionDef) and node.name == "_columns"
+        or isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_columns" for t in node.targets)
+        or isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            "_columns" in (a.name, a.asname) for a in node.names))
+
+
+@pytest.mark.parametrize("module", _MODULES + ["__init__"])
+def test_no_per_value_kernel_path(module):
+    lines = _per_value_paths(ast.parse((_SRC / f"{module}.py").read_text()))
+    assert lines == [], f"bicext.{module} maps a scalar kernel or keeps the column form"
+
+
+def test_the_per_value_guard_sees_each_form():
+    src = ("map(_mul_raw, *cols)\nmap(core._raw_image, a, b)\nstarmap(_mul_raw, pairs)\n"
+           "def _columns(triples):\n    pass\n_columns = list\n"
+           "from .core_semigroup import _columns\nfrom x import _columns as cols\n"
+           "map(_compose_raw, *cols)\nmap(str, xs)\n_products(xs, ys)\n"
+           "_mul_raw(1, 2, 0, 2, 1, 1)\nfrom .core_semigroup import _mul_raw\n")
+    assert _per_value_paths(ast.parse(src)) == [1, 2, 3, 4, 6, 7, 8]
 
 
 def _private_imports(tree, module):

@@ -277,10 +277,20 @@ def test_case_counts_pinned(name):
 
 # ------------------------------------------------------- fault injection --
 
-_MODULES = (_core, _endo, _ov, _green)
-_REAL_MUL = _core._mul_raw
-_REAL_IMAGE = _endo._raw_image
+_MODULES = (_core, _endo, _ov, _green, cli)
+_REAL_PRODUCTS = _core._products
+_REAL_IMAGE_ROW = _endo._image_row
 _REAL_COMPOSE = _endo._compose_raw
+
+
+# the unpatched formulas, one value at a time: the scalar kernels themselves
+# read whatever row kernel a test put in their module
+def _REAL_MUL(i1, j1, b1, i2, j2, b2):
+    return _REAL_PRODUCTS(((i1, j1, b1),), ((i2, j2, b2),))[0]
+
+
+def _REAL_IMAGE(kind, k, p, i, j, b):
+    return _REAL_IMAGE_ROW(kind, k, p, ((i, j, b),))[0]
 
 
 def _dense_mul(i1, j1, b1, i2, j2, b2):
@@ -412,12 +422,57 @@ def _collapsed_compose(v1, k1, p1, v2, k2, p2):
     return v, k, p
 
 
-def _inject(monkeypatch, name, fault):
-    """Replace the kernel `name` in every module that binds it."""
+def _products_through(fault):
+    """_products, each product computed by the scalar kernel fault."""
+    def products(xs, ys):
+        return tuple([fault(i1, j1, b1, i2, j2, b2)
+                      for (i1, j1, b1), (i2, j2, b2) in zip(xs, ys)])
+    return products
+
+
+def _image_row_through(fault):
+    """_image_row, each image computed by the scalar kernel fault."""
+    def image_row(kind, k, p, xs):
+        return tuple([fault(kind, k, p, i, j, b) for i, j, b in xs])
+    return image_row
+
+
+#: each scalar kernel -> (the row kernel holding its formula, that row
+#: kernel unpatched, and that row kernel built on a replacement scalar one)
+_ROWS = {"_mul_raw": ("_products", _REAL_PRODUCTS, _products_through),
+         "_raw_image": ("_image_row", _REAL_IMAGE_ROW, _image_row_through)}
+
+
+def _patch_everywhere(monkeypatch, name, value):
+    """Replace `name` in every module that binds it."""
     bound = [m for m in _MODULES if name in vars(m)]
     assert bound
     for module in bound:
-        monkeypatch.setattr(module, name, fault)
+        monkeypatch.setattr(module, name, value)
+
+
+def _inject(monkeypatch, name, fault):
+    """Replace the scalar kernel `name` by fault where every sweep reaches
+    it: its row kernel becomes one that computes each value through fault,
+    and the scalar kernel, a one-element row of it, follows."""
+    row, _, lift = _ROWS[name]
+    _patch_everywhere(monkeypatch, row, lift(fault))
+
+
+def _counted(monkeypatch, name):
+    """A one-item list counting, from now on, what the kernel `name`
+    computes: the values in every row its row kernel returns, for _mul_raw
+    and _raw_image, and the calls, for mul."""
+    row, real, _ = _ROWS.get(name, ("mul", _core.mul, None))
+    size = len if name in _ROWS else (lambda _: 1)
+    count = [0]
+
+    def counted(*args):
+        values = real(*args)
+        count[0] += size(values)
+        return values
+    _patch_everywhere(monkeypatch, row, counted)
+    return count
 
 
 def _digest(failures):
@@ -693,13 +748,7 @@ def test_composition_table_builds_one_row_per_distinct_composite(monkeypatch):
     # the bound-20 truncation; then per pair one right-factor row over the
     # first factor's 441 images of level 1, and per right factor one row over
     # each of the 5 distinct level-0 image blocks of the first factors
-    calls = [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return _REAL_IMAGE(*args)
-
-    monkeypatch.setattr(_endo, "_raw_image", counted)  # _image_row reads it there
+    calls = _counted(monkeypatch, "_raw_image")
     report = run_suite("composition_table")
     assert report.passed and report.cases == 625 * 882 + 144 ** 2 + 66 ** 2
     assert calls[0] == (25 + 258) * 882 + (625 + 25 * 5) * 441 == 580356
@@ -736,7 +785,7 @@ def _plain_homomorphism_failures(kind, k, p, elems):
 
 
 def _homomorphism_scan(kind, k, p, elems, pairs, blocks):
-    images = _endo._image_row(kind, k, p, _core._columns(elems))
+    images = _endo._image_row(kind, k, p, elems)
     return _endo._homomorphism_failures(kind, k, p, elems, pairs, images, blocks)
 
 
@@ -784,13 +833,7 @@ def test_a_scan_completes_rows_an_abandoned_scan_left(later):
 def test_a_single_scan_builds_only_the_rows_it_reads(monkeypatch, bound, calls):
     # a:2,2 fails in its second row: the pair table's n^2 products, then two
     # product rows of n, with n = 2 (bound + 1)^2 (50 and 338)
-    count = [0]
-
-    def counted(*args):
-        count[0] += 1
-        return _REAL_MUL(*args)
-
-    _inject(monkeypatch, "_mul_raw", counted)
+    count = _counted(monkeypatch, "_mul_raw")
     n = 2 * (bound + 1) ** 2
     assert homomorphism_counterexample(Kind.PRESERVING, 2, 2, bound)
     assert count[0] == n * n + 2 * n == calls
@@ -842,20 +885,11 @@ def test_order_table_matches_a_plain_scan(monkeypatch, fault, bound):
 
 
 def _count_kernel_calls(monkeypatch, suite, names=("_mul_raw", "_raw_image")):
-    """Calls of each named kernel by run_suite(suite) at its defaults."""
-    calls = dict.fromkeys(names, 0)
-
-    def counter(name, real):
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-        return counted
-
-    real = {"_mul_raw": _REAL_MUL, "_raw_image": _REAL_IMAGE, "mul": _core.mul}
-    for name in names:
-        _inject(monkeypatch, name, counter(name, real[name]))
+    """What each named kernel computes in run_suite(suite) at its defaults,
+    counted as _counted counts it: a value computed twice counts twice."""
+    counts = [_counted(monkeypatch, name) for name in names]
     assert run_suite(suite).passed
-    return tuple(calls.values())
+    return tuple(count[0] for count in counts)
 
 
 def test_classification_negative_builds_one_pair_table(monkeypatch):

@@ -1,18 +1,24 @@
 """Property tests with hypothesis, at parameters beyond the exhaustive
 sweeps of the other test modules (coordinates up to 20, multipliers up to
-12).  They use only the public mul, inverse, apply and compose, so they
-check the product formula apart from the suites' row kernels.  The last
-checks the verify JSON writer against json.dumps on documents of the
-report schema's shape."""
+12).  The algebraic laws use only the public mul, inverse, apply and
+compose.  The row kernels _products and _image_row, which hold the product
+formula and the image closed form, are checked against those formulas as
+written in the README and in the endomorphisms docstring, restated here
+with builtin max, on rows of raw triples with coordinates up to 2,000
+digits.  The last checks the verify JSON writer against json.dumps on
+documents of the report schema's shape."""
 
 import json
+from itertools import repeat
 
 from hypothesis import example, given, settings, strategies as st
 
 from bicext.cli import _json
-from bicext.core_semigroup import CANONICAL_FAMILY, Family, inverse, mul
+from bicext.core_semigroup import (CANONICAL_FAMILY, Family, _mul_raw, _products, inverse,
+                                   mul)
 from bicext.endo_monoid_green import GreenQuery, RELATIONS, green_bounded_search
-from bicext.endomorphisms import InjEndo, Kind, apply, collapsing, compose, preserving
+from bicext.endomorphisms import (InjEndo, Kind, _image_row, _raw_image, apply, collapsing,
+                                  compose, preserving)
 
 _COORD = st.integers(0, 20)
 
@@ -93,6 +99,67 @@ def test_compose_is_closed(e1, e2, e3, x):
                       else Kind.PRESERVING)
     assert apply(c, x) == apply(e2, apply(e1, x))
     assert compose(c, e3) == compose(e1, compose(e2, e3))
+
+
+# a coordinate: small, so that branches tie, or of up to 2,000 digits
+_BIG = st.one_of(st.integers(0, 20), st.integers(0, 10**2000 - 1))
+
+
+def _raw(bases):
+    return st.tuples(_BIG, _BIG, bases)
+
+
+@st.composite
+def _rows(draw):
+    """Two rows of raw triples of one length, possibly none, over one family
+    {[0), ..., [m)} with m <= 6."""
+    triple = _raw(st.integers(0, draw(st.integers(0, 6))))
+    n = draw(st.integers(0, 6))
+    return draw(st.lists(triple, min_size=n, max_size=n)), draw(
+        st.lists(triple, min_size=n, max_size=n))
+
+
+def _product(x, y):
+    """The README's product: the bicyclic part, and the shifted ray
+    intersected with the other, which keeps the larger base."""
+    (i1, j1, b1), (i2, j2, b2) = x, y
+    if j1 <= i2:
+        return i1 - j1 + i2, j2, max(j1 - i2 + b1, b2)
+    return i1, j1 - i2 + j2, max(b1, i2 - j1 + b2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows())
+@example(([], []))
+@example(([(0, 2, 1)], [(3, 2, 0)]))
+def test_products_follow_the_two_branch_formula(rows):
+    xs, ys = rows
+    assert _products(xs, ys) == tuple(map(_product, xs, ys))
+    for x, y in zip(xs, ys):
+        assert _mul_raw(*x, *y) == _products([x], [y])[0]
+    for x in xs[:1]:  # a row and a column, the shapes the sweeps take
+        assert _products(repeat(x), ys) == tuple(_product(x, y) for y in ys)
+        assert _products(ys, repeat(x)) == tuple(_product(y, x) for y in ys)
+
+
+def _image(kind, k, p, x):
+    """The endomorphisms docstring's table, applied to any (k, p)."""
+    i, j, b = x
+    if b == 0:
+        return k * i, k * j, 0
+    return p + k * i, p + k * j, 1 if kind is Kind.PRESERVING else 0
+
+
+_PARAM = st.one_of(st.integers(-3, 20), _BIG)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(Kind), _PARAM, _PARAM, st.lists(_raw(st.integers(0, 1)), max_size=6))
+@example(Kind.COLLAPSING, 3, 1, [])
+def test_image_row_follows_the_closed_form_table(kind, k, p, xs):
+    assert _image_row(kind, k, p, xs) == tuple(_image(kind, k, p, x) for x in xs)
+    for x in xs:
+        assert _raw_image(kind, k, p, *x) == _image_row(kind, k, p, [x])[0]
 
 
 # any text: quotes, backslashes, control characters, non-ASCII and non-BMP
