@@ -424,18 +424,18 @@ class _Parser(argparse.ArgumentParser):
         return texts[width]
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
-    """The argparse tree of _COMMANDS; each leaf parser under the command
-    words that reach it; and the parse table of each leaf, built from the
-    actions its add_argument calls return: its positionals in order, its
-    options by exact option string, its required options, and the namespace
-    defaults, the handler last."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argparse tree of _COMMANDS, and the parse table of each leaf
+    under the command words that reach it, built from the actions its
+    add_argument calls return: its positionals in order, its options by
+    exact option string, its required options, and the namespace defaults,
+    the handler last."""
     parser = _Parser(  # add_subparsers makes every parser under it a _Parser too
         prog="bicext",
         description="Exact arithmetic for the two-ray bicyclic extension "
                     "monoid, its injective endomorphisms, and the "
                     "verification suites behind them.")
-    parsers, subs, leaves, tables = {(): parser}, {}, {}, {}
+    parsers, subs, tables = {(): parser}, {}, {}
     for words, about, handler, arguments in _COMMANDS:
         group = words[:-1]  # dest "command" at the top, "endo_command" under endo
         if group not in subs:
@@ -446,15 +446,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
             continue
         actions = [leaf.add_argument(*flags, **kwargs) for flags, kwargs in arguments]
         leaf.set_defaults(handler=handler)
-        leaves[words] = leaf
         tables[words] = (tuple(a for a in actions if not a.option_strings),
                          {flag: a for a in actions for flag in a.option_strings},
                          frozenset(a for a in actions if a.option_strings and a.required),
                          {**{a.dest: a.default for a in actions}, "handler": handler})
-    return parser, leaves, tables
+    return parser, tables
 
 
-_PARSER, _LEAVES, _TABLES = build_parser()
+_PARSER, _TABLES = build_parser()
 
 # exit code of the first matching class; ParseError and UnknownSuiteError
 # are plain ValueErrors, and ValueError comes before OSError so that

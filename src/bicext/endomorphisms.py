@@ -38,13 +38,13 @@ triple it accepted, in a bounded typed cache; a refused triple raises every
 time.  Most of the reuse is across calls, so a one-shot command line
 process gains only the reuse within its one run (BENCH_form_table.json).
 The verification sweeps over many compositions do not go through compose:
-_compose_row maps _compose_raw over a row of right factors, and the caller
-range-checks each distinct composite once.  The image closed form is written
-once, in _image_row: one list comprehension over a sequence of raw triples
-that tests the kind once per row, so a row of images costs one Python call,
-not one per image, and an image in a row takes about 100 ns.  _raw_image,
-one image, is its one-element row.  Both row kernels live here, so a
-replaced kernel reaches every sweep.
+_compose_row calls _compose_raw on each form of a row of right factors, and
+the caller range-checks each distinct composite once.  The image closed
+form is written once, in _image_row: one list comprehension over a sequence
+of raw triples that tests the kind once per row, so a row of images costs
+one Python call, not one per image, and an image in a row takes about
+100 ns.  _raw_image, one image, is its one-element row.  Both row kernels
+live here, so a replaced kernel reaches every sweep.
 
 The raw-parameter oracles (homomorphism_counterexample,
 injectivity_collision, growth_inequalities_hold) take any int (k, p), since
@@ -52,8 +52,8 @@ out-of-range forms are what they test, and refuse a non-int parameter, a
 non-Kind kind and a negative bound before any scan.  The first two return
 the first item of the one generator their law has; the suites log them all.
 Both generators take the form's image row from their caller, so a suite
-maps each form once for every check.  The homomorphism generator also takes
-a dict of level-0 product rows, keyed by block value and filled only as far
+maps each triple once per form.  The homomorphism generator also takes a
+dict of level-0 product rows, keyed by block value and filled only as far
 as any scan has read: a suite hands one dict to every form it sweeps, and a
 single scan passes {}.
 """
@@ -174,10 +174,10 @@ def _compose_raw(v1, k1, p1, v2, k2, p2):
     return _COLLAPSING, k1 * k2, k2 * p1
 
 
-def _compose_row(kind, k, p, cols):
-    """Raw composites of one left factor with every form of a column set, as
-    one map over _compose_raw run in C; nothing is range-checked."""
-    return tuple(map(_compose_raw, repeat(kind), repeat(k), repeat(p), *cols))
+def _compose_row(kind, k, p, forms):
+    """Raw composites of one left factor with each (kind, k, p) of forms,
+    an InjEndo or a raw triple, as a tuple; nothing is range-checked."""
+    return tuple([_compose_raw(kind, k, p, v, k2, p2) for v, k2, p2 in forms])
 
 
 # InjEndo remembering the triples it accepted; bounded, as composites grow
@@ -232,7 +232,7 @@ def _build_forms(kmax):
 # the last 16 tables with kmax <= _KEPT_KMAX (1,024 forms): at most
 # sum(k*k for k in range(17, 33)) = 9,944 forms of 80 B, 0.8 MB, stay alive
 _KEPT_KMAX = 32
-_kept_forms = lru_cache(maxsize=16, typed=True)(_build_forms)
+_kept_forms = lru_cache(maxsize=16)(_build_forms)
 
 
 def _forms(kmax: int) -> tuple[InjEndo, ...]:
@@ -260,16 +260,17 @@ def _check_raw(kind, k, p, bound):
 def _homomorphism_failures(kind, k, p, elems, pairs, images, blocks):
     # (x, y, f(xy), f(x) f(y)) for each pair of elems the raw form does not
     # respect, in (x, y) order; pairs is _pair_table(elems) and images the
-    # form's image row over elems.  f(xy) is read off one image row over the
-    # distinct products; each x is one product row of images, walked only
-    # when it mismatches.  blocks maps the images of the first half of elems
-    # (level 0, for a truncation, which every form with the same k sends
-    # alike) to their products with each other, one row per x, built when a
-    # scan first reads it: forms sharing a block and a dict build each row
-    # once, and a scan given {} builds no row it does not read.  A row that
-    # matches is kept as f(xy)'s triples, which hold each value once.
+    # form's image row over elems, which are distinct and so head the
+    # distinct products: f(xy) is read off images and one row over the rest.
+    # Each x is one product row of images, walked only when it mismatches.
+    # blocks maps the images of the first half of elems (level 0, for a
+    # truncation, which every form with the same k sends alike) to their
+    # products with each other, one row per x, built when a scan first reads
+    # it: forms sharing a block and a dict build each row once, and a scan
+    # given {} builds no row it does not read.  A row that matches is kept
+    # as f(xy)'s triples, which hold each value once.
     pid, distinct = pairs
-    fxy = _image_row(kind, k, p, distinct)
+    fxy = images + _image_row(kind, k, p, distinct[len(images):])
     half = len(elems) // 2
     rows = blocks.setdefault(images[:half], [])
     high = images[half:]

@@ -43,12 +43,12 @@ Composition soundness is checked once per distinct composite: the pairs
 are grouped by the value compose gives them, that composite's image row is
 built once per group and compared with every pair's two-step row, and the
 mismatching pairs are walked in pair order after the sweep.  The closure
-and collapse sweeps to ksym map _compose_raw over a row per left factor and
-range-check each distinct composite once with InjEndo, walking pairs in
-order only to log a refusal or a difference, or to stop where compose
-would have raised.  The homomorphism law, injectivity, cancellativity and
-absorption each log every item of the one counterexample generator of the
-module owning the law.
+and collapse sweeps to ksym build one _compose_row per left factor over
+the forms themselves and range-check each distinct composite once with
+InjEndo, walking pairs in order only to log a refusal or a difference, or
+to stop where compose would have raised.  The homomorphism law,
+injectivity, cancellativity and absorption each log every item of the one
+counterexample generator of the module owning the law.
 The inverse axioms take x^-1 as the swap (j, i, b) and compute x x^-1,
 x^-1 x, (x x^-1) x and the squares as _products rows over the truncation;
 idempotents commute when their product table equals its transpose.  An
@@ -79,7 +79,7 @@ from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError, _inter
                    mul, mul_bicyclic)
 from .endomorphisms import (InjEndo, Kind, ParameterRangeError, UNIT, _collisions,
                     _compose_row, _forms, _growth_holds, _homomorphism_failures,
-                    _image_row, _raw_image, compose, preserving)
+                    _image_row, _raw_image, compose)
 from .endo_monoid_green import (GreenQuery, RELATIONS, _Tables, _absorption_failures,
                     _cancellation_failures, find_idempotents, green_bounded_search,
                     green_symbolic, in_collapsing_class, in_preserving_class)
@@ -427,9 +427,8 @@ def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
                 refusals[t] = str(exc)
         return any(map(refusals.__getitem__, row))
 
-    bcols = list(zip(*big))  # _compose_row's column form
     for e1 in big:
-        row = _compose_row(*e1, bcols)
+        row = _compose_row(*e1, big)
         if refused(row):
             for e2, t in zip(big, row):
                 if refusals[t]:
@@ -438,10 +437,9 @@ def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
     # a collapsing left factor erases the right factor's kind; a refused
     # composite stops the suite at the first pair holding one, as compose would
     coll = list(filter(in_collapsing_class, big))
-    ccols = list(zip(*coll))
-    pcols = list(zip(*[preserving(k2, p2) for _, k2, p2 in coll]))
+    twins = [e for e in big if in_preserving_class(e) and e.p]  # coll's (k, p), in order
     for e1 in coll:
-        got, want = _compose_row(*e1, pcols), _compose_row(*e1, ccols)
+        got, want = _compose_row(*e1, twins), _compose_row(*e1, coll)
         if refused(got + want) or got != want:
             for (_, k2, p2), g, w in zip(coll, got, want):
                 for t in (g, w):

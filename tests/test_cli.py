@@ -690,7 +690,7 @@ def run_fresh(argv):
 
 def _fresh_parse(argv):
     """(exit code, stdout, stderr) of argv's parse by a newly built tree."""
-    parser, _, _ = cli.build_parser()
+    parser, _ = cli.build_parser()
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exited:
         parser.parse_args(argv)
@@ -815,6 +815,20 @@ COMMAND_WORDS = [["mul"], ["endo", "apply"], ["endo", "compose"], ["endo", "clas
                  ["green"], ["verify"], ["export-cayley"], ["endo"], ["endo", "nosuch"],
                  ["nosuch"], [], ["-h"], ["--he"], ["endo", "-h"], ["--", "mul"]]
 
+
+def _walk(parser, words=()):
+    """(command words, parser) of parser and of every parser under it."""
+    yield words, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _walk(child, words + (name,))
+
+
+#: each leaf parser of the shared tree, by the command words that reach it
+_LEAVES = {words: parser for words, parser in _walk(cli._PARSER) if parser._subparsers is None}
+
+
 # values the leaves' actions take, by dest; none starts with "-"
 _ELEMS = st.sampled_from(["(1,2,0)", "(0,0,0)", "(1,0,2)", " (1, 3 ,1) ", "(x,1,0)", ""])
 _ENDOS = st.sampled_from(["a:2,1", "b:3,2", "a:1,0", "a:2,2", "c:2,1"])
@@ -848,7 +862,7 @@ def _leaf_argv(draw, output):
     placed among them: each option 0-2 times (a required one at least once)
     under any of its option strings, each with values its action takes, save
     that a value is now and then a spoiler.  Returns (argv, spoiled)."""
-    words, leaf = draw(st.sampled_from(sorted(cli._LEAVES.items())), label="leaf")
+    words, leaf = draw(st.sampled_from(sorted(_LEAVES.items())), label="leaf")
     chunks, positionals, values = [], [], []
     for action in leaf._actions:
         if isinstance(action, argparse._HelpAction):
@@ -930,21 +944,17 @@ class TestRouting:
     file on every argv."""
 
     def test_every_leaf_is_routed(self):
-        def leaves(parser, words=()):
-            # every parser reached keeps its usage text: none is a plain
-            # ArgumentParser from parser_class= or built by hand
-            assert type(parser) is cli._Parser, words
-            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-            if not subs:
-                yield words, parser
-            for action in subs:
-                for name, child in action.choices.items():
-                    yield from leaves(child, words + (name,))
-        assert dict(leaves(cli._PARSER)) == cli._LEAVES
+        # every parser reached keeps its usage text: none is a plain
+        # ArgumentParser from parser_class= or built by hand
+        assert {type(parser) for _, parser in _walk(cli._PARSER)} == {cli._Parser}
+        # each leaf of the tree has a table, which holds the leaf's handler
+        assert _LEAVES.keys() == cli._TABLES.keys()
+        for words, leaf in _LEAVES.items():
+            assert cli._TABLES[words][3]["handler"] is leaf.get_default("handler")
 
     def test_every_leaf_is_tabled(self):
-        assert len(cli._LEAVES) == 7
-        assert cli._TABLES.keys() == cli._LEAVES.keys()
+        assert len(cli._TABLES) == 7
+        assert cli._TABLES.keys() == {words for words, _, handler, _ in cli._COMMANDS if handler}
 
     def test_each_table_parse_gets_a_fresh_namespace(self):
         table = cli._TABLES[("export-cayley",)]
@@ -1005,7 +1015,7 @@ class TestRouting:
         args = cli._table_parse(cli._TABLES[tuple(argv[:n])], argv[n:])
         assert spoiled or args is not None, argv  # well-formed argv is tabled
         if args is not None:
-            want, extras = cli._LEAVES[tuple(argv[:n])].parse_known_args(argv[n:])
+            want, extras = _LEAVES[tuple(argv[:n])].parse_known_args(argv[n:])
             assert (vars(args), extras) == (vars(want), [])
         tabled = outcome(argv)
         with monkeypatch.context() as m:

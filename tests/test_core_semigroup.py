@@ -392,6 +392,15 @@ class TestProduct:
             [_mul_raw(*x, *y) for y in elems] for x in elems]
         assert set(distinct) == {*elems, *(_mul_raw(*x, *y) for x in elems for y in elems)}
 
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("bound", range(5))
+    def test_pair_table_lists_a_truncation_first(self, bound, m):
+        # a truncation's elements are distinct, so they are the first
+        # distinct products, in order: the homomorphism law reads their
+        # images off the row its caller built and maps only the products after
+        elems = _raw_truncation(bound, Family.from_bases(*range(m + 1)))
+        assert _pair_table(elems)[1][:len(elems)] == list(elems)
+
     def test_mul_bicyclic_frozen(self):
         assert mul_bicyclic((1, 2), (3, 4)) == (2, 4)
         assert mul_bicyclic((3, 1), (1, 2)) == (3, 2)

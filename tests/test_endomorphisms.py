@@ -9,10 +9,10 @@ import pytest
 import bicext.endomorphisms as _endo
 from bicext.core_semigroup import CANONICAL_FAMILY, Elem, Family, FamilyError, mul
 from bicext.endomorphisms import (GeneratorImages, InjEndo, Kind, ParameterRangeError, UNIT,
-                          _compose_raw, _image_row, _raw_image, apply, classify_from_images,
-                          collapsing, compose, enumerate_endos, growth_inequalities_hold,
-                          homomorphism_counterexample, injectivity_collision,
-                          is_endomorphism_on_truncation, preserving)
+                          _compose_raw, _compose_row, _image_row, _raw_image, apply,
+                          classify_from_images, collapsing, compose, enumerate_endos,
+                          growth_inequalities_hold, homomorphism_counterexample,
+                          injectivity_collision, is_endomorphism_on_truncation, preserving)
 from bicext.oracle_verify import Truncation
 from test_core_semigroup import code_names
 
@@ -245,10 +245,24 @@ class TestCompose:
         assert _raw_image(Kind.PRESERVING, 3, 1, 2, 0, 1) == (7, 1, 1)
         assert _raw_image(Kind.COLLAPSING, 3, 1, 2, 0, 1) == (7, 1, 0)
 
+    def test_compose_row_is_a_per_pair_compose_raw_loop(self, monkeypatch):
+        # the closure sweeps pass the InjEndo table itself; raw triples, out
+        # of range too, are composed alike and checked by nobody
+        forms = enumerate_endos(3)
+        raw = [tuple(e) for e in forms] + [(Kind.PRESERVING, 2, 5), (Kind.COLLAPSING, 3, 0)]
+        for v1, k1, p1 in [*forms, (Kind.COLLAPSING, 2, 4)]:
+            want = tuple(_compose_raw(v1, k1, p1, *e2) for e2 in raw)
+            assert _compose_row(v1, k1, p1, raw) == want
+            assert _compose_row(v1, k1, p1, forms) == want[:len(forms)]
+            assert _compose_row(v1, k1, p1, ()) == ()
+        # the row reads the kernel from its module, so a patched one reaches it
+        monkeypatch.setattr(_endo, "_compose_raw", lambda *args: args)
+        assert _compose_row(*UNIT, forms[:2]) == tuple((*UNIT, *e) for e in forms[:2])
+
     def test_raw_kernels_read_no_enum_class_attribute(self):
         # Kind.PRESERVING goes through the Enum class attribute path, about
         # 15 times slower to read than a module global
-        for kernel in (_image_row, _raw_image, _compose_raw):
+        for kernel in (_image_row, _raw_image, _compose_raw, _compose_row):
             assert "Kind" not in code_names(kernel), kernel.__name__
 
     def test_associative_and_closed(self):

@@ -3,6 +3,7 @@ every suite at reduced bounds, and reports under deliberately wrong kernels."""
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -658,8 +659,8 @@ class TestFaultInjection:
         # each composite is computed once per left factor and compared as a
         # row; the report must be the one the per-pair loop gave
         fault, suite, kmax = key
-        # compose reads it from endomorphisms; the Green factor tables, which
-        # outlive the test, are left alone
+        # compose reads it from endomorphisms; the Green factor search binds
+        # its own, and neither class sweep runs a search
         monkeypatch.setattr(_endo, "_compose_raw", _COMPOSE_FAULTS[fault])
         _check_pinned(run_suite(suite, kmax=kmax), _PINNED_TABLE[key])
         helper = {"cancellative": preserving_class_cancellative,
@@ -894,31 +895,47 @@ def _count_kernel_calls(monkeypatch, suite, names=("_mul_raw", "_raw_image")):
 
 def test_classification_negative_builds_one_pair_table(monkeypatch):
     # bound 6: 98 elements, whose 98^2 products take 266 distinct values.
-    # Each of the 24 forms maps the elements and the distinct products once,
-    # and the injectivity check reads the same image row.  The 6 forms of
-    # each k share their 49 level-0 product rows over the level-0 block: 20
-    # forms fail in their second row, and the 4 collapsing p = k forms are
-    # homomorphisms, so per k the 49 block rows are built once (49 * 49),
-    # the 5 failing forms add two rows over the level-1 images (49 each),
-    # and the homomorphism adds 49 rows over level 1 and 49 full rows of 98
+    # Each of the 24 forms maps the elements once, read by the homomorphism
+    # law and the injectivity check, and the 168 other distinct products
+    # once.  The 6 forms of each k share their 49 level-0 product rows over
+    # the level-0 block: 20 forms fail in their second row, and the 4
+    # collapsing p = k forms are homomorphisms, so per k the 49 block rows
+    # are built once (49 * 49), the 5 failing forms add two rows over the
+    # level-1 images (49 each), and the homomorphism adds 49 rows over
+    # level 1 and 49 full rows of 98
     n, half, distinct = 98, 49, 266
     per_k = half * half + 5 * 2 * half + half * half + half * n
     assert _count_kernel_calls(monkeypatch, "classification_negative") == (
-        n * n + 4 * per_k, 24 * (n + distinct)) == (49980, 8736)
+        n * n + 4 * per_k, 24 * distinct) == (49980, 6384)
 
 
 def test_endo_homomorphism_kernel_calls(monkeypatch):
     # bound 8, kmax 5: 162 elements, whose products take 450 distinct values.
     # One pair table, then per form one image row over the elements and one
-    # over the distinct products, and a product row per x: over the 81
-    # level-1 images for each of the 81 level-0 x, whose part over the
-    # level-0 images is built once per distinct level-0 block (5, one per k),
-    # and over all 162 images for each level-1 x.  The identity, both
+    # over the 288 other distinct products, and a product row per x: over
+    # the 81 level-1 images for each of the 81 level-0 x, whose part over
+    # the level-0 images is built once per distinct level-0 block (5, one
+    # per k), and over all 162 images for each level-1 x.  The identity, both
     # rigidity checks and level-0 agreement read the form's image row
     n, half, forms, blocks = 162, 81, 25, 5
     rows = forms * (half * half + half * n) + blocks * half * half
     assert _count_kernel_calls(monkeypatch, "endo_homomorphism") == (
-        n * n + rows, forms * (n + 450)) == (551124, 15300)
+        n * n + rows, forms * 450) == (551124, 11250)
+
+
+@pytest.mark.parametrize("suite", ["endo_homomorphism", "classification_negative"])
+def test_homomorphism_sweeps_image_each_triple_once(monkeypatch, suite):
+    # the homomorphism law reads the elements' images off the row its suite
+    # built for the form, so no (form, triple) is mapped twice at the defaults
+    seen = Counter()
+
+    def recorded(kind, k, p, xs):
+        xs = tuple(xs)
+        seen.update((kind, k, p, x) for x in xs)
+        return _REAL_IMAGE_ROW(kind, k, p, xs)
+    _patch_everywhere(monkeypatch, "_image_row", recorded)
+    assert run_suite(suite).passed
+    assert seen and [key for key, n in seen.items() if n > 1] == []
 
 
 def test_semigroup_axioms_kernel_calls(monkeypatch):
