@@ -294,16 +294,14 @@ def _print_text_report(report: VerifyReport):
 
 
 def _cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.suite != "all" and args.suite not in SUITES:
         raise UnknownSuiteError(
             f"unknown suite {args.suite!r}; choose from: all, {', '.join(SUITES)}")
-    requested = {"bound": args.bound, "kmax": args.kmax,
-                 "ksym": args.ksym, "tmax": args.tmax}
-    # every suite's bounds are checked before the first suite runs
-    plan = [(name, suite_bounds(name, **{key: val for key, val in requested.items()
+    # every suite's bounds are checked before the first suite runs, each
+    # suite given the flags its defaults name, in the order verify declares them
+    plan = [(name, suite_bounds(name, **{key: val for key, val in vars(args).items()
                                          if key in SUITES[name].defaults}))
-            for name in names]
+            for name in (SUITES if args.suite == "all" else [args.suite])]
     reports = [run_suite(name, **bounds) for name, bounds in plan]
     if args.format == "json":
         sys.stdout.write(_json([report_document(r) for r in reports]) + "\n")
@@ -412,7 +410,20 @@ _COMMANDS = (
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that formats its usage once per terminal width, on
-    its first usage error there, and prints that text on every later one."""
+    its first usage error there, and prints that text on every later one,
+    and that refuses a positional given no value."""
+
+    positionals = ()  # a leaf's one-value positional actions, which build_parser sets
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        # CPython 3.11 gives a positional that a doubled "--" leaves without
+        # a token the value [], where one "--" gets argparse's own refusal;
+        # an unrecognized argument is still refused first
+        missing = [a.dest for a in self.positionals if getattr(namespace, a.dest) == []]
+        if missing and not extras:
+            self.error(f"the following arguments are required: {', '.join(missing)}")
+        return namespace, extras
 
     def format_usage(self) -> str:
         # the text depends only on the parser, which nothing changes after
@@ -446,7 +457,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
             continue
         actions = [leaf.add_argument(*flags, **kwargs) for flags, kwargs in arguments]
         leaf.set_defaults(handler=handler)
-        tables[words] = (tuple(a for a in actions if not a.option_strings),
+        leaf.positionals = tuple(a for a in actions if not a.option_strings)
+        tables[words] = (leaf.positionals,
                          {flag: a for a in actions for flag in a.option_strings},
                          frozenset(a for a in actions if a.option_strings and a.required),
                          {**{a.dest: a.default for a in actions}, "handler": handler})

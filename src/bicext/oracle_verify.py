@@ -1,8 +1,12 @@
 """Exhaustive verification suites with per-suite default bounds.
 
-Every algebraic claim the package exposes is owned by exactly one suite in
-the registry below; a registry audit runs at import time so nothing is
-silently unowned, and every suite takes `log` and exactly its bounds.
+Every algebraic claim the package exposes is owned by exactly one suite.
+Each suite is registered where it is defined, by the @_suite decorator that
+names the invariants it covers and any floor of its own; its keyword
+defaults are its default bounds, and SUITES holds the suites in definition
+order, the order of verify --suite all.  Registration refuses a suite that
+does not take `log` and then only bounds, each with a default, and an audit
+at import time refuses an invariant owned twice or by no suite.
 Suites enumerate truncations {(i, j, f) : i, j <= bound} deterministically
 (ray index outermost, then i, then j), run to completion, and record up to
 FAILURE_CAP concrete counterexamples instead of stopping at the first.
@@ -60,9 +64,9 @@ Failures, reports and registry entries are named tuples.  An exception that
 escapes a suite after its bounds are accepted fails its report with no
 cases: the failures the suite logged stay, and the exception is one more,
 so a run of every suite still reports each.  suite_bounds refuses a bound
-below its minimum, then a bound below the suite's own floor, where the
-suite would fail though the maths holds (classification_negative at bound
-0, growth_inequalities at tmax < kmax).
+below its minimum, then a bound below the floor its registration declares,
+where the suite would fail though the maths holds (classification_negative
+at bound 0, growth_inequalities at tmax < kmax).
 """
 
 import time
@@ -86,10 +90,6 @@ from .endo_monoid_green import (GreenQuery, RELATIONS, _Tables, _absorption_fail
 
 FAILURE_CAP = 100
 _MINIMUM = {"bound": 0, "kmax": 1, "ksym": 1, "tmax": 0}  # smallest value of each bound
-# a suite's own floor for one bound, a number or another bound's name: the
-# bound-0 truncation holds no witness against any out-of-range form, and
-# at tmax < kmax the growth inequalities do not yet pin k = kmax
-_FLOORS = {"classification_negative": ("bound", 1), "growth_inequalities": ("tmax", "kmax")}
 
 
 class UnknownSuiteError(ValueError):
@@ -161,10 +161,41 @@ def _leq_table(elems):
     return [tuple(map(s.__eq__, column[e])) for s, e in zip(elems, idems)]
 
 
+# -------------------------------------------------------------- registry --
+
+
+SuiteSpec = namedtuple("SuiteSpec", "run covers defaults")
+SUITES: dict[str, SuiteSpec] = {}  # in definition order, the order of --suite all
+_FLOORS = {}  # suite name -> None or (bound, least), least a number or a bound's name
+
+
+def _suite(*covers, floor=None):
+    """Register the suite defined under it, named for its function without
+    the _suite_ prefix and owning the invariants covers.  Its keyword
+    defaults, in signature order, are its default bounds: run_suite calls
+    run(log, **bounds), so a suite takes log, then only bounds, each with a
+    default.  floor is (bound, least): suite_bounds refuses that bound below
+    least, where the suite would fail though the maths holds."""
+
+    def register(run):
+        code, defaults = run.__code__, run.__defaults__ or ()
+        params = code.co_varnames[:code.co_argcount]
+        # 0x0C is CO_VARARGS | CO_VARKEYWORDS, a *args or **bounds parameter
+        if (params[:1] != ("log",) or len(defaults) != len(params) - 1
+                or code.co_kwonlyargcount or code.co_flags & 0x0C):
+            raise TypeError(f"suite {run.__name__} takes {params}, not log and defaulted bounds")
+        name = run.__name__.removeprefix("_suite_")
+        SUITES[name] = SuiteSpec(run, covers, dict(zip(params[1:], defaults)))
+        _FLOORS[name] = floor
+        return run
+    return register
+
+
 # ---------------------------------------------------------------- suites --
 
 
-def _suite_semigroup_axioms(log, bound: int):
+@_suite("associativity", "branch_agreement", "two_sided_identity", "single_ray_projection")
+def _suite_semigroup_axioms(log, bound: int = 8):
     elems = _raw_truncation(bound)
     n = len(elems)
     label = Elem.__str__  # an Elem's text, of a raw triple, only for a failure
@@ -235,7 +266,8 @@ def _suite_semigroup_axioms(log, bound: int):
     return n ** 3 + aux, f"{n ** 3} triples, {aux} auxiliary checks"
 
 
-def _suite_inverse_axioms(log, bound: int):
+@_suite("inverse_axioms", "idempotent_characterization", "idempotent_commutativity")
+def _suite_inverse_axioms(log, bound: int = 8):
     elems = tuple(_raw_truncation(bound))  # a tuple, as the product rows are
     n = len(elems)
     inv = tuple([(j, i, b) for i, j, b in elems])  # x^-1, as in _leq_table
@@ -274,7 +306,8 @@ def _suite_inverse_axioms(log, bound: int):
     return cases, f"{n} elements, {len(idems)} idempotents"
 
 
-def _suite_order(log, bound: int):
+@_suite("natural_order_partial", "cross_level_order")
+def _suite_order(log, bound: int = 8):
     elems = _raw_truncation(bound)
     n = len(elems)
     label = Elem.__str__  # as in _suite_inverse_axioms
@@ -317,7 +350,9 @@ def _suite_order(log, bound: int):
     return cases, f"{n} elements ordered"
 
 
-def _suite_endo_homomorphism(log, bound: int, kmax: int):
+@_suite("endo_homomorphism", "endo_fixes_identity", "level0_agreement",
+        "fixed_point_rigidity")
+def _suite_endo_homomorphism(log, bound: int = 8, kmax: int = 5):
     elems = _raw_truncation(bound)
     n, half = len(elems), len(elems) // 2
     pairs = _pair_table(elems)
@@ -360,7 +395,8 @@ def _suite_endo_homomorphism(log, bound: int, kmax: int):
     return cases, f"{len(endos)} endomorphisms on {n} elements"
 
 
-def _suite_endo_injectivity(log, bound: int, kmax: int):
+@_suite("endo_injectivity")
+def _suite_endo_injectivity(log, bound: int = 20, kmax: int = 5):
     elems = _raw_truncation(bound)
     endos = _forms(kmax)
     for e in endos:
@@ -408,7 +444,8 @@ def _composition_soundness(log, elems, endos):
     return len(endos) ** 2 * len(elems)
 
 
-def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
+@_suite("composition_soundness", "parameter_closure", "collapse_product_identity")
+def _suite_composition_table(log, bound: int = 20, kmax: int = 5, ksym: int = 12):
     endos = _forms(kmax)
     pointwise = _composition_soundness(log, _raw_truncation(bound), endos)
 
@@ -452,14 +489,16 @@ def _suite_composition_table(log, bound: int, kmax: int, ksym: int):
     return cases, f"{len(endos)}^2 pointwise pairs, symbolic k <= {ksym}"
 
 
-def _suite_idempotents(log, kmax: int):
+@_suite("unique_endo_idempotent")
+def _suite_idempotents(log, kmax: int = 20):
     found = find_idempotents(kmax)
     if found != [UNIT]:
         log.add(f"kmax={kmax}", "[a:1,0]", "[" + ", ".join(str(e) for e in found) + "]")
     return kmax * kmax, f"{kmax * kmax} endomorphisms scanned"
 
 
-def _suite_cancellative(log, kmax: int):
+@_suite("preserving_cancellative")
+def _suite_cancellative(log, kmax: int = 5):
     forms = _forms(kmax)
     for a, x, y, law in _cancellation_failures(forms):
         log.add(f"a={a} x={x} y={y}", law, "equal")
@@ -472,7 +511,8 @@ def _suite_cancellative(log, kmax: int):
     return 2 * n * n * (n - 1) + 1, f"{n} preserving endomorphisms"
 
 
-def _suite_ideal(log, kmax: int):
+@_suite("collapsing_absorption")
+def _suite_ideal(log, kmax: int = 5):
     forms = _forms(kmax)
     for x, y, xy in _absorption_failures(forms):
         log.add(f"{x} . {y}", "collapsing", str(xy))
@@ -483,7 +523,9 @@ def _suite_ideal(log, kmax: int):
     return 2 * len(forms) * coll + 1, f"{coll} collapsing endomorphisms absorbed"
 
 
-def _suite_green_agreement(log, kmax: int):
+@_suite("green_oracle_agreement", "green_containments", "mixed_kind_separation",
+        "trivial_factor_solutions")
+def _suite_green_agreement(log, kmax: int = 5):
     search_bound = kmax + 2  # factors may need more room than the pair sweep
     endos = _forms(kmax)
     tables = _Tables(search_bound)  # the sweep's factor tables, freed when it returns
@@ -512,7 +554,9 @@ def _suite_green_agreement(log, kmax: int):
     return 9 * len(endos) ** 2, f"{len(endos)}^2 pairs, factors bounded by k <= {search_bound}"
 
 
-def _suite_classification_negative(log, kmax: int, bound: int):
+# the bound-0 truncation holds no witness against any out-of-range form
+@_suite("out_of_range_rejection", floor=("bound", 1))
+def _suite_classification_negative(log, kmax: int = 4, bound: int = 6):
     homo = coll = 0
     elems = _raw_truncation(bound)
     pairs = _pair_table(elems)
@@ -531,7 +575,9 @@ def _suite_classification_negative(log, kmax: int, bound: int):
     return len(forms), f"{homo} homomorphism witnesses, {coll} injectivity witnesses"
 
 
-def _suite_growth_inequalities(log, kmax: int, tmax: int):
+# at tmax < kmax the growth inequalities do not yet pin k = kmax
+@_suite("growth_pins_multiplier", floor=("tmax", "kmax"))
+def _suite_growth_inequalities(log, kmax: int = 6, tmax: int = 50):
     endos = _forms(kmax)
     for kind, k, p in endos:
         for s in range(1, k + 4):
@@ -542,64 +588,6 @@ def _suite_growth_inequalities(log, kmax: int, tmax: int):
     # candidate multipliers s = 1 .. k + 3 per form
     return sum(k + 3 for _, k, _ in endos), f"multiplier pinned for k <= {kmax}, t <= {tmax}"
 
-
-# -------------------------------------------------------------- registry --
-
-
-SuiteSpec = namedtuple("SuiteSpec", "run covers defaults")
-
-
-SUITES: dict[str, SuiteSpec] = {
-    "semigroup_axioms": SuiteSpec(
-        _suite_semigroup_axioms,
-        ("associativity", "branch_agreement", "two_sided_identity", "single_ray_projection"),
-        {"bound": 8}),
-    "inverse_axioms": SuiteSpec(
-        _suite_inverse_axioms,
-        ("inverse_axioms", "idempotent_characterization", "idempotent_commutativity"),
-        {"bound": 8}),
-    "order": SuiteSpec(
-        _suite_order,
-        ("natural_order_partial", "cross_level_order"),
-        {"bound": 8}),
-    "endo_homomorphism": SuiteSpec(
-        _suite_endo_homomorphism,
-        ("endo_homomorphism", "endo_fixes_identity", "level0_agreement", "fixed_point_rigidity"),
-        {"bound": 8, "kmax": 5}),
-    "endo_injectivity": SuiteSpec(
-        _suite_endo_injectivity,
-        ("endo_injectivity",),
-        {"bound": 20, "kmax": 5}),
-    "composition_table": SuiteSpec(
-        _suite_composition_table,
-        ("composition_soundness", "parameter_closure", "collapse_product_identity"),
-        {"bound": 20, "kmax": 5, "ksym": 12}),
-    "idempotents": SuiteSpec(
-        _suite_idempotents,
-        ("unique_endo_idempotent",),
-        {"kmax": 20}),
-    "cancellative": SuiteSpec(
-        _suite_cancellative,
-        ("preserving_cancellative",),
-        {"kmax": 5}),
-    "ideal": SuiteSpec(
-        _suite_ideal,
-        ("collapsing_absorption",),
-        {"kmax": 5}),
-    "green_agreement": SuiteSpec(
-        _suite_green_agreement,
-        ("green_oracle_agreement", "green_containments", "mixed_kind_separation",
-         "trivial_factor_solutions"),
-        {"kmax": 5}),
-    "classification_negative": SuiteSpec(
-        _suite_classification_negative,
-        ("out_of_range_rejection",),
-        {"kmax": 4, "bound": 6}),
-    "growth_inequalities": SuiteSpec(
-        _suite_growth_inequalities,
-        ("growth_pins_multiplier",),
-        {"kmax": 6, "tmax": 50}),
-}
 
 #: Every invariant the package promises, each owned by exactly one suite.
 ALL_INVARIANTS = frozenset({
@@ -628,12 +616,6 @@ def _audit_registry():
         raise AssertionError(
             f"registry incomplete: missing={sorted(ALL_INVARIANTS - set(owned))} "
             f"extra={sorted(set(owned) - ALL_INVARIANTS)}")
-    for name, spec in SUITES.items():  # run_suite calls run(log, **bounds)
-        code = spec.run.__code__
-        params = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
-        if params[:1] != ("log",) or sorted(params[1:]) != sorted(spec.defaults):
-            raise AssertionError(f"suite {name!r} takes {params}, not log and "
-                                 f"its bounds {tuple(spec.defaults)}")
 
 
 _audit_registry()
@@ -656,7 +638,7 @@ def suite_bounds(name: str, **overrides) -> dict[str, int]:
             raise ValueError(f"suite {name!r} takes no bound named {key!r}")
         _require_int(key, val, _MINIMUM[key])
         bounds[key] = val
-    if name in _FLOORS:
+    if _FLOORS[name]:
         key, floor = _FLOORS[name]
         least = bounds.get(floor, floor)  # a bound's name stands for its value
         if bounds[key] < least:

@@ -78,15 +78,68 @@ class TestRegistry:
             for key, val in spec.defaults.items():
                 assert isinstance(val, int) and val >= 0
 
-    @pytest.mark.parametrize("run", [lambda bound, kmax: None, lambda log, bound: None,
-                                     lambda log, bound, kmax, tmax: None,
-                                     lambda log, **bounds: None],
-                             ids=["no-log", "missing-kmax", "extra-tmax", "any-keyword"])
-    def test_audit_refuses_a_suite_not_taking_log_and_its_bounds(self, monkeypatch, run):
+    def test_suites_keep_their_order_and_default_bounds(self):
+        # the order of definition is the order of --suite all and of the
+        # JSON report; each suite's defaults are its keyword defaults, in
+        # signature order
+        assert [(name, list(spec.defaults.items())) for name, spec in SUITES.items()] == [
+            ("semigroup_axioms", [("bound", 8)]),
+            ("inverse_axioms", [("bound", 8)]),
+            ("order", [("bound", 8)]),
+            ("endo_homomorphism", [("bound", 8), ("kmax", 5)]),
+            ("endo_injectivity", [("bound", 20), ("kmax", 5)]),
+            ("composition_table", [("bound", 20), ("kmax", 5), ("ksym", 12)]),
+            ("idempotents", [("kmax", 20)]),
+            ("cancellative", [("kmax", 5)]),
+            ("ideal", [("kmax", 5)]),
+            ("green_agreement", [("kmax", 5)]),
+            ("classification_negative", [("kmax", 4), ("bound", 6)]),
+            ("growth_inequalities", [("kmax", 6), ("tmax", 50)])]
+
+    def test_registration_reads_the_name_defaults_and_floor(self, monkeypatch):
+        monkeypatch.setattr(_ov, "SUITES", {})
+        monkeypatch.setattr(_ov, "_FLOORS", {})
+
+        def _suite_probe(log, kmax=3, bound=2):
+            return 0, ""
+
+        assert _ov._suite("a", "b", floor=("bound", 1))(_suite_probe) is _suite_probe
+        assert _ov.SUITES == {"probe": _ov.SuiteSpec(_suite_probe, ("a", "b"),
+                                                     {"kmax": 3, "bound": 2})}
+        assert list(_ov.SUITES["probe"].defaults) == ["kmax", "bound"]
+        assert _ov._FLOORS == {"probe": ("bound", 1)}
+        with pytest.raises(ValueError, match=r"^bound must be >= 1$"):
+            _ov.suite_bounds("probe", bound=0)
+
+    @pytest.mark.parametrize("run", [lambda bound, kmax=5: None, lambda log, bound: None,
+                                     lambda log, bound, kmax=5: None,
+                                     lambda log, **bounds: None,
+                                     lambda log, bound=8, **more: None,
+                                     lambda log, bound=8, *more: None,
+                                     lambda log, *, bound=8: None],
+                             ids=["no-log", "bound-without-default", "one-without-default",
+                                  "any-keyword", "extra-keywords", "extra-positionals",
+                                  "keyword-only"])
+    def test_registration_refuses_a_suite_not_taking_log_and_its_bounds(self, monkeypatch,
+                                                                          run):
+        monkeypatch.setattr(_ov, "SUITES", {})
+        with pytest.raises(TypeError, match=r"^suite <lambda> takes \(.*\), not log and "
+                                            r"defaulted bounds$"):
+            _ov._suite("associativity")(run)
+        assert _ov.SUITES == {}
+
+    @pytest.mark.parametrize("covers, message", [
+        (("endo_homomorphism",), r"^invariants owned twice: \['endo_homomorphism'\]$"),
+        ((), r"^registry incomplete: missing=\['endo_injectivity'\] extra=\[\]$"),
+        (("endo_injectivity", "surjectivity"),
+         r"^registry incomplete: missing=\[\] extra=\['surjectivity'\]$")],
+        ids=["owned-twice", "unowned", "undeclared"])
+    def test_audit_refuses_an_invariant_owned_twice_or_by_no_suite(self, monkeypatch,
+                                                                   covers, message):
         _ov._audit_registry()
-        spec = SUITES["endo_homomorphism"]
-        monkeypatch.setitem(SUITES, "endo_homomorphism", spec._replace(run=run))
-        with pytest.raises(AssertionError, match="suite 'endo_homomorphism' takes"):
+        spec = SUITES["endo_injectivity"]
+        monkeypatch.setitem(SUITES, "endo_injectivity", spec._replace(covers=covers))
+        with pytest.raises(AssertionError, match=message):
             _ov._audit_registry()
 
 
