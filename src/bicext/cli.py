@@ -32,8 +32,7 @@ the whole argparse tree, so every help text, usage error and exit code stays
 argparse's.  A table models only plain stores of one value or of "*"
 values, which is all _COMMANDS declares.  Each parser of the tree formats
 its usage once per terminal width, on its first usage error at that width,
-and reuses that text on every later one; a one-shot process formats it
-once, as before.
+and reuses that text on every later one.
 
 Each argument is converted and checked once.  An element whose text the
 regex and the base check passed, and the image of a valid element under a

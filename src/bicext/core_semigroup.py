@@ -209,6 +209,20 @@ def _mul_raw(i1, j1, b1, i2, j2, b2):
     return _products(((i1, j1, b1),), ((i2, j2, b2),))[0]
 
 
+def _mismatches(keys, want, got):
+    """(key, w, g) for each position at which the rows want and got differ,
+    in order, key the item of keys at that position; () when they are equal.
+
+    This is the walk rule of every check that compares a whole row of cases:
+    the row is compared once in C, and walked only when it differs, in
+    plain-loop order, so a report lists the failures a per-case loop would,
+    in the same order.  An equal row reads nothing of keys.  want and got
+    must be of one sequence type, since a list never equals a tuple."""
+    if want == got:
+        return ()
+    return [(key, w, g) for key, w, g in zip(keys, want, got) if w != g]
+
+
 def _interner(triples):
     """Ids for triples, as a dict: the given ones get 0, 1, ... in order, and
     looking up an unseen triple gives it the next id."""

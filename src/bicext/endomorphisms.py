@@ -64,8 +64,8 @@ from itertools import repeat
 from operator import itemgetter
 
 # _mul_raw stays bound here: bench/tracing.py wraps the kernels module by module
-from .core_semigroup import (CANONICAL_FAMILY, Elem, FamilyError, _mul_raw, _pair_table,
-                             _products, _raw_truncation, _record, _require_int)
+from .core_semigroup import (CANONICAL_FAMILY, Elem, FamilyError, _mismatches, _mul_raw,
+                             _pair_table, _products, _raw_truncation, _record, _require_int)
 
 
 class ParameterRangeError(ValueError):
@@ -262,7 +262,7 @@ def _homomorphism_failures(kind, k, p, elems, pairs, images, blocks):
     # respect, in (x, y) order; pairs is _pair_table(elems) and images the
     # form's image row over elems, which are distinct and so head the
     # distinct products: f(xy) is read off images and one row over the rest.
-    # Each x is one product row of images, walked only when it mismatches.
+    # Each x is one product row of images, walked as _mismatches walks it.
     # blocks maps the images of the first half of elems (level 0, for a
     # truncation, which every form with the same k sends alike) to their
     # products with each other, one row per x, built when a scan first reads
@@ -278,13 +278,11 @@ def _homomorphism_failures(kind, k, p, elems, pairs, images, blocks):
         want = itemgetter(*row)(fxy)
         got = (rows[i] + _products(repeat(fx), high) if i < len(rows)
                else _products(repeat(fx), images))
-        same = got == want
+        bad = _mismatches(elems, want, got)
         if len(rows) == i < half:  # a block row's first read keeps its level-0 part
-            rows.append((want if same else got)[:half])
-        if not same:
-            for y, w, g in zip(elems, want, got):
-                if w != g:
-                    yield x, y, w, g
+            rows.append((got if bad else want)[:half])
+        for y, w, g in bad:
+            yield x, y, w, g
 
 
 def homomorphism_counterexample(kind, k: int, p: int, bound: int):

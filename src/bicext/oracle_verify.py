@@ -21,9 +21,10 @@ The three heaviest sweeps (associativity, the homomorphism property of every
 form, and the pointwise composition table) run as row kernels: a whole row
 of cases is computed by one call of _products or _image_row, each a list
 comprehension over raw triples holding its module's one copy of the
-formula, and compared as one tuple, or one packed array of ids, in C.  Only
-a row that mismatches is walked case by case to record its failures, in the
-same order and with the same text as a plain loop.
+formula, and compared as one tuple, or one packed array of ids, in C.
+A row check records its failures through core_semigroup._mismatches,
+whose docstring states the walk rule, so a report is a plain loop's; the
+inverse axioms walk their three checks per element in one loop of their own.
 Every check reads the table its suite built, so a value is computed once
 per suite run, and a row is shared only between inputs equal by value,
 never by a closed form standing in for a scan:
@@ -47,10 +48,11 @@ Composition soundness is checked once per distinct composite: the pairs
 are grouped by the value compose gives them, that composite's image row is
 built once per group and compared with every pair's two-step row, and the
 mismatching pairs are walked in pair order after the sweep.  The closure
-and collapse sweeps to ksym build one _compose_row per left factor over
-the forms themselves and range-check each distinct composite once with
-InjEndo, walking pairs in order only to log a refusal or a difference, or
-to stop where compose would have raised.  The homomorphism law,
+sweep to ksym builds one _compose_row per left factor over the forms
+themselves, range-checks each new composite once with InjEndo and logs
+each refused pair; the collapse check reads its composites off the rows of
+the collapsing left factors, kept from that sweep, and stops where compose
+would have raised.  The homomorphism law,
 injectivity, cancellativity and absorption each log every item of the one
 counterexample generator of the module owning the law.
 The inverse axioms take x^-1 as the swap (j, i, b) and compute x x^-1,
@@ -79,8 +81,8 @@ from operator import attrgetter, or_
 # mul, _mul_raw and _raw_image stay bound here though no suite calls them:
 # bench/tracing.py counts their calls module by module
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError, _interner,
-                   _mul_raw, _pair_table, _products, _raw_truncation, _require_int,
-                   mul, mul_bicyclic)
+                   _mismatches, _mul_raw, _pair_table, _products, _raw_truncation,
+                   _require_int, mul, mul_bicyclic)
 from .endomorphisms import (InjEndo, Kind, ParameterRangeError, UNIT, _collisions,
                     _compose_row, _forms, _growth_holds, _homomorphism_failures,
                     _image_row, _raw_image, compose)
@@ -225,11 +227,10 @@ def _suite_semigroup_axioms(log, bound: int = 8):
         bad += zip(compress(range(n), differs), repeat(yi))
     triple = list(ids)
     for xi, yi in sorted(bad):  # (x, y, z) order, as a plain loop records them
-        for zi, (lv, qi) in enumerate(zip(left[left[xi][yi]], left[yi])):
-            rv = col[qi][xi]
-            if lv != rv:
-                log.add(f"x={elems[xi]} y={elems[yi]} z={elems[zi]}",
-                        "(xy)z == x(yz)", f"{triple[lv]} vs {triple[rv]}")
+        x_yz = array("I", [col[qi][xi] for qi in left[yi]])
+        for z, lv, rv in _mismatches(elems, left[left[xi][yi]], x_yz):
+            log.add(f"x={elems[xi]} y={elems[yi]} z={z}",
+                    "(xy)z == x(yz)", f"{triple[lv]} vs {triple[rv]}")
 
     # the two product branches agree where both apply (x.j == y.i), and the
     # product is the pair table's
@@ -243,24 +244,19 @@ def _suite_semigroup_axioms(log, bound: int = 8):
 
     # (0,0,0), the first element, is a two-sided identity: row 0 and column
     # 0 of the pair table hold the ids 0..n-1 of the elements themselves
-    fixed = array("I", range(n))
-    if left[0] != fixed or col[0] != fixed:
-        for x, a, b, c in zip(elems, left[0], col[0], fixed):
-            if a != c or b != c:
-                log.add(f"x={label(x)}", "identity fixes x", "moved")
+    fixed = list(zip(range(n), range(n)))
+    for x, _, _ in _mismatches(elems, fixed, list(zip(left[0], col[0]))):
+        log.add(f"x={label(x)}", "identity fixes x", "moved")
 
     # over the one-ray family the third coordinate is inert: the product
     # projects onto the plain bicyclic product
     single = _raw_truncation(bound, Family.from_bases(0))
     pairs = [x[:2] for x in single]
     for x in single:
-        want = [(*w, 0) for w in map(mul_bicyclic, repeat(x[:2]), pairs)]
-        got = _products(repeat(x), single)
-        if want != list(got):
-            for y, w, g in zip(single, want, got):
-                if g != w:
-                    log.add(f"({x[0]},{x[1]})*({y[0]},{y[1]}) over {{[0)}}",
-                            f"{w[:2]}", f"({g[0]},{g[1]})")
+        want = tuple([(*w, 0) for w in map(mul_bicyclic, repeat(x[:2]), pairs)])
+        for y, w, g in _mismatches(single, want, _products(repeat(x), single)):
+            log.add(f"({x[0]},{x[1]})*({y[0]},{y[1]}) over {{[0)}}",
+                    f"{w[:2]}", f"({g[0]},{g[1]})")
 
     aux = len(aligned) + n + len(single) ** 2  # branch pairs, identity, projection
     return n ** 3 + aux, f"{n ** 3} triples, {aux} auxiliary checks"
@@ -289,19 +285,14 @@ def _suite_inverse_axioms(log, bound: int = 8):
             if r2 != r or l2 != l:
                 log.add(f"x={label(x)}", "x x^-1 and x^-1 x idempotent", "not idempotent")
     # idempotents are exactly the balanced triples, and they commute
-    idem = list(map(tuple.__eq__, square, elems))
-    if idem != [i == j for i, j, _ in elems]:
-        for x, got in zip(elems, idem):
-            if got != (x[0] == x[1]):
-                log.add(f"x={label(x)}", "idempotent iff i == j", str(got))
-    idems = [x for x in elems if x[0] == x[1]]
+    balanced = [i == j for i, j, _ in elems]
+    for x, _, got in _mismatches(elems, balanced, list(map(tuple.__eq__, square, elems))):
+        log.add(f"x={label(x)}", "idempotent iff i == j", str(got))
+    idems = list(compress(elems, balanced))
     table = [_products(repeat(e), idems) for e in idems]  # table[e][f] is e f
-    if table != list(zip(*table)):
-        for e, row, col in zip(idems, table, zip(*table)):
-            for f2, ef, fe in zip(idems, row, col):
-                if ef != fe:
-                    log.add(f"e={label(e)} f={label(f2)}", "ef == fe",
-                            f"{label(ef)} vs {label(fe)}")
+    for e, row, col in _mismatches(idems, table, list(zip(*table))):
+        for f2, ef, fe in _mismatches(idems, row, col):
+            log.add(f"e={label(e)} f={label(f2)}", "ef == fe", f"{label(ef)} vs {label(fe)}")
     cases = 4 * n + len(idems) ** 2  # three axioms and the characterization per x
     return cases, f"{n} elements, {len(idems)} idempotents"
 
@@ -371,10 +362,8 @@ def _suite_endo_homomorphism(log, bound: int = 8, kmax: int = 5):
     for k in range(1, kmax + 1):
         (ref, ref_row), *rest = [(e, row) for e, row in zip(endos, rows) if e.k == k]
         for e, row in rest:
-            if row[:half] != ref_row[:half]:
-                for x, a, b in zip(lvl0, ref_row, row):
-                    if a != b:
-                        log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
+            for x, _, _ in _mismatches(lvl0, ref_row[:half], row[:half]):
+                log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
 
     # the unit fixes everything; everything else moves an element with
     # coordinates <= 2, read off the form's row when the truncation holds
@@ -437,10 +426,8 @@ def _composition_soundness(log, elems, endos):
         one = _image_row(*c, elems)
         bad += [(a, b, c) for a, b in pairs if two_step(a, b) != one]
     for a, b, c in sorted(bad):  # pair order, as a per-pair loop records them
-        one, two = _image_row(*c, elems), two_step(a, b)
-        for x, o, t in zip(elems, one, two):
-            if o != t:
-                log.add(f"{endos[a]} . {endos[b]} at {x}", str(t), str(o))
+        for x, o, t in _mismatches(elems, _image_row(*c, elems), two_step(a, b)):
+            log.add(f"{endos[a]} . {endos[b]} at {x}", str(t), str(o))
     return len(endos) ** 2 * len(elems)
 
 
@@ -450,34 +437,34 @@ def _suite_composition_table(log, bound: int = 20, kmax: int = 5, ksym: int = 12
     pointwise = _composition_soundness(log, _raw_truncation(bound), endos)
 
     # parameter ranges are closed under composition, k up to ksym: one row
-    # of raw composites per left factor, each distinct composite validated
-    # once, and a row walked only when it holds a refused composite
+    # of raw composites per left factor, each new composite validated as its
+    # row brings it and each refused pair logged; a collapsing factor's row
+    # is kept for the collapse check
     big = _forms(ksym)
-    refusals = {}  # composite -> InjEndo's refusal text, or None
-
-    def refused(row):
+    refusals, coll_rows = {}, []  # composite -> InjEndo's refusal text, or None
+    for e1 in big:
+        row = _compose_row(*e1, big)
         for t in filterfalse(refusals.__contains__, dict.fromkeys(row)):
             try:
                 InjEndo(*t)
                 refusals[t] = None
             except ParameterRangeError as exc:
                 refusals[t] = str(exc)
-        return any(map(refusals.__getitem__, row))
+        for e2, t in compress(zip(big, row), map(refusals.__getitem__, row)):
+            log.add(f"{e1} . {e2}", "in-range composite", refusals[t])
+        if in_collapsing_class(e1):
+            coll_rows.append(row)
 
-    for e1 in big:
-        row = _compose_row(*e1, big)
-        if refused(row):
-            for e2, t in zip(big, row):
-                if refusals[t]:
-                    log.add(f"{e1} . {e2}", "in-range composite", refusals[t])
-
-    # a collapsing left factor erases the right factor's kind; a refused
-    # composite stops the suite at the first pair holding one, as compose would
-    coll = list(filter(in_collapsing_class, big))
-    twins = [e for e in big if in_preserving_class(e) and e.p]  # coll's (k, p), in order
-    for e1 in coll:
-        got, want = _compose_row(*e1, twins), _compose_row(*e1, coll)
-        if refused(got + want) or got != want:
+    # a collapsing left factor erases the right factor's kind: its row
+    # holds its composite with each collapsing form and with that form's
+    # preserving twin (same k, p); a refused composite stops the suite at the
+    # first pair holding one, as compose would
+    coll_at = [i for i, e in enumerate(big) if in_collapsing_class(e)]
+    twin_at = [i for i, e in enumerate(big) if in_preserving_class(e) and e.p]
+    coll = [big[i] for i in coll_at]
+    for e1, row in zip(coll, coll_rows):
+        got, want = [row[i] for i in twin_at], [row[i] for i in coll_at]
+        if any(map(refusals.__getitem__, row)) or got != want:
             for (_, k2, p2), g, w in zip(coll, got, want):
                 for t in (g, w):
                     if refusals[t]:

@@ -8,8 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from bicext.core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyClosureError,
-                         FamilyError, InductiveSet, MixedFamilyError, _mul_raw,
-                         _pair_table, _products, _raw_truncation, inverse,
+                         FamilyError, InductiveSet, MixedFamilyError, _mismatches,
+                         _mul_raw, _pair_table, _products, _raw_truncation, inverse,
                          is_idempotent, leq_natural, mul, mul_bicyclic)
 
 
@@ -406,6 +406,24 @@ class TestProduct:
         assert mul_bicyclic((3, 1), (1, 2)) == (3, 2)
         assert mul_bicyclic((2, 2), (2, 2)) == (2, 2)
         assert mul_bicyclic((0, 5), (2, 0)) == (0, 3)
+
+
+class TestMismatches:
+    @staticmethod
+    def _unread():
+        raise AssertionError("keys read for equal rows")
+        yield
+
+    @pytest.mark.parametrize("want, got", [((), ()), ((1, 2, 3), (1, 2, 3)),
+                                           ([(0, 1, 0)], [(0, 1, 0)])])
+    def test_equal_rows_read_no_key(self, want, got):
+        assert _mismatches(self._unread(), want, got) == ()
+
+    @pytest.mark.parametrize("want, got, differ", [
+        ((1, 2, 3, 4, 5, 6), (1, 0, 3, 9, 5, 7), [("b", 2, 0), ("d", 4, 9), ("f", 6, 7)]),
+        ([0, 1, 2], [5, 1, 6], [("a", 0, 5), ("c", 2, 6)])])
+    def test_differing_positions_in_order(self, want, got, differ):
+        assert _mismatches(iter("abcdef"), want, got) == differ
 
 
 class TestInverseStructure:

@@ -893,11 +893,16 @@ def test_a_single_scan_builds_only_the_rows_it_reads(monkeypatch, bound, calls):
     assert count[0] == n * n + 2 * n == calls
 
 
-class _AssociativityLog(FailureLog):
-    """A FailureLog that keeps only associativity's records."""
+class _CheckLog(FailureLog):
+    """A FailureLog that keeps only the records of one check: those whose
+    (inputs, expected) the predicate `mine` accepts."""
+
+    def __init__(self, mine):
+        super().__init__()
+        self.mine = mine
 
     def add(self, inputs, expected, got):
-        if expected == "(xy)z == x(yz)":
+        if self.mine(inputs, expected):
             super().add(inputs, expected, got)
 
 
@@ -917,11 +922,88 @@ def test_associativity_matches_a_plain_scan(monkeypatch, fault, bound):
                 xy_z, x_yz = mul_raw(*mul_raw(*x, *y), *z), mul_raw(*x, *mul_raw(*y, *z))
                 if xy_z != x_yz:
                     want.add(f"x={x} y={y} z={z}", "(xy)z == x(yz)", f"{xy_z} vs {x_yz}")
-    got = _AssociativityLog()
+    got = _CheckLog(lambda inputs, expected: expected == "(xy)z == x(yz)")
     _ov._suite_semigroup_axioms(got, bound)
     assert (got.total, got.recorded) == (want.total, want.recorded)
     if fault in ("dense", "idem", "commute") and bound:  # bound 0 holds no witness
         assert want.total
+
+
+# the plain per-case loops, each over the raw truncation elems and, for the
+# endomorphism checks, the forms
+
+def _plain_identity(log, elems, forms):
+    mul_raw = _core._mul_raw
+    for x in elems:
+        if mul_raw(0, 0, 0, *x) != x or mul_raw(*x, 0, 0, 0) != x:
+            log.add(f"x={CANONICAL_FAMILY.elem(*x)}", "identity fixes x", "moved")
+
+
+def _plain_projection(log, elems, forms):
+    mul_raw = _core._mul_raw
+    single = [(i, j, 0) for i, j, b in elems if b == 0]
+    for x in single:
+        for y in single:
+            w, g = _core.mul_bicyclic(x[:2], y[:2]), mul_raw(*x, *y)
+            if g != (*w, 0):
+                log.add(f"({x[0]},{x[1]})*({y[0]},{y[1]}) over {{[0)}}", f"{w}",
+                        f"({g[0]},{g[1]})")
+
+
+def _plain_identity_fixed(log, elems, forms):
+    for e in forms:
+        image = _endo._raw_image(*e, 0, 0, 0)
+        if image != (0, 0, 0):
+            log.add(f"e={e}", "identity fixed", str(image))
+
+
+def _plain_level0(log, elems, forms):
+    for k in sorted({e.k for e in forms}):
+        ref, *rest = [e for e in forms if e.k == k]
+        for e in rest:
+            for x in elems:
+                if x[2] == 0 and _endo._raw_image(*ref, *x) != _endo._raw_image(*e, *x):
+                    log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
+
+
+#: (suite, check) -> (which records are the check's, its plain per-case
+#: loop, and the faults under which it logs at bound 3); the suites'
+#: associativity or homomorphism records fill FAILURE_CAP first, so the
+#: pinned reports show none of these checks' records
+_WALKS = {
+    ("semigroup_axioms", "identity"): (
+        lambda inputs, expected: expected == "identity fixes x", _plain_identity,
+        _MUL_FAULTS, {"dense", "idem", "commute"}),
+    ("semigroup_axioms", "projection"): (
+        lambda inputs, expected: inputs.endswith(" over {[0)}"), _plain_projection,
+        _MUL_FAULTS, {"idem"}),
+    ("endo_homomorphism", "identity fixed"): (
+        lambda inputs, expected: expected == "identity fixed", _plain_identity_fixed,
+        _IMAGE_FAULTS, {"dense"}),
+    ("endo_homomorphism", "level-0"): (
+        lambda inputs, expected: expected == "same level-0 image", _plain_level0,
+        _IMAGE_FAULTS, {"level0"}),
+}
+
+
+@pytest.mark.parametrize("fault, key", [
+    (fault, key) for key, (_, _, faults, _) in _WALKS.items() for fault in [None, *faults]],
+    ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
+def test_capped_walks_match_a_plain_scan(monkeypatch, fault, key):
+    # each row check records its failures by _mismatches, only for a row
+    # that differs; its total and records must be those of a per-case loop
+    # through the same kernel, in the same order
+    suite, _ = key
+    mine, plain, faults, logging = _WALKS[key]
+    if fault:
+        _inject(monkeypatch, "_mul_raw" if faults is _MUL_FAULTS else "_raw_image",
+                faults[fault])
+    bounds = {"bound": 3} if suite == "semigroup_axioms" else {"bound": 3, "kmax": 4}
+    got, want = _CheckLog(mine), FailureLog()
+    SUITES[suite].run(got, **bounds)
+    plain(want, Truncation(3).raw(), _endo._forms(4))
+    assert (got.total, got.recorded) == (want.total, want.recorded)
+    assert bool(want.total) == (fault in logging)
 
 
 @pytest.mark.parametrize("bound", [2, 3])

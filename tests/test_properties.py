@@ -5,8 +5,9 @@ compose.  The row kernels _products and _image_row, which hold the product
 formula and the image closed form, are checked against those formulas as
 written in the README and in the endomorphisms docstring, restated here
 with builtin max, on rows of raw triples with coordinates up to 2,000
-digits.  The last checks the verify JSON writer against json.dumps on
-documents of the report schema's shape."""
+digits.  The row walk _mismatches is checked against a plain filter, and
+the verify JSON writer against json.dumps on documents of the report
+schema's shape."""
 
 import json
 from itertools import repeat
@@ -14,8 +15,8 @@ from itertools import repeat
 from hypothesis import example, given, settings, strategies as st
 
 from bicext.cli import _json
-from bicext.core_semigroup import (CANONICAL_FAMILY, Family, _mul_raw, _products, inverse,
-                                   mul)
+from bicext.core_semigroup import (CANONICAL_FAMILY, Family, _mismatches, _mul_raw, _products,
+                                   inverse, mul)
 from bicext.endo_monoid_green import GreenQuery, RELATIONS, green_bounded_search
 from bicext.endomorphisms import (InjEndo, Kind, _image_row, _raw_image, apply, collapsing,
                                   compose, preserving)
@@ -160,6 +161,16 @@ def test_image_row_follows_the_closed_form_table(kind, k, p, xs):
     assert _image_row(kind, k, p, xs) == tuple(_image(kind, k, p, x) for x in xs)
     for x in xs:
         assert _raw_image(kind, k, p, *x) == _image_row(kind, k, p, [x])[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2))))
+@example([(0, 1), (1, 1), (2, 0)])
+def test_mismatches_is_a_plain_filter(pairs):
+    # the positions where two rows differ, keyed, in order; () for equal rows
+    want, got = tuple(w for w, _ in pairs), tuple(g for _, g in pairs)
+    plain = [(n, w, g) for n, (w, g) in enumerate(pairs) if w != g]
+    assert _mismatches(range(len(pairs)), want, got) == (plain if plain else ())
 
 
 # any text: quotes, backslashes, control characters, non-ASCII and non-BMP
