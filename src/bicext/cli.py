@@ -107,15 +107,16 @@ def _refusal(what: str, text: str, form: str) -> str:
 
 def parse_element(text: str, family: Family = CANONICAL_FAMILY) -> Elem:
     """Parse "(i,j,base)", whitespace-insensitive; the regex admits no signs
-    so negative coordinates are rejected as syntax."""
+    so negative coordinates are rejected as syntax.  A family that is not a
+    Family is refused first, as Elem refuses it."""
+    if type(family) is not Family:
+        raise FamilyError(f"family must be a Family, got {type(family).__name__}")
     m = _ELEM_RE.match("".join(text.split()))
     if not m:
         raise ParseError(_refusal("element", text, '"(i,j,base)"'))
     i, j, base = map(int, m.groups())
     if base > family.m:
         raise ParseError(f"invalid set base {base} for family {family}")
-    if type(family) is not Family:
-        return Elem(i, j, base, family)  # which refuses it, as it always did
     # ASCII digits are non-negative ints and base <= m was just checked, so
     # Elem.__new__ would accept every field: build the tuple, as mul does
     return tuple.__new__(Elem, (i, j, base, family))

@@ -22,9 +22,9 @@ form, and the pointwise composition table) run as row kernels: a whole row
 of cases is computed by one call of _products or _image_row, each a list
 comprehension over raw triples holding its module's one copy of the
 formula, and compared as one tuple, or one packed array of ids, in C.
-A row check records its failures through core_semigroup._mismatches,
-whose docstring states the walk rule, so a report is a plain loop's; the
-inverse axioms walk their three checks per element in one loop of their own.
+Every row check, one of several laws per case included, records its
+failures through core_semigroup._mismatches, whose docstring states the
+walk rule, so a report is a plain loop's.
 Every check reads the table its suite built, so a value is computed once
 per suite run, and a row is shared only between inputs equal by value,
 never by a closed form standing in for a scan:
@@ -83,14 +83,15 @@ from operator import attrgetter, or_
 from .core_semigroup import (CANONICAL_FAMILY, Elem, Family, FamilyError, _interner,
                    _mismatches, _mul_raw, _pair_table, _products, _raw_truncation,
                    _require_int, mul, mul_bicyclic)
-from .endomorphisms import (InjEndo, Kind, ParameterRangeError, UNIT, _collisions,
-                    _compose_row, _forms, _growth_holds, _homomorphism_failures,
+from .endomorphisms import (InjEndo, Kind, ParameterRangeError, UNIT, _PRESERVING,
+                    _collisions, _compose_row, _forms, _growth_holds, _homomorphism_failures,
                     _image_row, _raw_image, compose)
 from .endo_monoid_green import (GreenQuery, RELATIONS, _Tables, _absorption_failures,
                     _cancellation_failures, find_idempotents, green_bounded_search,
                     green_symbolic, in_collapsing_class, in_preserving_class)
 
 FAILURE_CAP = 100
+_label = Elem.__str__  # an Elem's text, of a raw triple, only for a failure
 _MINIMUM = {"bound": 0, "kmax": 1, "ksym": 1, "tmax": 0}  # smallest value of each bound
 
 
@@ -200,7 +201,6 @@ def _suite(*covers, floor=None):
 def _suite_semigroup_axioms(log, bound: int = 8):
     elems = _raw_truncation(bound)
     n = len(elems)
-    label = Elem.__str__  # an Elem's text, of a raw triple, only for a failure
 
     # associativity over every triple, through ids of the interned distinct
     # products, packed as array("I") rows (an id past 2**32 - 1 raises
@@ -246,7 +246,7 @@ def _suite_semigroup_axioms(log, bound: int = 8):
     # 0 of the pair table hold the ids 0..n-1 of the elements themselves
     fixed = list(zip(range(n), range(n)))
     for x, _, _ in _mismatches(elems, fixed, list(zip(left[0], col[0]))):
-        log.add(f"x={label(x)}", "identity fixes x", "moved")
+        log.add(f"x={_label(x)}", "identity fixes x", "moved")
 
     # over the one-ray family the third coordinate is inert: the product
     # projects onto the plain bicyclic product
@@ -275,24 +275,25 @@ def _suite_inverse_axioms(log, bound: int = 8):
     three = elems + right + left
     squares = _products(three, three)
     square, right2, left2 = squares[:n], squares[n:2 * n], squares[2 * n:]
-    label = Elem.__str__  # an Elem's text, of a raw triple, only for a failure
-    if (back, twice, right2, left2) != (elems, elems, right, left):
-        for x, y, t, r, r2, l, l2 in zip(elems, back, twice, right, right2, left, left2):
-            if y != x:
-                log.add(f"x={label(x)}", "x x^-1 x == x", label(y))
-            if t != x:
-                log.add(f"x={label(x)}", "(x^-1)^-1 == x", label(t))
-            if r2 != r or l2 != l:
-                log.add(f"x={label(x)}", "x x^-1 and x^-1 x idempotent", "not idempotent")
+    # one row entry per x for its three axioms: x x^-1 x and (x^-1)^-1 are x,
+    # and x x^-1 and x^-1 x are their own squares
+    for x, (_, _, r, l), (y, t, r2, l2) in _mismatches(
+            elems, list(zip(elems, elems, right, left)), list(zip(back, twice, right2, left2))):
+        if y != x:
+            log.add(f"x={_label(x)}", "x x^-1 x == x", _label(y))
+        if t != x:
+            log.add(f"x={_label(x)}", "(x^-1)^-1 == x", _label(t))
+        if (r2, l2) != (r, l):
+            log.add(f"x={_label(x)}", "x x^-1 and x^-1 x idempotent", "not idempotent")
     # idempotents are exactly the balanced triples, and they commute
     balanced = [i == j for i, j, _ in elems]
     for x, _, got in _mismatches(elems, balanced, list(map(tuple.__eq__, square, elems))):
-        log.add(f"x={label(x)}", "idempotent iff i == j", str(got))
+        log.add(f"x={_label(x)}", "idempotent iff i == j", str(got))
     idems = list(compress(elems, balanced))
     table = [_products(repeat(e), idems) for e in idems]  # table[e][f] is e f
     for e, row, col in _mismatches(idems, table, list(zip(*table))):
         for f2, ef, fe in _mismatches(idems, row, col):
-            log.add(f"e={label(e)} f={label(f2)}", "ef == fe", f"{label(ef)} vs {label(fe)}")
+            log.add(f"e={_label(e)} f={_label(f2)}", "ef == fe", f"{_label(ef)} vs {_label(fe)}")
     cases = 4 * n + len(idems) ** 2  # three axioms and the characterization per x
     return cases, f"{n} elements, {len(idems)} idempotents"
 
@@ -301,15 +302,14 @@ def _suite_inverse_axioms(log, bound: int = 8):
 def _suite_order(log, bound: int = 8):
     elems = _raw_truncation(bound)
     n = len(elems)
-    label = Elem.__str__  # as in _suite_inverse_axioms
     leq = _leq_table(elems)
-    for a in range(n):
-        if not leq[a][a]:
-            log.add(label(elems[a]), "reflexive", "not <= itself")
+    # reflexivity is the table's diagonal
+    for x, _, _ in _mismatches(elems, [True] * n, list(map(tuple.__getitem__, leq, range(n)))):
+        log.add(_label(x), "reflexive", "not <= itself")
     for a in range(n):
         for b in range(n):
             if a != b and leq[a][b] and leq[b][a]:
-                log.add(f"{label(elems[a])}, {label(elems[b])}", "antisymmetry",
+                log.add(f"{_label(elems[a])}, {_label(elems[b])}", "antisymmetry",
                         "both directions hold")
 
     # transitivity through bitmask rows: rows[a] is the up-set of a
@@ -319,17 +319,16 @@ def _suite_order(log, bound: int = 8):
         extra = reduce(or_, compress(rows, leq[a]), m) & ~m
         if extra:
             c = extra.bit_length() - 1
-            log.add(f"a={label(elems[a])}", "transitive up-set", f"missing {label(elems[c])}")
+            log.add(f"a={_label(elems[a])}", "transitive up-set", f"missing {_label(elems[c])}")
 
     # cross-level law on balanced elements, and the descending chain, read
     # off the table: at[x] is x's row and column in leq
     at = {x: a for a, x in enumerate(elems)}
-    for k in range(bound + 1):
-        for p in range(bound + 1):
-            want = p <= k - 1
-            got = leq[at[k, k, 0]][at[p, p, 1]]
-            if got != want:
-                log.add(f"({k},{k},0) <= ({p},{p},1)", str(want), str(got))
+    levels = [(k, p) for k in range(bound + 1) for p in range(bound + 1)]
+    want = [p <= k - 1 for k, p in levels]
+    got = [leq[at[k, k, 0]][at[p, p, 1]] for k, p in levels]
+    for (k, p), w, g in _mismatches(levels, want, got):
+        log.add(f"({k},{k},0) <= ({p},{p},1)", str(w), str(g))
     for t in range(bound):
         if not leq[at[t + 1, t + 1, 1]][at[t + 1, t + 1, 0]]:
             log.add(f"t={t}", "(t+1,t+1,1) <= (t+1,t+1,0)", "false")
@@ -457,13 +456,14 @@ def _suite_composition_table(log, bound: int = 20, kmax: int = 5, ksym: int = 12
 
     # a collapsing left factor erases the right factor's kind: its row
     # holds its composite with each collapsing form and with that form's
-    # preserving twin (same k, p); a refused composite stops the suite at the
-    # first pair holding one, as compose would
-    coll_at = [i for i, e in enumerate(big) if in_collapsing_class(e)]
-    twin_at = [i for i, e in enumerate(big) if in_preserving_class(e) and e.p]
-    coll = [big[i] for i in coll_at]
+    # preserving twin (same k, p), each found by value; a refused composite
+    # stops the suite at the first pair holding one, as compose would
+    at = {e: i for i, e in enumerate(big)}
+    coll = [e for e in big if in_collapsing_class(e)]
+    own = [at[e] for e in coll]
+    twins = [at[_PRESERVING, k, p] for _, k, p in coll]
     for e1, row in zip(coll, coll_rows):
-        got, want = [row[i] for i in twin_at], [row[i] for i in coll_at]
+        got, want = [row[i] for i in twins], [row[i] for i in own]
         if any(map(refusals.__getitem__, row)) or got != want:
             for (_, k2, p2), g, w in zip(coll, got, want):
                 for t in (g, w):

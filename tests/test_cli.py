@@ -83,11 +83,18 @@ class TestParsing:
                             parse_element(text, family)
                         assert str(info.value) == f"invalid set base {b} for family {family}"
 
-    def test_a_family_that_is_not_a_family_is_still_refused(self):
-        class Lookalike:
-            m = 1
-        with pytest.raises(FamilyError, match="family must be a Family, got Lookalike"):
-            parse_element("(1,2,0)", Lookalike())
+    class Lookalike:
+        m = 1
+
+    @pytest.mark.parametrize("base", [0, 7])
+    @pytest.mark.parametrize("family", ["x", None, 1, Lookalike()],
+                             ids=["str", "None", "int", "Lookalike"])
+    def test_a_family_that_is_not_a_family_is_still_refused(self, family, base):
+        # refused before the text is read: neither an AttributeError from a
+        # missing m nor a ParseError from a look-alike's m
+        name = type(family).__name__
+        with pytest.raises(FamilyError, match=rf"^family must be a Family, got {name}$"):
+            parse_element(f"(1,2,{base})", family)
 
     def test_endo_round_trip(self):
         for e in enumerate_endos(4):

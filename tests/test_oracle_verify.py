@@ -316,8 +316,6 @@ def _dense_mul(i1, j1, b1, i2, j2, b2):
     i, j, b = _REAL_MUL(i1, j1, b1, i2, j2, b2)
     if (i1 + j2) % 5 == 3:
         return i, j, min(b1, b2)
-    if i1 == 2 and j2 == 1:
-        return i, j + 1, b
     return i, j, b
 
 
@@ -931,10 +929,36 @@ def _plain_level0(log, elems, forms):
                     log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
 
 
+def _plain_inverse_axioms(log, elems, forms):
+    for x in [CANONICAL_FAMILY.elem(*t) for t in elems]:
+        right, left = mul(x, inverse(x)), mul(inverse(x), x)
+        if mul(right, x) != x:
+            log.add(f"x={x}", "x x^-1 x == x", str(mul(right, x)))
+        if inverse(inverse(x)) != x:
+            log.add(f"x={x}", "(x^-1)^-1 == x", str(inverse(inverse(x))))
+        if not (is_idempotent(right) and is_idempotent(left)):
+            log.add(f"x={x}", "x x^-1 and x^-1 x idempotent", "not idempotent")
+
+
+def _plain_reflexive(log, elems, forms):
+    for x in [CANONICAL_FAMILY.elem(*t) for t in elems]:
+        if not leq_natural(x, x):
+            log.add(str(x), "reflexive", "not <= itself")
+
+
+def _plain_cross_level(log, elems, forms):
+    elem, top = CANONICAL_FAMILY.elem, max(i for i, _, _ in elems)
+    for k in range(top + 1):
+        for p in range(top + 1):
+            want, got = p <= k - 1, leq_natural(elem(k, k, 0), elem(p, p, 1))
+            if got != want:
+                log.add(f"({k},{k},0) <= ({p},{p},1)", str(want), str(got))
+
+
 #: (suite, check) -> (which records are the check's, its plain per-case
-#: loop, and the faults under which it logs at bound 3); the suites'
-#: associativity or homomorphism records fill FAILURE_CAP first, so the
-#: pinned reports show none of these checks' records
+#: loop, and the faults under which it logs at bound 3).  A pinned report
+#: holds these records only in its digest, or not at all where associativity
+#: or homomorphism records fill FAILURE_CAP first
 _WALKS = {
     ("semigroup_axioms", "identity"): (
         lambda inputs, expected: expected == "identity fixes x", _plain_identity,
@@ -942,6 +966,16 @@ _WALKS = {
     ("semigroup_axioms", "projection"): (
         lambda inputs, expected: inputs.endswith(" over {[0)}"), _plain_projection,
         _MUL_FAULTS, {"idem"}),
+    ("inverse_axioms", "three axioms"): (
+        lambda inputs, expected: expected in ("x x^-1 x == x", "(x^-1)^-1 == x",
+                                              "x x^-1 and x^-1 x idempotent"),
+        _plain_inverse_axioms, _MUL_FAULTS, {"idem"}),
+    ("order", "reflexivity"): (
+        lambda inputs, expected: expected == "reflexive", _plain_reflexive,
+        _MUL_FAULTS, {"idem"}),
+    ("order", "cross-level"): (
+        lambda inputs, expected: expected in ("True", "False"), _plain_cross_level,
+        _MUL_FAULTS, {"idem", "commute"}),
     ("endo_homomorphism", "identity fixed"): (
         lambda inputs, expected: expected == "identity fixed", _plain_identity_fixed,
         _IMAGE_FAULTS, {"dense"}),
@@ -963,7 +997,7 @@ def test_capped_walks_match_a_plain_scan(monkeypatch, fault, key):
     if fault:
         _inject(monkeypatch, "_mul_raw" if faults is _MUL_FAULTS else "_raw_image",
                 faults[fault])
-    bounds = {"bound": 3} if suite == "semigroup_axioms" else {"bound": 3, "kmax": 4}
+    bounds = {"bound": 3} if faults is _MUL_FAULTS else {"bound": 3, "kmax": 4}
     got, want = _CheckLog(mine), FailureLog()
     SUITES[suite].run(got, **bounds)
     plain(want, Truncation(3).raw(), _endo._forms(4))
