@@ -1,23 +1,29 @@
-"""The verify report corpus: what `bicext verify --format json` prints over a
-fixed grid of bounds, kept in tests/data/verify_corpus.json.
+"""The verify report corpus: what `bicext verify` prints over a fixed grid of
+bounds, kept in tests/data/verify_corpus.json.
 
     python tools/verify_corpus.py           # (re)write the corpus
     python tools/verify_corpus.py --check   # compare a fresh run with it
 
 --check exits 0 when every entry matches, and 1 after naming each entry that
 is missing, extra or different.  Each entry is keyed by its argv, run in
-process through bicext.cli.main, over these points:
+process through bicext.cli.main, over these points, with --format json:
 
   - --suite all at the default bounds;
   - every suite with each of its bounds set to v, for v = 0 .. 3;
   - every suite at bound=3 kmax=3 ksym=4 tmax=6, each bound it takes;
   - the bounds of tests/test_acceptance.py;
   - every bound one below its minimum, and one below its suite's floor,
-    the suite's other bounds at their defaults.
+    the suite's other bounds at their defaults;
+
+and with --format text:
+
+  - --suite all at the default bounds, and at bound=3 kmax=3 ksym=4 tmax=6;
+  - every suite at bound=3 kmax=3 ksym=4 tmax=6, each bound it takes.
 
 An entry that runs holds its exit code, the sha256 of its stdout with every
-"elapsed_ms" line removed, and per suite the report's cases and
-failures_total; an entry that is refused holds its exit code and stderr.
+"elapsed_ms" line removed (json) or each line's trailing ", 123 ms)" masked
+as ", <n> ms)" (text), and per suite the report's cases and failures_total;
+an entry that is refused holds its exit code and stderr.
 A change that moves an entry regenerates the corpus and says why.
 """
 
@@ -36,7 +42,9 @@ import bicext.cli as cli  # noqa: E402
 from bicext.oracle_verify import _FLOORS, _MINIMUM, SUITES, run_suite  # noqa: E402
 
 CORPUS = ROOT / "tests" / "data" / "verify_corpus.json"
-_ELAPSED = re.compile(r'^ *"elapsed_ms": .*\n', re.M)
+# what each format prints of a report's elapsed time, and its replacement
+_ELAPSED = {"json": (re.compile(r'^ *"elapsed_ms": .*\n', re.M), ""),
+            "text": (re.compile(r", \d+ ms\)$", re.M), ", <n> ms)")}
 
 # suite -> bounds at which tests/test_acceptance.py runs it
 _ACCEPTANCE = {
@@ -53,9 +61,9 @@ _ACCEPTANCE = {
 _WIDE = {"bound": 3, "kmax": 3, "ksym": 4, "tmax": 6}
 
 
-def _argv(suite: str, bounds: dict) -> list[str]:
+def _argv(suite: str, bounds: dict, fmt: str = "json") -> list[str]:
     flags = [part for key, val in bounds.items() for part in (f"--{key}", str(val))]
-    return ["verify", "--suite", suite, *flags, "--format", "json"]
+    return ["verify", "--suite", suite, *flags, "--format", fmt]
 
 
 def points() -> list[list[str]]:
@@ -70,6 +78,9 @@ def points() -> list[list[str]]:
         if _FLOORS[name]:
             key, least = _FLOORS[name]
             grid.append(_argv(name, {key: spec.defaults.get(least, least) - 1}))
+    grid += [_argv("all", {}, "text"), _argv("all", _WIDE, "text")]
+    grid += [_argv(name, {key: _WIDE[key] for key in spec.defaults}, "text")
+             for name, spec in SUITES.items()]
     return grid
 
 
@@ -90,7 +101,8 @@ def entry(argv: list[str]) -> dict:
         cli.run_suite = run_suite
     if not reports:
         return {"exit": code, "stderr": err.getvalue()}
-    text = _ELAPSED.sub("", out.getvalue())
+    elapsed, mask = _ELAPSED[argv[-1]]
+    text = elapsed.sub(mask, out.getvalue())
     return {"exit": code, "sha256": hashlib.sha256(text.encode()).hexdigest(),
             "suites": {r.suite: f"cases={r.cases} failures_total={r.failures_total}"
                        for r in reports}}
