@@ -340,12 +340,9 @@ def growth_inequalities_hold(kind, k: int, p: int, s: int, t_max: int) -> bool:
         raise ParameterRangeError(f"kind must be a Kind, got {kind!r}")
     if not type(k) is type(p) is type(s) is int:  # bool and float are refused too
         raise ParameterRangeError(f"k, p and s must be integers, got ({k!r},{p!r},{s!r})")
-    if type(t_max) is not int:
-        raise ValueError(f"t_max must be an integer, got {t_max!r}")
+    _require_int("t_max", t_max, 0)
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive")
-    if t_max < 0:
-        raise ValueError("t_max must be non-negative")
     return _growth_holds(kind, k, p, s, t_max)
 
 

@@ -35,12 +35,14 @@ never by a closed form standing in for a scan:
     with the buffer's stride slice x::n as a memoryview, so no table is
     gathered entry by entry.  Branch agreement and the identity read the
     pair table as well;
-  - a form's image row is built once and read by every check of the form:
-    the homomorphism law, injectivity, the identity, rigidity and level-0
-    agreement.  Forms with equal k send the level-0 elements to one block
-    of images, so the products within a block are built once per distinct
-    block value, as far as any scan reads them, and so is a right factor's
-    two-step row over a first factor's block;
+  - a form's image row is built once and read by every check of the form,
+    each run in one pass over the forms while it holds that row: the
+    homomorphism law, injectivity, the identity, rigidity and level-0
+    agreement with the first form of its k.  Forms with equal k send the
+    level-0 elements to one block of images, so the products within a
+    block are built once per distinct block value, as far as any scan reads
+    them, and so is a right factor's two-step row over a first factor's
+    block;
   - the order table is one product column t e over every t per distinct
     idempotent e = s^-1 s (18 columns for the 162 elements at bound 8),
     and the cross-level law and the chain read it too.
@@ -49,12 +51,12 @@ are grouped by the value compose gives them, that composite's image row is
 built once per group and compared with every pair's two-step row, and the
 mismatching pairs are walked in pair order after the sweep.  The closure
 sweep to ksym builds one _compose_row per left factor over the forms
-themselves, range-checks each new composite once with InjEndo and logs
-each refused pair; the collapse check reads its composites off the rows of
-the collapsing left factors, kept from that sweep, and stops where compose
-would have raised.  The homomorphism law,
-injectivity, cancellativity and absorption each log every item of the one
-counterexample generator of the module owning the law.
+themselves, range-checks each new composite once with InjEndo, logs each
+refused pair, and runs the collapse check on a collapsing left factor's
+row while it holds it.  No suite raises: what escapes one is the checked
+code's own exception.  The homomorphism law, injectivity, cancellativity
+and absorption each log every item of the one counterexample generator of
+the module owning the law.
 The inverse axioms take x^-1 as the swap (j, i, b) and compute x x^-1,
 x^-1 x, (x x^-1) x and the squares as _products rows over the truncation;
 idempotents commute when their product table equals its transpose.  An
@@ -347,35 +349,30 @@ def _suite_endo_homomorphism(log, bound: int = 8, kmax: int = 5):
     n, half = len(elems), len(elems) // 2
     pairs = _pair_table(elems)
     endos = _forms(kmax)
-    blocks, rows = {}, []  # level-0 product rows shared by block value; each form's images
+    lvl0 = elems[:half]  # the level-0 elements, the first half of a row
+    # rigidity reads the images of the elements with coordinates <= 2 off
+    # the form's row when the truncation holds them all (bound >= 2), and
+    # maps them on their own otherwise
+    fixed, small = tuple(elems), tuple(_raw_truncation(2))
+    near = [elems.index(x) for x in small] if bound >= 2 else None
+    blocks = {}  # level-0 product rows, shared by block value
+    refs = {}  # k -> (the first form of that k, its level-0 images)
     for e in endos:
         images = _image_row(*e, elems)
-        rows.append(images)
         for x, y, fxy, fxfy in _homomorphism_failures(*e, elems, pairs, images, blocks):
             log.add(f"e={e} x={x} y={y}", str(fxy), str(fxfy))
         if images[0] != (0, 0, 0):  # the first element is the identity
             log.add(f"e={e}", "identity fixed", str(images[0]))
-
-    # forms sharing k agree on every level-0 element, the first half of a row
-    lvl0 = elems[:half]
-    for k in range(1, kmax + 1):
-        (ref, ref_row), *rest = [(e, row) for e, row in zip(endos, rows) if e.k == k]
-        for e, row in rest:
-            for x, _, _ in _mismatches(lvl0, ref_row[:half], row[:half]):
-                log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
-
-    # the unit fixes everything; everything else moves an element with
-    # coordinates <= 2, read off the form's row when the truncation holds
-    # them all (bound >= 2) and mapped on their own otherwise
-    fixed, small = tuple(elems), tuple(_raw_truncation(2))
-    near = [elems.index(x) for x in small] if bound >= 2 else None
-    for e, images in zip(endos, rows):
+        # forms sharing k agree on every level-0 element
+        low = images[:half]
+        ref, ref_low = refs.setdefault(e.k, (e, low))
+        for x, _, _ in _mismatches(lvl0, ref_low, low):
+            log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
+        # the unit fixes everything; everything else moves a small element
         if e == UNIT:
             if images != fixed:
                 log.add("a:1,0", "fixes the whole truncation", "moves an element")
-            continue
-        seen = tuple(map(images.__getitem__, near)) if near else _image_row(*e, small)
-        if seen == small:
+        elif (tuple(map(images.__getitem__, near)) if near else _image_row(*e, small)) == small:
             log.add(f"e={e}", "moves an element with coordinates <= 2", "fixes them all")
     # per form: every pair, the identity and rigidity; per form but the
     # first of its k: every level-0 element
@@ -437,10 +434,15 @@ def _suite_composition_table(log, bound: int = 20, kmax: int = 5, ksym: int = 12
 
     # parameter ranges are closed under composition, k up to ksym: one row
     # of raw composites per left factor, each new composite validated as its
-    # row brings it and each refused pair logged; a collapsing factor's row
-    # is kept for the collapse check
+    # row brings it and each refused pair logged.  A collapsing left factor
+    # erases the right factor's kind: its row holds its composite with each
+    # collapsing form and with that form's preserving twin (same k, p), each
+    # found by value
     big = _forms(ksym)
-    refusals, coll_rows = {}, []  # composite -> InjEndo's refusal text, or None
+    at = {e: i for i, e in enumerate(big)}
+    coll = [e for e in big if in_collapsing_class(e)]
+    own, twins = [at[e] for e in coll], [at[_PRESERVING, k, p] for _, k, p in coll]
+    refusals = {}  # composite -> InjEndo's refusal text, or None
     for e1 in big:
         row = _compose_row(*e1, big)
         for t in filterfalse(refusals.__contains__, dict.fromkeys(row)):
@@ -452,26 +454,9 @@ def _suite_composition_table(log, bound: int = 20, kmax: int = 5, ksym: int = 12
         for e2, t in compress(zip(big, row), map(refusals.__getitem__, row)):
             log.add(f"{e1} . {e2}", "in-range composite", refusals[t])
         if in_collapsing_class(e1):
-            coll_rows.append(row)
-
-    # a collapsing left factor erases the right factor's kind: its row
-    # holds its composite with each collapsing form and with that form's
-    # preserving twin (same k, p), each found by value; a refused composite
-    # stops the suite at the first pair holding one, as compose would
-    at = {e: i for i, e in enumerate(big)}
-    coll = [e for e in big if in_collapsing_class(e)]
-    own = [at[e] for e in coll]
-    twins = [at[_PRESERVING, k, p] for _, k, p in coll]
-    for e1, row in zip(coll, coll_rows):
-        got, want = [row[i] for i in twins], [row[i] for i in own]
-        if any(map(refusals.__getitem__, row)) or got != want:
-            for (_, k2, p2), g, w in zip(coll, got, want):
-                for t in (g, w):
-                    if refusals[t]:
-                        raise ParameterRangeError(refusals[t])
-                if g != w:
-                    log.add(f"{e1} . (k={k2},p={p2})", "same composite for both kinds",
-                            "differs")
+            for (_, k2, p2), _, _ in _mismatches(coll, [row[i] for i in own],
+                                                  [row[i] for i in twins]):
+                log.add(f"{e1} . (k={k2},p={p2})", "same composite for both kinds", "differs")
     cases = pointwise + len(big) ** 2 + len(coll) ** 2
     return cases, f"{len(endos)}^2 pointwise pairs, symbolic k <= {ksym}"
 

@@ -462,7 +462,12 @@ class TestRawInputRefused:
         ((Kind.PRESERVING, 2.5, 1, 2, 3), ParameterRangeError, "k, p and s must be integers"),
         ((Kind.PRESERVING, 2, 1, True, 3), ParameterRangeError, "k, p and s must be integers"),
         (("b", 2, 1, 2, 3), ParameterRangeError, "kind must be a Kind"),
-        ((Kind.PRESERVING, 2, 1, 2, 3.0), ValueError, "t_max must be an integer")])
+        ((Kind.PRESERVING, 2, 1, 2, 3.0), ValueError, "t_max must be an integer"),
+        ((Kind.PRESERVING, 2, 1, 2, -1), ValueError, "^t_max must be >= 0$"),
+        ((Kind.PRESERVING, 0, 1, 2, 3), ValueError, "^k and s must be positive$"),
+        ((Kind.COLLAPSING, 2, 1, 0, 3), ValueError, "^k and s must be positive$"),
+        # t_max is checked before the multiplier
+        ((Kind.PRESERVING, 0, 1, 0, -1), ValueError, "^t_max must be >= 0$")])
     def test_growth_refuses(self, args, error, message):
         with pytest.raises(error, match=message):
             growth_inequalities_hold(*args)

@@ -3,6 +3,7 @@ every suite at reduced bounds, and reports under deliberately wrong kernels."""
 
 import hashlib
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -388,6 +389,18 @@ def _level0_image(kind, k, p, i, j, b):
     return i2, j2, b2
 
 
+def _kinds_image(kind, k, p, i, j, b):
+    # a:3,2, b:3,1 and b:2,1 move the level-0 points with i = 1: forms of
+    # both kinds at one k, and a collapsing form whose k is below the
+    # preserving one's, so a walk per k would log them in another order
+    # than a walk in form order
+    i2, j2, b2 = _REAL_IMAGE(kind, k, p, i, j, b)
+    moved = {(Kind.PRESERVING, 3, 2), (Kind.COLLAPSING, 3, 1), (Kind.COLLAPSING, 2, 1)}
+    if b == 0 and i == 1 and (kind, k, p) in moved:
+        return i2, j2 + 1, b2
+    return i2, j2, b2
+
+
 def _dense_compose(v1, k1, p1, v2, k2, p2):
     # wrong but in range: preserving after preserving loses its offset, and a
     # collapsing left factor takes the right factor's kind
@@ -423,16 +436,15 @@ def _minus_compose(v1, k1, p1, v2, k2, p2):
 
 
 def _wide_compose(v1, k1, p1, v2, k2, p2):
-    # out of range only past k = 25: the kmax-5 pairs stay sound, the
-    # closure sweep logs every wider composite as refused, and the collapse
-    # sweep, which catches no refusal, stops at its first
+    # out of range only past k = 25: the kmax-5 pairs stay sound, and the
+    # closure sweep logs every wider composite as refused
     v, k, p = _REAL_COMPOSE(v1, k1, p1, v2, k2, p2)
     return (v, k, p - k) if k > 25 else (v, k, p)
 
 
 def _collapsed_compose(v1, k1, p1, v2, k2, p2):
     # as _wide_compose, but only after a collapsing left factor and onto a
-    # right factor with p2 = 1, so that every refusal and the crash are recorded
+    # right factor with p2 = 1, so that every refusal is recorded
     v, k, p = _REAL_COMPOSE(v1, k1, p1, v2, k2, p2)
     if k > 25 and v1 is Kind.COLLAPSING and p2 == 1:
         return v, k, p - k
@@ -471,9 +483,12 @@ def _patch_everywhere(monkeypatch, name, value):
 def _inject(monkeypatch, name, fault):
     """Replace the scalar kernel `name` by fault where every sweep reaches
     it: its row kernel becomes one that computes each value through fault,
-    and the scalar kernel, a one-element row of it, follows."""
-    row, _, lift = _ROWS[name]
-    _patch_everywhere(monkeypatch, row, lift(fault))
+    and the scalar kernel, a one-element row of it, follows.  _compose_raw,
+    which its row kernel calls once per composite, is replaced itself."""
+    if name in _ROWS:
+        row, _, lift = _ROWS[name]
+        name, fault = row, lift(fault)
+    _patch_everywhere(monkeypatch, name, fault)
 
 
 def _counted(monkeypatch, name):
@@ -500,7 +515,7 @@ def _digest(failures):
 _MUL_FAULTS = {"dense": _dense_mul, "sparse": _sparse_mul, "idem": _idem_mul,
                "commute": _commute_mul}
 _IMAGE_FAULTS = {"dense": _dense_image, "sparse": _sparse_image, "e2": _e2_image,
-                 "collide": _collide_image, "level0": _level0_image}
+                 "collide": _collide_image, "level0": _level0_image, "kinds": _kinds_image}
 _COMPOSE_FAULTS = {"dense": _dense_compose, "unit": _unit_compose}
 
 # (fault, suite, bounds) -> (cases, failures_total, recorded, digest of every
@@ -696,22 +711,22 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("fault, ksym, pinned", [
         (_wide_compose, 8, (
-            0, 2616, 100, "e24f6e12d5dc0c54",
+            66130, 2615, 100, "e24f6e12d5dc0c54",
             ("a:4,0 . a:7,0", "in-range composite", "p must be >= 0"),
             ("a:4,3 . b:7,1", "in-range composite",
              "p must be >= 1: at p = 0 both levels would share images"),
-            "stopped by ParameterRangeError")),
+            "25^2 pointwise pairs, symbolic k <= 8")),
         (_collapsed_compose, 6, (
-            0, 29, 29, "7495178db7d7fbc1",
+            62771, 28, 28, "499a00490ce7fe29",
             ("b:5,1 . a:6,1", "in-range composite",
              "p must be >= 1: at p = 0 both levels would share images"),
-            ("bound=6 kmax=5 ksym=6", "the suite runs to completion",
-             "ParameterRangeError: p must be >= 1: at p = 0 both levels would share images"),
-            "stopped by ParameterRangeError"))], ids=["wide", "collapsed"])
-    def test_refused_composites_logged_then_crash(self, monkeypatch, fault, ksym, pinned):
+            ("b:6,5 . b:6,1", "in-range composite",
+             "p must be >= 1: at p = 0 both levels would share images"),
+            "25^2 pointwise pairs, symbolic k <= 6"))], ids=["wide", "collapsed"])
+    def test_refused_composites_logged_and_counted(self, monkeypatch, fault, ksym, pinned):
         # each distinct composite is validated once: the closure sweep must
-        # still log every refused pair in pair order, and the collapse sweep
-        # must still stop at the first refused pair it meets
+        # still log every refused pair in pair order, and the collapse check
+        # compares refused composites by value, so the suite runs to its end
         monkeypatch.setattr(_endo, "_compose_raw", fault)
         _check_pinned(run_suite("composition_table", bound=6, kmax=5, ksym=ksym), pinned)
 
@@ -743,6 +758,22 @@ class TestFaultInjection:
         failed = [r["suite"] for r in json.loads(out) if not r["pass"]]
         assert failed == ["composition_table", "idempotents", "cancellative", "ideal"]
         assert err == ""
+
+    def test_failing_text_report_shows_ten_counterexamples(self, monkeypatch, capsys):
+        # the text report prints the first 10 records and counts the rest;
+        # its elapsed time is masked
+        _inject(monkeypatch, "_mul_raw", _idem_mul)
+        code = cli.main(["verify", "--suite", "inverse_axioms", "--bound", "3"])
+        out, err = capsys.readouterr()
+        idem = "expected=x x^-1 and x^-1 x idempotent got=not idempotent"
+        assert (code, err) == (cli.EXIT_VERIFY, "")
+        assert re.sub(r", \d+ ms\)$", ", <n> ms)", out, flags=re.M) == "".join([
+            "inverse_axioms: FAIL, 32 elements, 8 idempotents (192 cases, bound=3, <n> ms)\n",
+            *(f"  counterexample: inputs=x={x} {idem}\n" for x in (
+                "(0,1,0)", "(1,0,0)", "(1,1,0)", "(1,2,0)", "(1,3,0)", "(2,1,0)", "(3,1,0)",
+                "(0,1,1)", "(1,0,1)")),
+            "  counterexample: inputs=x=(1,1,1) expected=x x^-1 x == x got=(1,1,0)\n",
+            "  ... 31 more failures not shown\n"])
 
     def test_first_counterexample_in_scan_order(self, monkeypatch):
         _inject(monkeypatch, "_raw_image", _sparse_image)
@@ -921,12 +952,20 @@ def _plain_identity_fixed(log, elems, forms):
 
 
 def _plain_level0(log, elems, forms):
-    for k in sorted({e.k for e in forms}):
-        ref, *rest = [e for e in forms if e.k == k]
-        for e in rest:
-            for x in elems:
-                if x[2] == 0 and _endo._raw_image(*ref, *x) != _endo._raw_image(*e, *x):
-                    log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
+    for e in forms:
+        ref = next(f for f in forms if f.k == e.k)
+        for x in elems:
+            if x[2] == 0 and _endo._raw_image(*ref, *x) != _endo._raw_image(*e, *x):
+                log.add(f"{ref} vs {e} at {x}", "same level-0 image", "differs")
+
+
+def _plain_collapse(log, elems, forms):
+    compose_raw = _endo._compose_raw
+    coll = [e for e in forms if e.kind is Kind.COLLAPSING]
+    for e1 in coll:
+        for _, k, p in coll:
+            if compose_raw(*e1, Kind.COLLAPSING, k, p) != compose_raw(*e1, Kind.PRESERVING, k, p):
+                log.add(f"{e1} . (k={k},p={p})", "same composite for both kinds", "differs")
 
 
 def _plain_inverse_axioms(log, elems, forms):
@@ -956,9 +995,10 @@ def _plain_cross_level(log, elems, forms):
 
 
 #: (suite, check) -> (which records are the check's, its plain per-case
-#: loop, and the faults under which it logs at bound 3).  A pinned report
-#: holds these records only in its digest, or not at all where associativity
-#: or homomorphism records fill FAILURE_CAP first
+#: loop, the faults it runs under, and those under which it logs at bound 3,
+#: kmax 4 and ksym 6).  A pinned report holds these records only in its
+#: digest, or not at all where associativity or homomorphism records fill
+#: FAILURE_CAP first
 _WALKS = {
     ("semigroup_axioms", "identity"): (
         lambda inputs, expected: expected == "identity fixes x", _plain_identity,
@@ -981,7 +1021,10 @@ _WALKS = {
         _IMAGE_FAULTS, {"dense"}),
     ("endo_homomorphism", "level-0"): (
         lambda inputs, expected: expected == "same level-0 image", _plain_level0,
-        _IMAGE_FAULTS, {"level0"}),
+        _IMAGE_FAULTS, {"level0", "kinds"}),
+    ("composition_table", "collapse"): (
+        lambda inputs, expected: expected == "same composite for both kinds", _plain_collapse,
+        _COMPOSE_FAULTS, {"dense", "unit"}),
 }
 
 
@@ -994,13 +1037,17 @@ def test_capped_walks_match_a_plain_scan(monkeypatch, fault, key):
     # through the same kernel, in the same order
     suite, _ = key
     mine, plain, faults, logging = _WALKS[key]
+    if faults is _MUL_FAULTS:
+        kernel, bounds = "_mul_raw", {"bound": 3}
+    elif faults is _IMAGE_FAULTS:
+        kernel, bounds = "_raw_image", {"bound": 3, "kmax": 4}
+    else:  # the collapse check sweeps the forms to ksym
+        kernel, bounds = "_compose_raw", {"bound": 3, "kmax": 4, "ksym": 6}
     if fault:
-        _inject(monkeypatch, "_mul_raw" if faults is _MUL_FAULTS else "_raw_image",
-                faults[fault])
-    bounds = {"bound": 3} if faults is _MUL_FAULTS else {"bound": 3, "kmax": 4}
+        _inject(monkeypatch, kernel, faults[fault])
     got, want = _CheckLog(mine), FailureLog()
     SUITES[suite].run(got, **bounds)
-    plain(want, Truncation(3).raw(), _endo._forms(4))
+    plain(want, Truncation(3).raw(), _endo._forms(bounds.get("ksym", 4)))
     assert (got.total, got.recorded) == (want.total, want.recorded)
     assert bool(want.total) == (fault in logging)
 

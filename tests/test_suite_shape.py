@@ -1,7 +1,9 @@
 """Every verification suite has one shape, read from the source with stdlib ast.
 
 run_suite builds the one FailureLog and hands it to the suite; a suite counts
-its cases once, from the sizes it swept, and never adds to `cases` as it goes.
+its cases once, from the sizes it swept, and never adds to `cases` as it goes,
+and raises nothing itself, so what escapes a suite is the checked code's own
+exception, which run_suite records.
 """
 
 import ast
@@ -24,6 +26,13 @@ def test_no_suite_adds_to_cases():
              if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)
              and node.target.id == "cases"]
     assert added == []
+
+
+def test_no_suite_raises():
+    raising = [(name, node.lineno) for name, func in _FUNCTIONS.items()
+               if name.startswith("_suite_") or name == "_composition_soundness"
+               for node in ast.walk(func) if isinstance(node, ast.Raise)]
+    assert raising == []
 
 
 def test_only_run_suite_builds_a_failure_log():
